@@ -18,18 +18,21 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem,
                      UnsupportedScheme)
 from .link import LinkConfig, TimeBudget, airtime, plan_transfer
 from .reference import (CalibrationFactors, KemParamSet, OP_NOTIFY_PK,
                         ReferenceEnergyRow, default_calibration, lookup_scheme)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Measured cost of the classical ECDH P-256 pairing baseline, microjoules.
 ECDH_PAIRING_UJ = 328.0
@@ -54,8 +57,9 @@ class RadioProfile:
 
     def __post_init__(self):
         for name in ("voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu"):
-            if getattr(self, name) <= 0:
-                raise InvalidProfile(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidProfile(f"{name} must be finite and positive, got {value}")
 
 
 # Recovered from the bundled reference table by fit_radio_currents with
@@ -320,6 +324,8 @@ def _row_artifact(row: ReferenceEnergyRow) -> tuple[int, bool]:
 
 def _design_matrix(rows, ifs_slots: int, voltage: float, phy_rate: float,
                    ifs: float, include_ifs: bool) -> np.ndarray:
+    import numpy as np
+
     design = []
     for row in rows:
         artifact, as_receiver = _row_artifact(row)
@@ -340,6 +346,7 @@ def _design_matrix(rows, ifs_slots: int, voltage: float, phy_rate: float,
 def _chebyshev_polish(design: np.ndarray, target: np.ndarray,
                       start: np.ndarray) -> np.ndarray:
     """Minimize the maximum relative residual over non-negative currents."""
+    import numpy as np
     from scipy.optimize import linprog
 
     n, k = design.shape
@@ -372,6 +379,8 @@ def fit_radio_currents(rows, *, voltage: float = 3.0, phy_rate: float = 1_000_00
     ``i_mcu``/``f_mcu`` only populate the returned profile; the fit cannot
     observe them.
     """
+    import numpy as np
+
     rows = tuple(rows)
     if len(rows) < 3:
         raise SingularSystem(f"need at least 3 rows, got {len(rows)}")

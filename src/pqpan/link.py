@@ -15,6 +15,7 @@ pure and operate on value types.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfig
@@ -54,10 +55,11 @@ class LinkConfig:
             raise InvalidConfig(f"att_mtu must be >= 23, got {self.att_mtu}")
         if not 27 <= self.ll_pdu <= 251:
             raise InvalidConfig(f"ll_pdu must be in [27, 251], got {self.ll_pdu}")
-        if self.phy_rate <= 0:
-            raise InvalidConfig("phy_rate must be positive")
-        if self.ifs < 0:
-            raise InvalidConfig("ifs must be non-negative")
+        if not (math.isfinite(self.phy_rate) and self.phy_rate > 0):
+            raise InvalidConfig(
+                f"phy_rate must be finite and positive, got {self.phy_rate}")
+        if not (math.isfinite(self.ifs) and self.ifs >= 0):
+            raise InvalidConfig(f"ifs must be finite and non-negative, got {self.ifs}")
         if self.ifs_slots not in (1, 2):
             raise InvalidConfig(f"ifs_slots must be 1 or 2, got {self.ifs_slots}")
 
@@ -153,28 +155,32 @@ def plan_transfer(artifact_size: int, cfg: LinkConfig,
     """Build the full frame sequence for transferring one artifact.
 
     Data frames flow in ``direction``; each is followed by an empty ack in
-    the opposite direction.
+    the opposite direction. Frames are immutable, so the plan shares one
+    object per distinct frame: the ack and at most three data frames (a
+    full ``ll_pdu`` frame, the tail of a full SDU, the tail of the last SDU).
     """
     if artifact_size < 1:
         raise InvalidConfig(f"artifact_size must be >= 1, got {artifact_size}")
     back = (Direction.TO_INITIATOR if direction is Direction.TO_RESPONDER
             else Direction.TO_RESPONDER)
-    frames: list[LinkFrame] = []
-    chunks: list[int] = []
-    remaining = artifact_size
-    while remaining > 0:
-        chunk = min(cfg.att_chunk, remaining)
-        remaining -= chunk
-        chunks.append(chunk)
-        sdu = chunk + SDU_HEADERS
-        while sdu > 0:
-            payload = min(cfg.ll_pdu, sdu)
-            sdu -= payload
-            frames.append(LinkFrame(direction, payload))
-            frames.append(LinkFrame(back, 0, is_ack=True))
-    n_data = sum(1 for f in frames if not f.is_ack)
-    return FragmentationPlan(frames=tuple(frames), att_pdu_count=len(chunks),
-                             ll_data_pdu_count=n_data, att_chunks=tuple(chunks))
+    ack = LinkFrame(back, 0, is_ack=True)
+    data: dict[int, LinkFrame] = {}
+
+    def sdu_frames(chunk: int) -> tuple[LinkFrame, ...]:
+        n_full, tail = divmod(chunk + SDU_HEADERS, cfg.ll_pdu)
+        sizes = [cfg.ll_pdu] * n_full + [tail] * (tail > 0)
+        for size in sizes:
+            if size not in data:
+                data[size] = LinkFrame(direction, size)
+        return tuple(f for size in sizes for f in (data[size], ack))
+
+    chunk = cfg.att_chunk
+    n_att = -(-artifact_size // chunk)
+    last = artifact_size - (n_att - 1) * chunk
+    frames = sdu_frames(chunk) * (n_att - 1) + sdu_frames(last)
+    return FragmentationPlan(frames=frames, att_pdu_count=n_att,
+                             ll_data_pdu_count=len(frames) // 2,
+                             att_chunks=(chunk,) * (n_att - 1) + (last,))
 
 
 def bytes_on_air(plan: FragmentationPlan) -> tuple[int, int]:

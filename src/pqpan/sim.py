@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from math import isfinite
 from dataclasses import dataclass, field
 
 from . import kem
@@ -93,7 +94,26 @@ class FrameTrace:
                    if r.is_ack and (op is None or r.op == op))
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r.as_dict()) for r in self.records) + "\n"
+        """One JSON object per record, in the form of :meth:`TraceRecord.as_dict`.
+
+        Lines are formatted directly, byte for byte as ``json.dumps`` would:
+        finite floats with ``repr``, ints as they are, and each distinct op
+        string through ``json.dumps`` once.
+        """
+        ops: dict[str, str] = {}
+        lines = []
+        for r in self.records:
+            op = ops.get(r.op)
+            if op is None:
+                op = ops[r.op] = json.dumps(r.op)
+            t = r.time_s * 1e6
+            time_us = repr(t) if isfinite(t) else json.dumps(t)
+            sender = '"p->c"' if r.sender is Role.PERIPHERAL else '"c->p"'
+            is_ack = "true" if r.is_ack else "false"
+            lines.append(f'{{"time_us": {time_us}, "dir": {sender}, '
+                         f'"payload_B": {r.payload_bytes}, "overhead_B": {r.overhead_bytes}, '
+                         f'"op": {op}, "is_ack": {is_ack}}}')
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -162,16 +182,24 @@ def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan
                    initiator: Role, op: str, cfg: LinkConfig) -> float:
     """Append a plan's frames with timestamps; returns the advanced clock."""
     responder = Role.CENTRAL if initiator is Role.PERIPHERAL else Role.PERIPHERAL
+    # A plan shares one object per distinct frame, so (sender, airtime, gap)
+    # is worked out once per object. Keyed by identity: hashing the frozen
+    # frame would cost more than the work it saves.
+    steps: dict[int, tuple[Role, float, float]] = {}
     for frame in plan.frames:
-        sender = initiator if frame.direction is Direction.TO_RESPONDER else responder
-        records.append(TraceRecord(time_s=t, sender=sender,
-                                   payload_bytes=frame.payload_bytes,
-                                   overhead_bytes=frame.overhead_bytes,
-                                   is_ack=frame.is_ack, op=op))
-        t += _frame_air_s(frame.payload_bytes, frame.overhead_bytes, cfg)
-        # One gap always follows a data frame; the second gap after the ack
-        # is charged only under two-slot accounting.
-        t += cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0
+        step = steps.get(id(frame))
+        if step is None:
+            sender = initiator if frame.direction is Direction.TO_RESPONDER else responder
+            # One gap always follows a data frame; the second gap after the
+            # ack is charged only under two-slot accounting.
+            gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0
+            step = steps[id(frame)] = (
+                sender, _frame_air_s(frame.payload_bytes, frame.overhead_bytes, cfg), gap)
+        sender, air, gap = step
+        records.append(TraceRecord(t, sender, frame.payload_bytes, frame.overhead_bytes,
+                                   frame.is_ack, op))
+        t += air
+        t += gap
     return t
 
 

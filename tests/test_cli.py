@@ -194,6 +194,19 @@ def test_config_unknown_key_exits_3(capsys, tmp_path):
     assert "gamma_com" in err
 
 
+@pytest.mark.parametrize("key", ["phy_rate", "ifs"])
+def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key):
+    # Python's json reads NaN, so the link model itself must reject it.
+    config = tmp_path / "nan.json"
+    config.write_text(f'{{"{key}": NaN}}')
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                             "--att-mtu", "65", "--ll-pdu", "27",
+                             "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert key in err and "Traceback" not in err
+
+
 def test_config_missing_file_exits_4(capsys):
     code, _, _ = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
                          "--att-mtu", "65", "--ll-pdu", "27",
@@ -208,6 +221,23 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scheme"] == "ML-KEM-768"
+
+
+def test_estimate_and_simulate_do_not_import_numpy(tmp_path):
+    # numpy and scipy serve only the current fit; the other commands must
+    # start without them.
+    probe = (
+        "import sys, pqpan, pqpan.cli\n"
+        "out = sys.argv[1]\n"
+        "argv = ['--scheme', 'ml-kem-768', '--att-mtu', '65', '--ll-pdu', '27']\n"
+        "assert pqpan.cli.main(['estimate', *argv]) == 0\n"
+        "assert pqpan.cli.main(['simulate', *argv, '--payload', '64',\n"
+        "                       '--trace', out + '/t.jsonl', '--ledger', out + '/l.json']) == 0\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_config_custom_cycles_file(capsys, tmp_path):

@@ -50,6 +50,13 @@ def test_invalid_profile_fields():
         make_profile(voltage=-3.0)
 
 
+@pytest.mark.parametrize("field", ["voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_profile_fields_rejected(field, value):
+    with pytest.raises(InvalidProfile):
+        make_profile(**{field: value})
+
+
 def test_comm_energy_zero_budget():
     assert comm_energy(TimeBudget(0.0, 0.0, 0.0), make_profile()) == 0.0
 

@@ -156,10 +156,53 @@ def test_frame_dicts_export():
     ]
 
 
+def naive_plan(artifact_size, c, direction=Direction.TO_RESPONDER):
+    """Reference plan: one fresh LinkFrame per frame, chunk by chunk."""
+    back = (Direction.TO_INITIATOR if direction is Direction.TO_RESPONDER
+            else Direction.TO_RESPONDER)
+    frames, chunks = [], []
+    remaining = artifact_size
+    while remaining > 0:
+        chunk = min(c.att_mtu - 3, remaining)
+        remaining -= chunk
+        chunks.append(chunk)
+        sdu = chunk + 7
+        while sdu > 0:
+            payload = min(c.ll_pdu, sdu)
+            sdu -= payload
+            frames.append(LinkFrame(direction, payload))
+            frames.append(LinkFrame(back, 0, is_ack=True))
+    return FragmentationPlan(frames=tuple(frames), att_pdu_count=len(chunks),
+                             ll_data_pdu_count=len(frames) // 2,
+                             att_chunks=tuple(chunks))
+
+
+@given(artifacts, st.integers(min_value=23, max_value=517),
+       st.integers(min_value=27, max_value=251), st.sampled_from(list(Direction)))
+def test_plan_equals_naive_rebuild_with_shared_frames(artifact, att, ll, direction):
+    c = cfg(att, ll)
+    plan = plan_transfer(artifact, c, direction)
+    naive = naive_plan(artifact, c, direction)
+    assert plan == naive
+    assert repr(plan) == repr(naive)
+    # One ack object and at most three data objects: full frame, tail of a
+    # full SDU, tail of the last SDU.
+    assert len({id(f) for f in plan.frames}) <= 4
+
+
 @pytest.mark.parametrize("att,ll", [(22, 27), (65, 26), (65, 252)])
 def test_invalid_link_config(att, ll):
     with pytest.raises(InvalidConfig):
         LinkConfig(att_mtu=att, ll_pdu=ll)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("phy_rate", float("nan")), ("phy_rate", float("inf")),
+    ("ifs", float("nan")), ("ifs", float("inf")),
+])
+def test_non_finite_link_values_rejected(field, value):
+    with pytest.raises(InvalidConfig):
+        LinkConfig(att_mtu=65, ll_pdu=27, **{field: value})
 
 
 def test_invalid_ifs_slots():

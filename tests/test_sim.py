@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pqpan import (HandshakeFailure, LinkConfig, NotEstablished, Phase, pqke_total,
-                   run_handshake, send_secured_payload)
-from pqpan.sim import Reassembler
+from pqpan import (FrameTrace, HandshakeFailure, LinkConfig, NotEstablished, Phase,
+                   Role, pqke_total, run_handshake, send_secured_payload)
+from pqpan.sim import Reassembler, TraceRecord
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
 CFG_DLE = LinkConfig(att_mtu=404, ll_pdu=251)
@@ -77,6 +79,29 @@ def test_trace_jsonl_export():
     assert first["dir"] == "p->c" and first["op"] == "Notify_PK"
     ack = json.loads(lines[1])
     assert ack["is_ack"] and ack["dir"] == "c->p"
+
+
+def reference_jsonl(trace):
+    return "\n".join(json.dumps(r.as_dict()) for r in trace.records) + "\n"
+
+
+@given(st.sampled_from(["ml-kem-512", "ml-kem-768", "ml-kem-1024"]),
+       st.integers(min_value=23, max_value=517), st.integers(min_value=27, max_value=251),
+       st.sampled_from([1, 2]), st.integers(min_value=0, max_value=4096))
+@settings(max_examples=40, deadline=None)
+def test_to_jsonl_equals_json_dumps_of_records(scheme, att, ll, slots, payload):
+    r = run_handshake(scheme, LinkConfig(att_mtu=att, ll_pdu=ll, ifs_slots=slots))
+    delta, _ = send_secured_payload(r, bytes(payload))
+    for trace in (r.trace, delta):
+        assert trace.to_jsonl() == reference_jsonl(trace)
+
+
+@pytest.mark.parametrize("time_s", [0.0, 1e-300, 1e300, float("inf"), float("nan")])
+def test_to_jsonl_formats_any_float_like_json(time_s):
+    trace = FrameTrace(records=(
+        TraceRecord(time_s, Role.CENTRAL, 0, 10, True, 'op "quoted" \u00e9'),))
+    assert trace.to_jsonl() == reference_jsonl(trace)
+    assert FrameTrace(records=()).to_jsonl() == reference_jsonl(FrameTrace(records=()))
 
 
 def test_send_secured_payload_energy_and_frames():
