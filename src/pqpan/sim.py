@@ -79,10 +79,15 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class FrameTrace:
+    """Timestamped frames; ``clock`` is the virtual time after the last
+    frame and its trailing gap, where the next transfer starts."""
+
     records: tuple[TraceRecord, ...]
+    clock: float = 0.0
 
     @property
     def end_time(self) -> float:
+        """Start time of the last frame (0.0 for an empty trace)."""
         return self.records[-1].time_s if self.records else 0.0
 
     def data_frame_count(self, op: str | None = None) -> int:
@@ -282,8 +287,8 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
     central.phase = Phase.ESTABLISHED
 
     return HandshakeResult(peripheral=peripheral, central=central,
-                           trace=FrameTrace(records=tuple(records)), ledger=ledger,
-                           pk_plan=pk_plan, ct_plan=ct_plan, cfg=cfg,
+                           trace=FrameTrace(records=tuple(records), clock=t),
+                           ledger=ledger, pk_plan=pk_plan, ct_plan=ct_plan, cfg=cfg,
                            profile=profile, gamma=gamma)
 
 
@@ -295,8 +300,9 @@ def send_secured_payload(session: HandshakeResult, payload: bytes,
 
     The payload grows by the 28-byte AEAD envelope (tag + nonce); the cipher
     itself is modeled as a size transform only. Returns the frame-trace
-    delta (timestamps continue from the handshake) and its calibrated
-    communication energy in microjoules.
+    delta and its calibrated communication energy in microjoules. The delta
+    starts at the handshake's clock, so the gap after the handshake's last
+    ack follows the same rule as the gap between two handshake transfers.
     """
     if (session.peripheral.phase is not Phase.ESTABLISHED
             or session.central.phase is not Phase.ESTABLISHED):
@@ -307,10 +313,7 @@ def send_secured_payload(session: HandshakeResult, payload: bytes,
 
     plan = plan_transfer(len(payload) + AEAD_OVERHEAD_BYTES, cfg)
     records: list[TraceRecord] = []
-    start = session.trace.end_time
-    if session.trace.records:
-        last = session.trace.records[-1]
-        start += _frame_air_s(last.payload_bytes, last.overhead_bytes, cfg) + cfg.ifs
-    _emit_transfer(records, start, plan, Role.PERIPHERAL, OP_PAYLOAD, cfg)
+    clock = _emit_transfer(records, session.trace.clock, plan, Role.PERIPHERAL,
+                           OP_PAYLOAD, cfg)
     energy = gamma.gamma_comm * comm_energy(airtime(plan, cfg), profile)
-    return FrameTrace(records=tuple(records)), energy
+    return FrameTrace(records=tuple(records), clock=clock), energy

@@ -114,6 +114,21 @@ def test_send_secured_payload_energy_and_frames():
     assert trace.records[0].time_s > r.trace.end_time
 
 
+@pytest.mark.parametrize("slots", [1, 2])
+def test_gap_before_payload_equals_gap_before_ciphertext(slots):
+    cfg = LinkConfig(att_mtu=65, ll_pdu=27, ifs_slots=slots)
+    r = run_handshake("ml-kem-512", cfg, seed=15)
+    delta, _ = send_secured_payload(r, bytes(100))
+    records = r.trace.records
+    first_ct = next(i for i, rec in enumerate(records) if rec.op == "Write_CT")
+    gap_ct = records[first_ct].time_s - records[first_ct - 1].time_s
+    gap_payload = delta.records[0].time_s - records[-1].time_s
+    # The ack's airtime, plus the second gap only under two-slot accounting.
+    assert gap_ct == pytest.approx(80e-6 + (slots - 1) * cfg.ifs, rel=1e-9)
+    assert gap_payload == pytest.approx(gap_ct, rel=1e-9)
+    assert delta.records[0].time_s == r.trace.clock
+
+
 def test_send_secured_payload_empty_payload_still_sends_envelope():
     r = run_handshake("ml-kem-512", CFG_DLE, seed=11)
     trace, energy = send_secured_payload(r, b"")
