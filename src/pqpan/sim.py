@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from math import isfinite
 from dataclasses import dataclass, field
+from math import isfinite
 
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, comm_energy,
@@ -179,10 +179,6 @@ def _seed32(seed: int | bytes, label: bytes) -> bytes:
     return hashlib.shake_256(b"pqpan-sim" + label + raw).digest(kem.SEED_BYTES)
 
 
-def _frame_air_s(payload: int, overhead: int, cfg: LinkConfig) -> float:
-    return 8.0 * (payload + overhead) / cfg.phy_rate
-
-
 def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan,
                    initiator: Role, op: str, cfg: LinkConfig) -> float:
     """Append a plan's frames with timestamps; returns the advanced clock."""
@@ -198,8 +194,7 @@ def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan
             # One gap always follows a data frame; the second gap after the
             # ack is charged only under two-slot accounting.
             gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0
-            step = steps[id(frame)] = (
-                sender, _frame_air_s(frame.payload_bytes, frame.overhead_bytes, cfg), gap)
+            step = steps[id(frame)] = (sender, 8.0 * frame.on_air_bytes / cfg.phy_rate, gap)
         sender, air, gap = step
         records.append(TraceRecord(t, sender, frame.payload_bytes, frame.overhead_bytes,
                                    frame.is_ack, op))

@@ -223,16 +223,17 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["scheme"] == "ML-KEM-768"
 
 
-def test_estimate_and_simulate_do_not_import_numpy(tmp_path):
+def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
     # numpy and scipy serve only the current fit; the other commands must
     # start without them.
     probe = (
         "import sys, pqpan, pqpan.cli\n"
-        "out = sys.argv[1]\n"
+        "out = sys.argv[1] + '/'\n"
         "argv = ['--scheme', 'ml-kem-768', '--att-mtu', '65', '--ll-pdu', '27']\n"
         "assert pqpan.cli.main(['estimate', *argv]) == 0\n"
+        "assert pqpan.cli.main(['sweep', '--reference-grid', '--out', out + 's.csv']) == 0\n"
         "assert pqpan.cli.main(['simulate', *argv, '--payload', '64',\n"
-        "                       '--trace', out + '/t.jsonl', '--ledger', out + '/l.json']) == 0\n"
+        "                       '--trace', out + 't.jsonl', '--ledger', out + 'l.json']) == 0\n"
         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
                           capture_output=True, text=True)
