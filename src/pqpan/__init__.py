@@ -14,7 +14,7 @@ from .kem import (Encapsulation, KemKeyPair, SessionKey, decapsulate,
                   derive_session_key, encapsulate, get_backend, keygen)
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, ECDH_PAIRING_UJ,
                      EnergyBreakdown, FITTED_RADIO_PROFILE, FitResult, RadioProfile,
-                     apply_calibration, comm_energy, comp_energy, fit_radio_currents,
+                     comm_energy, comp_energy, fit_radio_currents, handshake_breakdown,
                      load_cycle_counts, pqke_total, session_energy)
 from .sim import (EnergyLedger, FrameTrace, HandshakeResult, PartyState, Phase,
                   Role, run_handshake, send_secured_payload)

@@ -23,11 +23,10 @@ import sys
 from dataclasses import replace
 
 from .config import ModelConfig, resolve_config
-from .energy import (comm_energy, fit_radio_currents, pqke_total)
+from .energy import comm_energy, fit_radio_currents, pqke_total
 from .errors import PqpanError
 from .link import LinkConfig, airtime, plan_transfer
-from .reference import (CalibrationFactors, OP_NOTIFY_PK, OP_WRITE_CT,
-                        load_reference_table, lookup_scheme)
+from .reference import CalibrationFactors, load_reference_table, lookup_scheme
 from .sim import run_handshake, send_secured_payload
 
 DEFAULT_SWEEP_SCHEMES = "ML-KEM-512,ML-KEM-768,ML-KEM-1024"
@@ -49,7 +48,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _add_link_flags(p: argparse.ArgumentParser, require: bool,
                     default_att: int | None = None, default_ll: int | None = None) -> None:
     p.add_argument("--att-mtu", type=int, required=require, default=default_att,
-                   help="ATT MTU in bytes (>= 23)")
+                   help="ATT MTU in bytes (23..517)")
     p.add_argument("--ll-pdu", type=int, required=require, default=default_ll,
                    help="link-layer PDU payload cap in bytes (27..251)")
     p.add_argument("--ifs-slots", type=int, choices=(1, 2), default=None,
@@ -74,8 +73,7 @@ def _apply_overrides(cfg: ModelConfig, args) -> ModelConfig:
 
 def _link_config(cfg: ModelConfig, att_mtu: int, ll_pdu: int) -> LinkConfig:
     return LinkConfig(att_mtu=att_mtu, ll_pdu=ll_pdu, phy_rate=cfg.phy_rate,
-                      ifs=cfg.ifs, conn_interval=cfg.conn_interval,
-                      ifs_slots=cfg.ifs_slots)
+                      ifs=cfg.ifs, ifs_slots=cfg.ifs_slots)
 
 
 def _round_tree(obj, ndigits=2):
@@ -106,8 +104,7 @@ def _sweep_rows(cfg: ModelConfig, cells):
     for scheme_name, att, ll in cells:
         scheme = lookup_scheme(scheme_name)
         link = _link_config(cfg, att, ll)
-        for op, artifact, as_receiver in ((OP_NOTIFY_PK, scheme.pk_size, False),
-                                          (OP_WRITE_CT, scheme.ct_size, True)):
+        for op, artifact, as_receiver in scheme.transfers():
             budget = airtime(plan_transfer(artifact, link), link)
             e = comm_energy(budget, cfg.profile, as_receiver=as_receiver)
             rows.append({"scheme": scheme.name, "att_mtu": att, "ll_pdu": ll,

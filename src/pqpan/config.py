@@ -37,7 +37,7 @@ from .reference import CalibrationFactors, default_calibration
 ENV_PROFILE = "PQPAN_PROFILE"
 
 _PROFILE_KEYS = ("voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu")
-_LINK_KEYS = ("phy_rate", "ifs", "ifs_slots", "conn_interval")
+_LINK_KEYS = ("phy_rate", "ifs", "ifs_slots")
 _OTHER_KEYS = ("gamma_comm", "gamma_keygen", "gamma_decap", "cycles_file",
                "kem_backend")
 #: Keys the fit report adds around its profile; ignored on load.
@@ -54,7 +54,6 @@ class ModelConfig:
     cycles: dict[str, CycleCounts]
     phy_rate: float = 1_000_000.0
     ifs: float = 150e-6
-    conn_interval: float = 50e-3
     ifs_slots: int = 2
     kem_backend: str = "stub"
 
@@ -64,13 +63,22 @@ def default_config() -> ModelConfig:
                        cycles=load_cycle_counts())
 
 
-def _gamma_table(raw, key: str) -> dict[int, float]:
+def _gamma_table(data: dict, key: str, default: dict[int, float]) -> dict[int, float]:
+    raw = data.get(key, default)
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{key} must map security levels to factors")
     try:
         return {int(level): float(g) for level, g in raw.items()}
     except (TypeError, ValueError):
         raise InvalidConfig(f"{key} has a non-numeric entry") from None
+
+
+def _number(data: dict, key: str, default, kind=float):
+    """``data[key]`` as a ``kind`` number, or ``default`` when absent."""
+    try:
+        return kind(data.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"{key} must be a number, got {data[key]!r}") from None
 
 
 def load_config(path: str | Path) -> ModelConfig:
@@ -95,18 +103,13 @@ def load_config(path: str | Path) -> ModelConfig:
         raise InvalidConfig(f"{path}: unknown config keys {sorted(unknown)}")
 
     base = default_config()
-    profile_overrides = {k: float(data[k]) for k in _PROFILE_KEYS if k in data}
+    profile_overrides = {k: _number(data, k, None) for k in _PROFILE_KEYS if k in data}
     profile = replace(base.profile, **profile_overrides) if profile_overrides else base.profile
 
-    gamma = base.gamma
-    if "gamma_comm" in data or "gamma_keygen" in data or "gamma_decap" in data:
-        gamma = CalibrationFactors(
-            gamma_keygen=_gamma_table(data["gamma_keygen"], "gamma_keygen")
-            if "gamma_keygen" in data else base.gamma.gamma_keygen,
-            gamma_decap=_gamma_table(data["gamma_decap"], "gamma_decap")
-            if "gamma_decap" in data else base.gamma.gamma_decap,
-            gamma_comm=float(data.get("gamma_comm", base.gamma.gamma_comm)),
-        )
+    gamma = CalibrationFactors(
+        gamma_keygen=_gamma_table(data, "gamma_keygen", base.gamma.gamma_keygen),
+        gamma_decap=_gamma_table(data, "gamma_decap", base.gamma.gamma_decap),
+        gamma_comm=_number(data, "gamma_comm", base.gamma.gamma_comm))
 
     cycles = base.cycles
     if "cycles_file" in data:
@@ -117,10 +120,9 @@ def load_config(path: str | Path) -> ModelConfig:
 
     return ModelConfig(
         profile=profile, gamma=gamma, cycles=cycles,
-        phy_rate=float(data.get("phy_rate", base.phy_rate)),
-        ifs=float(data.get("ifs", base.ifs)),
-        conn_interval=float(data.get("conn_interval", base.conn_interval)),
-        ifs_slots=int(data.get("ifs_slots", base.ifs_slots)),
+        phy_rate=_number(data, "phy_rate", base.phy_rate),
+        ifs=_number(data, "ifs", base.ifs),
+        ifs_slots=_number(data, "ifs_slots", base.ifs_slots, int),
         kem_backend=str(data.get("kem_backend", base.kem_backend)),
     )
 

@@ -4,9 +4,9 @@ Computation energy converts MCU cycle counts into microjoules
 (``I_mcu * V * C / f_mcu``); communication energy prices a transfer's time
 budget with per-state radio currents (``V * (I_tx*t_tx + I_rx*t_rx +
 I_ifs*t_ifs)``). Per-phase calibration factors then align the analytical
-values with hardware behavior, and ``pqke_total`` composes the four dominant
+values with hardware behavior. ``handshake_breakdown`` prices the four dominant
 handshake phases (key generation, public-key transmit, ciphertext receive,
-decapsulation) into one breakdown.
+decapsulation) for both ``pqke_total`` and the simulator's ledger.
 
 The radio currents shipped as defaults are *fitted* values, recovered from
 the bundled reference energy table by :func:`fit_radio_currents`; they are
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING
 from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem,
                      UnsupportedScheme)
 from .link import LinkConfig, TimeBudget, airtime, plan_transfer
-from .reference import (CalibrationFactors, KemParamSet, OP_NOTIFY_PK,
-                        ReferenceEnergyRow, default_calibration, lookup_scheme)
+from .reference import (CalibrationFactors, KemParamSet, default_calibration,
+                        lookup_scheme)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -179,26 +179,45 @@ def comm_energy(budget: TimeBudget, profile: RadioProfile,
     return joules * 1e6
 
 
-def apply_calibration(raw: EnergyBreakdown, gamma: CalibrationFactors,
-                      level: int) -> EnergyBreakdown:
-    """Scale a raw breakdown by the calibration factors for ``level``.
+def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
+                     gamma: CalibrationFactors | None, cycles: dict[str, CycleCounts] | None):
+    """(scheme, profile, gamma, the scheme's cycle counts), with defaults filled
+    in. Raises UnsupportedScheme for a scheme without a handshake energy model."""
+    if isinstance(scheme, str):
+        scheme = lookup_scheme(scheme)
+    profile = profile or FITTED_RADIO_PROFILE
+    gamma = gamma or default_calibration()
+    if not scheme.is_kem or scheme.nist_level is None:
+        raise UnsupportedScheme(f"{scheme.name} has no handshake energy model")
+    counts = (load_cycle_counts() if cycles is None else cycles).get(scheme.name.upper())
+    if counts is None:
+        raise UnsupportedScheme(f"no cycle counts for {scheme.name}")
+    return scheme, profile, gamma, counts
 
-    Key generation and decapsulation use their level-specific factors; both
-    transfer phases share the communication factor. Encapsulation, when
-    present, stays uncalibrated (no published factor for the remote side).
-    """
-    adj_keygen = gamma.keygen_for(level) * raw.e_keygen
-    adj_decap = gamma.decap_for(level) * raw.e_decap
-    adj_notify = gamma.gamma_comm * raw.e_notify_pk
-    adj_write = gamma.gamma_comm * raw.e_write_ct
-    adj_encap = raw.e_encap
+
+def handshake_breakdown(counts: CycleCounts, pk_budget: TimeBudget, ct_budget: TimeBudget,
+                        profile: RadioProfile, gamma: CalibrationFactors, level: int,
+                        include_encap: bool = False) -> EnergyBreakdown:
+    """Price and calibrate the peripheral's phases: it sends the ``pk_budget``
+    transfer and receives the ``ct_budget`` one. Encapsulation, on the central,
+    is priced only with ``include_encap`` and is uncalibrated (no published factor)."""
+    e_keygen = comp_energy(counts.keygen, profile)
+    e_decap = comp_energy(counts.decap, profile)
+    e_notify = comm_energy(pk_budget, profile)
+    e_write = comm_energy(ct_budget, profile, as_receiver=True)
+    e_encap = comp_energy(counts.encap, profile) if include_encap else None
+    adj_keygen = gamma.keygen_for(level) * e_keygen
+    adj_decap = gamma.decap_for(level) * e_decap
+    adj_notify = gamma.gamma_comm * e_notify
+    adj_write = gamma.gamma_comm * e_write
     total = adj_keygen + adj_decap + adj_notify + adj_write
-    if adj_encap is not None:
-        total += adj_encap
-    return replace(raw, adj_keygen=adj_keygen, adj_decap=adj_decap,
-                   adj_notify_pk=adj_notify, adj_write_ct=adj_write,
-                   adj_encap=adj_encap, e_total=total,
-                   comm_share=(adj_notify + adj_write) / total)
+    if e_encap is not None:
+        total += e_encap
+    return EnergyBreakdown(
+        e_keygen=e_keygen, e_decap=e_decap, e_notify_pk=e_notify, e_write_ct=e_write,
+        adj_keygen=adj_keygen, adj_decap=adj_decap, adj_notify_pk=adj_notify,
+        adj_write_ct=adj_write, e_total=total,
+        comm_share=(adj_notify + adj_write) / total, e_encap=e_encap, adj_encap=e_encap)
 
 
 def pqke_total(scheme: KemParamSet | str, cfg: LinkConfig,
@@ -208,34 +227,15 @@ def pqke_total(scheme: KemParamSet | str, cfg: LinkConfig,
                include_encap: bool = False) -> EnergyBreakdown:
     """Total handshake energy breakdown for one scheme and link config.
 
-    Composes key generation, public-key transmit (device is the sender),
-    ciphertext receive (device is the receiver), and decapsulation, then
-    calibrates. Encapsulation runs on the remote party and is excluded
-    unless ``include_encap`` is set.
+    Prices the time budgets of the scheme's two transfers with
+    :func:`handshake_breakdown`. Encapsulation runs on the remote party and
+    is excluded unless ``include_encap`` is set.
     """
-    if isinstance(scheme, str):
-        scheme = lookup_scheme(scheme)
-    profile = profile or FITTED_RADIO_PROFILE
-    gamma = gamma or default_calibration()
-    cycles = cycles if cycles is not None else load_cycle_counts()
-    if not scheme.is_kem or scheme.nist_level is None:
-        raise UnsupportedScheme(f"{scheme.name} has no handshake energy model")
-    counts = cycles.get(scheme.name.upper())
-    if counts is None:
-        raise UnsupportedScheme(f"no cycle counts for {scheme.name}")
-
-    e_keygen = comp_energy(counts.keygen, profile)
-    e_decap = comp_energy(counts.decap, profile)
-    e_notify = comm_energy(airtime(plan_transfer(scheme.pk_size, cfg), cfg), profile)
-    e_write = comm_energy(airtime(plan_transfer(scheme.ct_size, cfg), cfg), profile,
-                          as_receiver=True)
-    e_encap = comp_energy(counts.encap, profile) if include_encap else None
-    raw = EnergyBreakdown(
-        e_keygen=e_keygen, e_decap=e_decap, e_notify_pk=e_notify, e_write_ct=e_write,
-        adj_keygen=e_keygen, adj_decap=e_decap, adj_notify_pk=e_notify,
-        adj_write_ct=e_write, e_total=0.0, comm_share=0.5, e_encap=e_encap,
-        adj_encap=e_encap)
-    return apply_calibration(raw, gamma, scheme.nist_level)
+    scheme, profile, gamma, counts = handshake_inputs(scheme, profile, gamma, cycles)
+    pk_budget, ct_budget = (airtime(plan_transfer(size, cfg), cfg)
+                            for _, size, _ in scheme.transfers())
+    return handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma,
+                               scheme.nist_level, include_encap)
 
 
 def session_energy(security: str, payload: int, cfg: LinkConfig,
@@ -314,21 +314,14 @@ class FitResult:
         }
 
 
-def _row_artifact(row: ReferenceEnergyRow) -> tuple[int, bool]:
-    """(artifact size, device-is-receiver) for a reference row."""
-    scheme = lookup_scheme(row.scheme)
-    if row.op == OP_NOTIFY_PK:
-        return scheme.pk_size, False
-    return scheme.ct_size, True
-
-
 def _design_matrix(rows, ifs_slots: int, voltage: float, phy_rate: float,
                    ifs: float, include_ifs: bool) -> np.ndarray:
     import numpy as np
 
     design = []
     for row in rows:
-        artifact, as_receiver = _row_artifact(row)
+        artifact, as_receiver = {op: (size, rx) for op, size, rx
+                                 in lookup_scheme(row.scheme).transfers()}[row.op]
         cfg = LinkConfig(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu, phy_rate=phy_rate,
                          ifs=ifs, ifs_slots=ifs_slots)
         budget = airtime(plan_transfer(artifact, cfg), cfg)

@@ -15,7 +15,6 @@ pure and operate on value types.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfig
@@ -24,6 +23,13 @@ ATT_HEADER = 3
 L2CAP_HEADER = 4
 LL_OVERHEAD = 10
 SDU_HEADERS = ATT_HEADER + L2CAP_HEADER
+
+#: Modeled ranges (bytes, bit/s, seconds). 517 B is the largest useful ATT_MTU
+#: (512 B attribute value, Bluetooth Core Specification Vol 3 Part F).
+ATT_MTU_MIN, ATT_MTU_MAX = 23, 517
+LL_PDU_MIN, LL_PDU_MAX = 27, 251
+PHY_RATE_MIN, PHY_RATE_MAX = 1e3, 1e9
+IFS_MAX = 10e-3
 
 
 class Direction(enum.Enum):
@@ -35,31 +41,26 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Link parameters for one transfer.
+    """Link parameters for one transfer, each within its modeled range.
 
-    ``conn_interval`` is carried for reporting only; the analytical model
-    converts bytes to airtime directly and does not schedule connection
-    events. ``ifs_slots`` is the number of inter-frame gaps charged per
-    data/ack exchange (2 = data, gap, ack, gap).
+    The analytical model converts bytes to airtime directly and does not
+    schedule connection events. ``ifs_slots`` is the number of inter-frame
+    gaps charged per data/ack exchange (2 = data, gap, ack, gap).
     """
 
     att_mtu: int
     ll_pdu: int
     phy_rate: float = 1_000_000.0
     ifs: float = 150e-6
-    conn_interval: float = 50e-3
     ifs_slots: int = 2
 
     def __post_init__(self):
-        if self.att_mtu < 23:
-            raise InvalidConfig(f"att_mtu must be >= 23, got {self.att_mtu}")
-        if not 27 <= self.ll_pdu <= 251:
-            raise InvalidConfig(f"ll_pdu must be in [27, 251], got {self.ll_pdu}")
-        if not (math.isfinite(self.phy_rate) and self.phy_rate > 0):
-            raise InvalidConfig(
-                f"phy_rate must be finite and positive, got {self.phy_rate}")
-        if not (math.isfinite(self.ifs) and self.ifs >= 0):
-            raise InvalidConfig(f"ifs must be finite and non-negative, got {self.ifs}")
+        bounds = (("att_mtu", ATT_MTU_MIN, ATT_MTU_MAX), ("ll_pdu", LL_PDU_MIN, LL_PDU_MAX),
+                  ("phy_rate", PHY_RATE_MIN, PHY_RATE_MAX), ("ifs", 0.0, IFS_MAX))
+        for name, lo, hi in bounds:
+            value = getattr(self, name)
+            if not lo <= value <= hi:  # NaN fails too
+                raise InvalidConfig(f"{name} must be in [{lo}, {hi}], got {value}")
         if self.ifs_slots not in (1, 2):
             raise InvalidConfig(f"ifs_slots must be 1 or 2, got {self.ifs_slots}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -29,6 +30,9 @@ KIND_SIGNATURE = "Signature"
 
 OP_NOTIFY_PK = "Notify_PK"
 OP_WRITE_CT = "Write_CT"
+
+#: NIST security levels a KEM parameter set can claim.
+SECURITY_LEVELS = (1, 3, 5)
 
 #: Rows expected in the reference energy table: 3 schemes x 8 configs x 2 ops.
 REFERENCE_ROW_COUNT = 48
@@ -63,7 +67,7 @@ class KemParamSet:
                 raise ConsistencyError(f"{self.name}: {field} must be positive")
         if self.ct_or_sig_min > self.ct_or_sig_max:
             raise ConsistencyError(f"{self.name}: size range is inverted")
-        if self.nist_level is not None and self.nist_level not in (1, 3, 5):
+        if self.nist_level is not None and self.nist_level not in SECURITY_LEVELS:
             raise ConsistencyError(f"{self.name}: level must be 1, 3, or 5")
 
     @property
@@ -76,6 +80,10 @@ class KemParamSet:
         if self.ct_or_sig_min != self.ct_or_sig_max:
             raise ConsistencyError(f"{self.name}: ciphertext size is a range")
         return self.ct_or_sig_min
+
+    def transfers(self) -> tuple[tuple[str, int, bool], ...]:
+        """The handshake's transfers in order: (op, artifact size, peripheral receives)."""
+        return ((OP_NOTIFY_PK, self.pk_size, False), (OP_WRITE_CT, self.ct_size, True))
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,8 @@ class CalibrationFactors:
 
     ``gamma_keygen``/``gamma_decap`` map a NIST security level to the factor
     for that computation phase; ``gamma_comm`` applies to both transfer
-    phases regardless of level.
+    phases regardless of level. Every factor is finite and >= 1.0, and each
+    table covers every security level.
     """
 
     gamma_keygen: dict[int, float]
@@ -108,9 +117,14 @@ class CalibrationFactors:
     gamma_comm: float
 
     def __post_init__(self):
-        values = [self.gamma_comm, *self.gamma_keygen.values(), *self.gamma_decap.values()]
-        if any(g < 1.0 for g in values):
-            raise ConsistencyError("calibration factors must be >= 1.0")
+        # gamma_comm applies at every level, so it is checked as a full table.
+        tables = {"gamma_keygen": self.gamma_keygen, "gamma_decap": self.gamma_decap,
+                  "gamma_comm": dict.fromkeys(SECURITY_LEVELS, self.gamma_comm)}
+        for name, table in tables.items():
+            if not (set(SECURITY_LEVELS) <= set(table)
+                    and all(math.isfinite(g) and g >= 1.0 for g in table.values())):
+                raise ConsistencyError(
+                    f"{name} needs a finite factor >= 1.0 for levels 1, 3 and 5, got {table}")
 
     def keygen_for(self, level: int) -> float:
         return self.gamma_keygen[level]

@@ -22,14 +22,11 @@ from math import isfinite
 
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, comm_energy,
-                     comp_energy, FITTED_RADIO_PROFILE, load_cycle_counts)
-from .errors import HandshakeFailure, NotEstablished, UnsupportedScheme
+                     handshake_breakdown, handshake_inputs)
+from .errors import HandshakeFailure, NotEstablished
 from .link import Direction, FragmentationPlan, LinkConfig, airtime, plan_transfer
-from .reference import (CalibrationFactors, KemParamSet, default_calibration,
-                        lookup_scheme)
+from .reference import CalibrationFactors, KemParamSet
 
-OP_NOTIFY_PK = "Notify_PK"
-OP_WRITE_CT = "Write_CT"
 OP_PAYLOAD = "Payload"
 
 
@@ -123,7 +120,9 @@ class FrameTrace:
 
 @dataclass
 class EnergyLedger:
-    """Calibrated per-phase microjoules accumulated by each party."""
+    """Calibrated per-phase microjoules of each party. The peripheral's terms
+    come from :func:`~pqpan.energy.handshake_breakdown`; the central's are the
+    mirrored transfers and its uncalibrated encapsulation."""
 
     peripheral: dict[str, float] = field(default_factory=dict)
     central: dict[str, float] = field(default_factory=dict)
@@ -203,6 +202,22 @@ def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan
     return t
 
 
+def _carry(records: list[TraceRecord], t: float, artifact: bytes,
+           transfer: tuple[str, int, bool], cfg: LinkConfig):
+    """Send an artifact as one row of :meth:`KemParamSet.transfers` describes;
+    returns the advanced clock, the plan and the reassembled artifact."""
+    op, size, peripheral_receives = transfer
+    plan = plan_transfer(size, cfg)
+    rx = Reassembler(size, op)
+    offset = 0
+    for chunk in plan.att_chunks:
+        rx.feed(artifact[offset:offset + chunk])
+        offset += chunk
+    sender = Role.CENTRAL if peripheral_receives else Role.PERIPHERAL
+    t = _emit_transfer(records, t, plan, sender, op, cfg)
+    return t, plan, rx.finish()
+
+
 def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
                   profile: RadioProfile | None = None,
                   gamma: CalibrationFactors | None = None,
@@ -211,75 +226,51 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
     """Run the full handshake; all randomness is fixed by ``seed``.
 
     Returns both party states (Established on success), the timestamped
-    frame trace, and the per-party energy ledger. The peripheral's four-term
-    ledger equals the analytical total for identical inputs.
+    frame trace, and the per-party energy ledger. The peripheral's ledger is
+    :func:`~pqpan.energy.handshake_breakdown` of the two transfers' plans, so
+    it equals ``pqke_total`` for identical inputs.
     """
-    if isinstance(scheme, str):
-        scheme = lookup_scheme(scheme)
-    profile = profile or FITTED_RADIO_PROFILE
-    gamma = gamma or default_calibration()
-    cycles = cycles if cycles is not None else load_cycle_counts()
-    counts = cycles.get(scheme.name.upper())
-    if not scheme.is_kem or scheme.nist_level is None or counts is None:
-        raise UnsupportedScheme(f"{scheme.name} has no handshake energy model")
+    scheme, profile, gamma, counts = handshake_inputs(scheme, profile, gamma, cycles)
     kem_backend = kem.get_backend(backend)
+    pk_transfer, ct_transfer = scheme.transfers()
 
     peripheral = PartyState(role=Role.PERIPHERAL, scheme=scheme)
     central = PartyState(role=Role.CENTRAL, scheme=scheme)
-    ledger = EnergyLedger()
     records: list[TraceRecord] = []
-    t = 0.0
 
     # Step 1: peripheral generates its key pair and notifies the public key.
     peripheral.keypair = kem.keygen(scheme, _seed32(seed, b"keygen"), kem_backend)
     peripheral.phase = Phase.KEYGEN_DONE
-    ledger.peripheral["keygen"] = (gamma.keygen_for(scheme.nist_level)
-                                   * comp_energy(counts.keygen, profile))
-
-    pk_plan = plan_transfer(scheme.pk_size, cfg)
-    pk_rx = Reassembler(scheme.pk_size, "public key")
-    offset = 0
-    for chunk in pk_plan.att_chunks:
-        pk_rx.feed(peripheral.keypair.pk[offset:offset + chunk])
-        offset += chunk
-    t = _emit_transfer(records, t, pk_plan, Role.PERIPHERAL, OP_NOTIFY_PK, cfg)
+    t, pk_plan, central.peer_pk = _carry(records, 0.0, peripheral.keypair.pk, pk_transfer, cfg)
     peripheral.phase = Phase.PK_SENT
-    central.peer_pk = pk_rx.finish()
     central.phase = Phase.PK_RECEIVED
-    pk_budget = airtime(pk_plan, cfg)
-    ledger.peripheral["notify_pk"] = gamma.gamma_comm * comm_energy(pk_budget, profile)
-    ledger.central["notify_pk"] = gamma.gamma_comm * comm_energy(pk_budget, profile,
-                                                                 as_receiver=True)
 
     # Step 2: central encapsulates against the received key and writes the
-    # ciphertext back. Encapsulation energy is uncalibrated (no published
-    # factor for the central).
+    # ciphertext back.
     enc = kem.encapsulate(central.peer_pk, scheme, _seed32(seed, b"encap"), kem_backend)
-    ledger.central["encap"] = comp_energy(counts.encap, profile)
-
-    ct_plan = plan_transfer(scheme.ct_size, cfg)
-    ct_rx = Reassembler(scheme.ct_size, "ciphertext")
-    offset = 0
-    for chunk in ct_plan.att_chunks:
-        ct_rx.feed(enc.ct[offset:offset + chunk])
-        offset += chunk
-    t = _emit_transfer(records, t, ct_plan, Role.CENTRAL, OP_WRITE_CT, cfg)
+    t, ct_plan, ct = _carry(records, t, enc.ct, ct_transfer, cfg)
     central.phase = Phase.CT_SENT
-    ct = ct_rx.finish()
     peripheral.phase = Phase.CT_RECEIVED
-    ct_budget = airtime(ct_plan, cfg)
-    ledger.peripheral["write_ct"] = gamma.gamma_comm * comm_energy(ct_budget, profile,
-                                                                   as_receiver=True)
-    ledger.central["write_ct"] = gamma.gamma_comm * comm_energy(ct_budget, profile)
 
     # Step 3: peripheral decapsulates; both sides derive the session key.
     ss = kem.decapsulate(peripheral.keypair.sk, ct, scheme, kem_backend)
-    ledger.peripheral["decap"] = (gamma.decap_for(scheme.nist_level)
-                                  * comp_energy(counts.decap, profile))
     peripheral.session_key = kem.derive_session_key(ss)
     central.session_key = kem.derive_session_key(enc.ss)
     peripheral.phase = Phase.ESTABLISHED
     central.phase = Phase.ESTABLISHED
+
+    # The central sits on the other end of each transfer the peripheral makes.
+    pk_budget, ct_budget = airtime(pk_plan, cfg), airtime(ct_plan, cfg)
+    phases = handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma,
+                                 scheme.nist_level, include_encap=True)
+    ledger = EnergyLedger(
+        peripheral={"keygen": phases.adj_keygen, "notify_pk": phases.adj_notify_pk,
+                    "write_ct": phases.adj_write_ct, "decap": phases.adj_decap},
+        central={"notify_pk": gamma.gamma_comm * comm_energy(
+                     pk_budget, profile, as_receiver=not pk_transfer[2]),
+                 "encap": phases.adj_encap,
+                 "write_ct": gamma.gamma_comm * comm_energy(
+                     ct_budget, profile, as_receiver=not ct_transfer[2])})
 
     return HandshakeResult(peripheral=peripheral, central=central,
                            trace=FrameTrace(records=tuple(records), clock=t),

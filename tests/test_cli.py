@@ -194,17 +194,36 @@ def test_config_unknown_key_exits_3(capsys, tmp_path):
     assert "gamma_com" in err
 
 
-@pytest.mark.parametrize("key", ["phy_rate", "ifs"])
-def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key):
-    # Python's json reads NaN, so the link model itself must reject it.
-    config = tmp_path / "nan.json"
-    config.write_text(f'{{"{key}": NaN}}')
-    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+@pytest.mark.parametrize("key,text", [
+    pytest.param("phy_rate", '{"phy_rate": NaN}', id="phy_rate"),
+    pytest.param("ifs", '{"ifs": NaN}', id="ifs"),
+    pytest.param("phy_rate", '{"phy_rate": 1e-320}', id="phy_rate-tiny"),
+    pytest.param("ifs", '{"ifs": 1e300}', id="ifs-huge"),
+    pytest.param("i_tx", '{"i_tx": "abc"}', id="i_tx-text"),
+    pytest.param("gamma_comm", '{"gamma_comm": "x"}', id="gamma_comm-text"),
+    pytest.param("gamma_comm", '{"gamma_comm": NaN}', id="gamma_comm-nan"),
+    pytest.param("gamma_keygen", '{"gamma_keygen": {"1": 1.3}}',
+                 id="gamma_keygen-incomplete"),
+])
+def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
+    # Python's json reads NaN, so the model itself must reject it; values
+    # that are out of range, not numbers, or incomplete are rejected too.
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-768",
                              "--att-mtu", "65", "--ll-pdu", "27",
                              "--config", str(config))
     assert code == 3
     assert out == ""
     assert key in err and "Traceback" not in err
+
+
+def test_att_mtu_above_cap_exits_3(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                             "--att-mtu", "518", "--ll-pdu", "27")
+    assert code == 3
+    assert out == ""
+    assert "att_mtu" in err and "Traceback" not in err
 
 
 def test_config_missing_file_exits_4(capsys):

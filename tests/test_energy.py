@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pqpan import (ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
                    InvalidProfile, LinkConfig, RadioProfile, SingularSystem,
-                   TimeBudget, UnsupportedScheme, airtime, apply_calibration,
+                   TimeBudget, UnsupportedScheme, airtime,
                    comm_energy, comp_energy, default_calibration,
                    fit_radio_currents, identity_calibration, load_cycle_counts,
                    lookup_scheme, plan_transfer, pqke_total, session_energy)
@@ -88,9 +88,9 @@ def test_apply_calibration_identity():
 
 
 def test_apply_calibration_level1_keygen():
-    raw = pqke_total("ml-kem-512", LinkConfig(att_mtu=65, ll_pdu=27),
-                     gamma=identity_calibration())
-    adjusted = apply_calibration(raw, default_calibration(), level=1)
+    cfg = LinkConfig(att_mtu=65, ll_pdu=27)
+    raw = pqke_total("ml-kem-512", cfg, gamma=identity_calibration())
+    adjusted = pqke_total("ml-kem-512", cfg, gamma=default_calibration())
     assert adjusted.adj_keygen == pytest.approx(1.27 * raw.e_keygen)
     assert adjusted.adj_decap == pytest.approx(1.12 * raw.e_decap)
     assert adjusted.adj_notify_pk == pytest.approx(1.15 * raw.e_notify_pk)

@@ -190,7 +190,7 @@ def test_plan_equals_naive_rebuild_with_shared_frames(artifact, att, ll, directi
     assert len({id(f) for f in plan.frames}) <= 4
 
 
-@pytest.mark.parametrize("att,ll", [(22, 27), (65, 26), (65, 252)])
+@pytest.mark.parametrize("att,ll", [(22, 27), (518, 27), (65, 26), (65, 252)])
 def test_invalid_link_config(att, ll):
     with pytest.raises(InvalidConfig):
         LinkConfig(att_mtu=att, ll_pdu=ll)

@@ -150,4 +150,5 @@ def test_default_calibration_values():
 
 def test_calibration_rejects_sub_unity_factors():
     with pytest.raises(ConsistencyError):
-        CalibrationFactors(gamma_keygen={1: 0.9}, gamma_decap={1: 1.1}, gamma_comm=1.15)
+        CalibrationFactors(gamma_keygen={1: 0.9, 3: 1.3, 5: 1.6},
+                           gamma_decap={1: 1.1, 3: 1.2, 5: 1.3}, gamma_comm=1.15)

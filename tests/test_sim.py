@@ -1,4 +1,5 @@
 import json
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from pqpan import (FrameTrace, HandshakeFailure, LinkConfig, NotEstablished, Phase,
                    Role, pqke_total, run_handshake, send_secured_payload)
-from pqpan.sim import Reassembler, TraceRecord
+from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
 CFG_DLE = LinkConfig(att_mtu=404, ll_pdu=251)
@@ -52,6 +53,43 @@ def test_ledger_reconciles_with_analytical_model():
     analytic = pqke_total("ml-kem-1024", CFG_DLE)
     assert abs(r.ledger.peripheral_pqke_total() - analytic.e_total) \
         <= 1e-6 * analytic.e_total
+
+
+def trace_energy(records, cfg, profile, gamma_comm):
+    """Calibrated radio uJ per (party, op), from the trace records alone."""
+    air = defaultdict(float)  # (party, op, party is sending) -> seconds
+    n_data = Counter()
+    for rec in records:
+        t = 8.0 * (rec.payload_bytes + rec.overhead_bytes) / cfg.phy_rate
+        other = Role.CENTRAL if rec.sender is Role.PERIPHERAL else Role.PERIPHERAL
+        air[rec.sender, rec.op, True] += t
+        air[other, rec.op, False] += t
+        n_data[rec.op] += not rec.is_ack
+    return {(party, op): gamma_comm * 1e6 * profile.voltage * (
+                profile.i_tx * air[party, op, True] + profile.i_rx * air[party, op, False]
+                + profile.i_ifs * cfg.ifs_slots * n_data[op] * cfg.ifs)
+            for party in Role for op in n_data}
+
+
+@given(st.sampled_from(["ml-kem-512", "ml-kem-768", "ml-kem-1024"]),
+       st.integers(min_value=23, max_value=517), st.integers(min_value=27, max_value=251),
+       st.sampled_from([1, 2]), st.integers(min_value=0, max_value=4096))
+@settings(max_examples=60, deadline=None)
+def test_ledger_equals_energy_rederived_from_trace(scheme, att, ll, slots, payload):
+    # Independent of the link and energy modules: only the trace and the
+    # profile go in, so the check cannot pass by calling the same functions.
+    cfg = LinkConfig(att_mtu=att, ll_pdu=ll, ifs_slots=slots)
+    r = run_handshake(scheme, cfg)
+    delta, e_payload = send_secured_payload(r, bytes(payload))
+    derived = trace_energy(r.trace.records + delta.records, cfg, r.profile,
+                           r.gamma.gamma_comm)
+    reported = {(Role.PERIPHERAL, "Notify_PK"): r.ledger.peripheral["notify_pk"],
+                (Role.PERIPHERAL, "Write_CT"): r.ledger.peripheral["write_ct"],
+                (Role.CENTRAL, "Notify_PK"): r.ledger.central["notify_pk"],
+                (Role.CENTRAL, "Write_CT"): r.ledger.central["write_ct"],
+                (Role.PERIPHERAL, OP_PAYLOAD): e_payload}
+    for key, value in reported.items():
+        assert value == pytest.approx(derived[key], rel=1e-9, abs=0), key
 
 
 def test_ledger_comm_terms_match_reference_cell(fit_result):
