@@ -73,10 +73,10 @@ def _gamma_table(data: dict, key: str, default: dict[int, float]) -> dict[int, f
         raise InvalidConfig(f"{key} has a non-numeric entry") from None
 
 
-def _number(data: dict, key: str, default, kind=float):
-    """``data[key]`` as a ``kind`` number, or ``default`` when absent."""
+def _number(data: dict, key: str, default):
+    """``data[key]`` as a float, or ``default`` when absent."""
     try:
-        return kind(data.get(key, default))
+        return float(data.get(key, default))
     except (TypeError, ValueError, OverflowError):
         raise InvalidConfig(f"{key} must be a number, got {data[key]!r}") from None
 
@@ -118,11 +118,15 @@ def load_config(path: str | Path) -> ModelConfig:
             cycles_path = path.parent / cycles_path
         cycles = load_cycle_counts(str(cycles_path))
 
+    ifs_slots = data.get("ifs_slots", base.ifs_slots)
+    if isinstance(ifs_slots, bool) or ifs_slots not in (1, 2):  # no truncation
+        raise InvalidConfig(f"ifs_slots must be 1 or 2, got {ifs_slots!r}")
+
     return ModelConfig(
         profile=profile, gamma=gamma, cycles=cycles,
         phy_rate=_number(data, "phy_rate", base.phy_rate),
         ifs=_number(data, "ifs", base.ifs),
-        ifs_slots=_number(data, "ifs_slots", base.ifs_slots, int),
+        ifs_slots=int(ifs_slots),
         kem_backend=str(data.get("kem_backend", base.kem_backend)),
     )
 

@@ -83,8 +83,8 @@ class CycleCounts:
     decap: int
 
     def __post_init__(self):
-        if min(self.keygen, self.encap, self.decap) < 0:
-            raise InvalidProfile("cycle counts must be non-negative")
+        if not all(0 <= c < math.inf for c in (self.keygen, self.encap, self.decap)):
+            raise InvalidProfile("cycle counts must be finite and non-negative")
 
 
 @lru_cache(maxsize=8)
@@ -160,8 +160,8 @@ class EnergyBreakdown:
 
 def comp_energy(cycles: float, profile: RadioProfile) -> float:
     """Computation energy in microjoules for a cycle count."""
-    if cycles < 0:
-        raise InvalidProfile("cycles must be non-negative")
+    if not 0 <= cycles < math.inf:
+        raise InvalidProfile("cycles must be finite and non-negative")
     return profile.i_mcu * profile.voltage * (cycles / profile.f_mcu) * 1e6
 
 
@@ -338,22 +338,51 @@ def _design_matrix(rows, ifs_slots: int, voltage: float, phy_rate: float,
 
 def _chebyshev_polish(design: np.ndarray, target: np.ndarray,
                       start: np.ndarray) -> np.ndarray:
-    """Minimize the maximum relative residual over non-negative currents."""
+    """Minimize the maximum relative residual over non-negative currents.
+
+    The optimum need not be unique (on the bundled table it is a segment), so
+    ties break to the least total current: ``min z + eps*sum(x)`` s.t.
+    ``|rel_i . x - 1| <= z``, ``x >= 0``. Its dual, ``max sum(v - u)`` s.t.
+    ``rel^T (v - u) <= eps``, ``sum(u + v) <= 1``, ``u, v >= 0``, starts at the
+    feasible origin; a tableau simplex under Bland's rule keeps ``eps``
+    symbolic, as a second right-hand side that only breaks ratio ties. The
+    currents are the reduced costs of the slack columns. Returns ``start`` if
+    the simplex does not finish.
+    """
     import numpy as np
-    from scipy.optimize import linprog
 
     n, k = design.shape
     rel = design / target[:, None]
-    a_ub = np.vstack([np.hstack([rel, -np.ones((n, 1))]),
-                      np.hstack([-rel, -np.ones((n, 1))])])
-    b_ub = np.hstack([np.ones(n), -np.ones(n)])
-    cost = np.zeros(k + 1)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * (k + 1),
-                  method="highs")
-    if not res.success:
-        return start
-    return res.x[:k]
+    col_max = rel.max(axis=0)
+    rel = rel / col_max  # solve for col_max * x: every column peaks at 1
+    m, cols, tol = k + 1, 2 * n, 1e-12
+    # Rows: one per current, the residual bound, then the objective. Columns:
+    # u, v, the m slacks, the right-hand side and its eps coefficient.
+    tab = np.zeros((m + 1, cols + m + 2))
+    tab[:k, :n], tab[:k, n:cols] = -rel.T, rel.T
+    tab[k, :cols] = 1.0
+    tab[:m, cols:cols + m] = np.eye(m)
+    tab[k, -2] = 1.0
+    tab[:k, -1] = col_max.min() / col_max  # sum(x) in the scaled currents
+    tab[m, :n], tab[m, n:cols] = 1.0, -1.0
+    basis = list(range(cols, cols + m))
+    for _ in range(50 * (cols + m)):
+        entering = np.flatnonzero(tab[m, :cols + m] < -tol)
+        if entering.size == 0:
+            return np.maximum(tab[m, cols:cols + k], 0.0) / col_max
+        j = entering[0]
+        rows = np.flatnonzero(tab[:m, j] > tol)
+        if rows.size == 0:
+            break
+        for rhs in (-2, -1):
+            ratios = tab[rows, rhs] / tab[rows, j]
+            rows = rows[ratios <= ratios.min() + tol]
+        r = min(rows, key=basis.__getitem__)
+        tab[r] /= tab[r, j]
+        others = np.arange(m + 1) != r
+        tab[others] -= np.outer(tab[others, j], tab[r])
+        basis[r] = j
+    return start
 
 
 def fit_radio_currents(rows, *, voltage: float = 3.0, phy_rate: float = 1_000_000.0,
@@ -364,7 +393,8 @@ def fit_radio_currents(rows, *, voltage: float = 3.0, phy_rate: float = 1_000_00
 
     Solves the least-squares system ``E = V * (i_tx*t_tx + i_rx*t_rx +
     i_ifs*t_ifs)`` over all rows, then polishes with a Chebyshev step that
-    minimizes the worst relative residual. Run for both candidate IFS slot
+    minimizes the worst relative residual (least total current among the
+    currents that reach it). Run for both candidate IFS slot
     counts unless ``ifs_slots`` pins one; the two candidates' t_ifs columns
     are proportional, so their residuals tie and the tie breaks to the
     default of 2.

@@ -165,10 +165,13 @@ def _int_field(raw: str, *, path: str, row: int, column: str) -> int:
 
 def _float_field(raw: str, *, path: str, row: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ParseError(f"expected number, got {raw!r}", path=path, row=row,
-                         column=column) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {raw!r}", path=path, row=row,
+                         column=column)
+    return value
 
 
 @lru_cache(maxsize=1)

@@ -121,6 +121,28 @@ def test_fit_slot_pinning_reports_tie(capsys):
     assert r1["profile"]["i_ifs"] == pytest.approx(2 * r2["profile"]["i_ifs"], rel=1e-6)
 
 
+@pytest.mark.parametrize("argv,column,value", [
+    pytest.param(["fit"], "e_theor_uJ", "nan", id="fit-nan"),
+    pytest.param(["fit"], "e_theor_uJ", "inf", id="fit-inf"),
+    pytest.param(["fit"], "e_emp_uJ", "nan", id="fit-emp-nan"),
+    pytest.param(["sweep", "--reference-grid", "--compare"], "e_theor_uJ", "nan",
+                 id="sweep-compare-nan"),
+])
+def test_non_finite_reference_energy_exits_3(capsys, tmp_path, argv, column, value):
+    from importlib import resources
+    lines = resources.files("pqpan").joinpath("data/table2.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[4].split(",")
+    fields[header.index(column)] = value
+    lines[4] = ",".join(fields)
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--table", str(table))
+    assert code == 3
+    assert out == ""
+    assert f"row 5:{column}" in err and "Traceback" not in err
+
+
 def test_fit_missing_table_exits_4(capsys):
     code, _, err = run_cli(capsys, "fit", "--table", "/nonexistent/table.csv")
     assert code == 4
@@ -204,6 +226,8 @@ def test_config_unknown_key_exits_3(capsys, tmp_path):
     pytest.param("gamma_comm", '{"gamma_comm": NaN}', id="gamma_comm-nan"),
     pytest.param("gamma_keygen", '{"gamma_keygen": {"1": 1.3}}',
                  id="gamma_keygen-incomplete"),
+    pytest.param("ifs_slots", '{"ifs_slots": 1.9}', id="ifs_slots-fraction"),
+    pytest.param("ifs_slots", '{"ifs_slots": true}', id="ifs_slots-bool"),
 ])
 def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
     # Python's json reads NaN, so the model itself must reject it; values
@@ -243,8 +267,8 @@ def test_module_entry_point():
 
 
 def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
-    # numpy and scipy serve only the current fit; the other commands must
-    # start without them.
+    # numpy serves only the current fit; the other commands must start
+    # without it, and the fit itself needs no scipy.
     probe = (
         "import sys, pqpan, pqpan.cli\n"
         "out = sys.argv[1] + '/'\n"
@@ -253,11 +277,30 @@ def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
         "assert pqpan.cli.main(['sweep', '--reference-grid', '--out', out + 's.csv']) == 0\n"
         "assert pqpan.cli.main(['simulate', *argv, '--payload', '64',\n"
         "                       '--trace', out + 't.jsonl', '--ledger', out + 'l.json']) == 0\n"
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+        "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert pqpan.cli.main(['fit', '--out', out + 'f.json']) == 0\n"
+        "print(loaded, 'scipy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[] False"
+
+
+def test_fit_runs_without_scipy(tmp_path):
+    probe = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is not installed')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import pqpan.cli\n"
+        "sys.exit(pqpan.cli.main(['fit', '--out', sys.argv[1]]))\n")
+    report = tmp_path / "fit.json"
+    proc = subprocess.run([sys.executable, "-c", probe, str(report)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["max_abs_rel_err"] <= 0.02
 
 
 def test_config_custom_cycles_file(capsys, tmp_path):

@@ -1,15 +1,18 @@
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pqpan import (ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
+from pqpan import (CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
                    InvalidProfile, LinkConfig, RadioProfile, SingularSystem,
                    TimeBudget, UnsupportedScheme, airtime,
                    comm_energy, comp_energy, default_calibration,
                    fit_radio_currents, identity_calibration, load_cycle_counts,
                    lookup_scheme, plan_transfer, pqke_total, session_energy)
+from pqpan.energy import _chebyshev_polish
 from pqpan.reference import ReferenceEnergyRow
 
 REFERENCE_GRID = [(65, 27), (65, 69), (104, 27), (104, 108),
@@ -41,6 +44,16 @@ def test_comp_energy_linear(cycles):
 def test_comp_energy_rejects_negative_cycles():
     with pytest.raises(InvalidProfile):
         comp_energy(-1, make_profile())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["keygen", "encap", "decap"])
+def test_non_finite_cycles_rejected(field, value):
+    counts = {"keygen": 1, "encap": 1, "decap": 1, field: value}
+    with pytest.raises(InvalidProfile, match="finite"):
+        CycleCounts(**counts)
+    with pytest.raises(InvalidProfile, match="finite"):
+        comp_energy(value, make_profile())
 
 
 def test_invalid_profile_fields():
@@ -180,6 +193,55 @@ def test_fit_matches_shipped_defaults(fit_result):
     assert p.i_tx == pytest.approx(d.i_tx, rel=1e-3)
     assert p.i_rx == pytest.approx(d.i_rx, rel=1e-3)
     assert p.i_ifs == pytest.approx(d.i_ifs, rel=1e-3)
+
+
+@pytest.mark.parametrize("ifs_slots", [1, 2])
+def test_fit_reproduces_shipped_profile_exactly(reference_rows, ifs_slots):
+    # The minimax optimum on the bundled table is a segment; the least-total-
+    # current end is the shipped profile. One slot per pair doubles i_ifs.
+    p, d = fit_radio_currents(reference_rows, ifs_slots=ifs_slots).profile, FITTED_RADIO_PROFILE
+    assert p.i_tx == pytest.approx(d.i_tx, rel=1e-12)
+    assert p.i_rx == pytest.approx(d.i_rx, rel=1e-12)
+    assert p.i_ifs == pytest.approx(d.i_ifs * 2 / ifs_slots, rel=1e-12)
+
+
+@pytest.mark.parametrize("design,least", [
+    ([[1.0, 2.0], [2.0, 4.0], [1.5, 3.0]], [0.0, 1 / 3]),
+    ([[2.0, 1.0], [4.0, 2.0], [3.0, 1.5]], [1 / 3, 0.0]),
+])
+def test_chebyshev_polish_breaks_ties_to_least_total_current(design, least):
+    # Every x >= 0 with x1 + 2*x2 = 2/3 (x2 + 2*x1 in the second case) reaches
+    # the minimax residual 1/3; the least total current is one end.
+    x = _chebyshev_polish(np.array(design), np.ones(3), start=None)
+    assert x == pytest.approx(least, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 60), st.integers(2, 3), st.data())
+def test_chebyshev_polish_matches_highs(n, k, data):
+    # Entries span the spread of the bundled fit (volt-seconds against joules)
+    # and two decades more; HiGHS solves the same LP in two stages: the
+    # minimax residual, then the least total current at that residual.
+    optimize = pytest.importorskip("scipy.optimize")
+    design = data.draw(arrays(np.float64, (n, k), elements=st.floats(1e-3, 1e-1)))
+    target = data.draw(arrays(np.float64, n, elements=st.floats(1e-4, 1e-2)))
+    x = _chebyshev_polish(design, target, start=None)
+    assert x is not None and (x >= 0).all()
+
+    rel = design / target[:, None]
+    a_ub = np.vstack([np.hstack([rel, -np.ones((n, 1))]),
+                      np.hstack([-rel, -np.ones((n, 1))])])
+    b_ub = np.hstack([np.ones(n), -np.ones(n)])
+    stage1 = optimize.linprog(np.r_[np.zeros(k), 1.0], A_ub=a_ub, b_ub=b_ub,
+                              bounds=[(0, None)] * (k + 1), method="highs")
+    assert stage1.success
+    z_star = stage1.x[-1]
+    stage2 = optimize.linprog(np.r_[np.ones(k), 0.0], A_ub=a_ub, b_ub=b_ub,
+                              bounds=[(0, None)] * k + [(0, z_star)], method="highs",
+                              options={"presolve": False})
+    assert stage2.success
+    assert np.abs(rel @ x - 1.0).max() == pytest.approx(z_star, rel=1e-9, abs=1e-12)
+    assert x.sum() <= stage2.fun * (1 + 1e-9)
 
 
 def test_fit_slot_candidates_tie(fit_result):
