@@ -34,6 +34,18 @@ DEFAULT_SWEEP_ATT = "65,104,204,404"
 DEFAULT_SWEEP_LL = "27,69,108,208,251"
 
 
+def _checked(parse, ok, expected: str):
+    """argparse type: ``parse(text)``, a usage error unless it satisfies ``ok``."""
+    def check(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return check
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", "--profile", dest="config", metavar="PATH",
                    help="JSON config file (falls back to $PQPAN_PROFILE)")
@@ -121,11 +133,9 @@ def cmd_sweep(args) -> int:
         cells = sorted({(r.scheme, r.att_mtu, r.ll_pdu) for r in ref_rows})
     else:
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        atts = [int(v) for v in args.att_mtus.split(",")]
-        lls = [int(v) for v in args.ll_pdus.split(",")]
-        if not schemes or not atts or not lls:
+        if not schemes:
             raise PqpanError("sweep axes must be non-empty")
-        cells = [(s, a, l) for s in schemes for a in atts for l in lls]
+        cells = [(s, a, l) for s in schemes for a in args.att_mtus for l in args.ll_pdus]
     rows = _sweep_rows(cfg, cells)
 
     fields = ["scheme", "att_mtu", "ll_pdu", "op", "e_theor_uJ"]
@@ -236,11 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="theoretical transfer energies over a grid")
+    int_list = _checked(lambda t: [int(v) for v in t.split(",")], bool, "comma-separated integers")
     p.add_argument("--schemes", default=DEFAULT_SWEEP_SCHEMES,
                    help="comma-separated scheme names")
-    p.add_argument("--att-mtus", default=DEFAULT_SWEEP_ATT,
+    p.add_argument("--att-mtus", type=int_list, default=DEFAULT_SWEEP_ATT,
                    help="comma-separated ATT MTU values")
-    p.add_argument("--ll-pdus", default=DEFAULT_SWEEP_LL,
+    p.add_argument("--ll-pdus", type=int_list, default=DEFAULT_SWEEP_LL,
                    help="comma-separated LL PDU values")
     p.add_argument("--reference-grid", action="store_true",
                    help="sweep exactly the (scheme, att, ll) cells of the reference table")
@@ -266,9 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the deterministic two-party handshake")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(int, lambda v: -2 ** 63 <= v < 2 ** 63,
+                                           "an integer of at most 64 signed bits"), default=0)
     _add_link_flags(p, require=False, default_att=404, default_ll=251)
-    p.add_argument("--payload", type=int, default=None, metavar="BYTES",
+    p.add_argument("--payload", type=_checked(int, lambda v: v >= 0, "a byte count >= 0"),
+                   default=None, metavar="BYTES",
                    help="also send one secured payload and print the session total")
     p.add_argument("--backend", choices=("stub", "real"), default=None)
     p.add_argument("--trace", default="pqpan_trace.jsonl", metavar="PATH",

@@ -68,17 +68,19 @@ def _gamma_table(data: dict, key: str, default: dict[int, float]) -> dict[int, f
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{key} must map security levels to factors")
     try:
-        return {int(level): float(g) for level, g in raw.items()}
-    except (TypeError, ValueError):
+        return {int(level): _number(raw, level, None) for level in raw}
+    except (InvalidConfig, ValueError):
         raise InvalidConfig(f"{key} has a non-numeric entry") from None
 
 
 def _number(data: dict, key: str, default):
     """``data[key]`` as a float, or ``default`` when absent."""
     try:
-        return float(data.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfig(f"{key} must be a number, got {data[key]!r}") from None
+        if type(value := data.get(key, default)) in (int, float):  # not bool, str or None
+            return float(value)
+    except OverflowError:
+        pass
+    raise InvalidConfig(f"{key} must be a number, got {value!r}")
 
 
 def load_config(path: str | Path) -> ModelConfig:
@@ -113,6 +115,8 @@ def load_config(path: str | Path) -> ModelConfig:
 
     cycles = base.cycles
     if "cycles_file" in data:
+        if not isinstance(data["cycles_file"], str):
+            raise InvalidConfig(f"cycles_file must be a path string, got {data['cycles_file']!r}")
         cycles_path = Path(data["cycles_file"])
         if not cycles_path.is_absolute():
             cycles_path = path.parent / cycles_path

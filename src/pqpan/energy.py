@@ -23,16 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem,
                      UnsupportedScheme)
 from .link import LinkConfig, TimeBudget, airtime, plan_transfer
 from .reference import (CalibrationFactors, KemParamSet, default_calibration,
                         lookup_scheme)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Measured cost of the classical ECDH P-256 pairing baseline, microjoules.
 ECDH_PAIRING_UJ = 328.0
@@ -315,9 +311,7 @@ class FitResult:
 
 
 def _design_matrix(rows, ifs_slots: int, voltage: float, phy_rate: float,
-                   ifs: float, include_ifs: bool) -> np.ndarray:
-    import numpy as np
-
+                   ifs: float, include_ifs: bool) -> list[list[float]]:
     design = []
     for row in rows:
         artifact, as_receiver = {op: (size, rx) for op, size, rx
@@ -333,11 +327,37 @@ def _design_matrix(rows, ifs_slots: int, voltage: float, phy_rate: float,
         if include_ifs:
             cols.append(voltage * budget.t_ifs)
         design.append(cols)
-    return np.asarray(design)
+    return design
 
 
-def _chebyshev_polish(design: np.ndarray, target: np.ndarray,
-                      start: np.ndarray) -> np.ndarray:
+def _dot(a, b) -> float:
+    return math.fsum(x * y for x, y in zip(a, b))
+
+
+def _least_squares(design, target) -> list[float] | None:
+    """Least squares by modified Gram-Schmidt QR; None when some ``|R_jj|`` is
+    at or below ``max column norm * max(n, k) * eps``, the SVD rank tolerance
+    with R's diagonal in place of the singular values."""
+    n, k = len(design), len(design[0])
+    cols = [list(c) for c in zip(*design)] + [list(target)]  # R's last column is Q^T b
+    tol = max(math.hypot(*c) for c in cols[:k]) * max(n, k) * math.ulp(1.0)
+    q, r = [], [[0.0] * (k + 1) for _ in range(k)]
+    for j, v in enumerate(cols):
+        for i, qi in enumerate(q):
+            r[i][j] = _dot(qi, v)
+            v = [x - r[i][j] * y for x, y in zip(v, qi)]
+        if j < k:
+            r[j][j] = math.hypot(*v)
+            if r[j][j] <= tol:
+                return None
+            q.append([x / r[j][j] for x in v])
+    x = [0.0] * k
+    for j in reversed(range(k)):
+        x[j] = (r[j][k] - _dot(r[j][j + 1:k], x[j + 1:])) / r[j][j]
+    return x
+
+
+def _chebyshev_polish(design, target, start):
     """Minimize the maximum relative residual over non-negative currents.
 
     The optimum need not be unique (on the bundled table it is a segment), so
@@ -349,38 +369,32 @@ def _chebyshev_polish(design: np.ndarray, target: np.ndarray,
     currents are the reduced costs of the slack columns. Returns ``start`` if
     the simplex does not finish.
     """
-    import numpy as np
-
-    n, k = design.shape
-    rel = design / target[:, None]
-    col_max = rel.max(axis=0)
-    rel = rel / col_max  # solve for col_max * x: every column peaks at 1
+    n, k = len(design), len(design[0])
+    rel = [[d / t for d in row] for row, t in zip(design, target)]
+    col_max = [max(col) for col in zip(*rel)]
+    rel = [[v / c for v, c in zip(row, col_max)] for row in rel]  # every column peaks at 1
     m, cols, tol = k + 1, 2 * n, 1e-12
     # Rows: one per current, the residual bound, then the objective. Columns:
     # u, v, the m slacks, the right-hand side and its eps coefficient.
-    tab = np.zeros((m + 1, cols + m + 2))
-    tab[:k, :n], tab[:k, n:cols] = -rel.T, rel.T
-    tab[k, :cols] = 1.0
-    tab[:m, cols:cols + m] = np.eye(m)
-    tab[k, -2] = 1.0
-    tab[:k, -1] = col_max.min() / col_max  # sum(x) in the scaled currents
-    tab[m, :n], tab[m, n:cols] = 1.0, -1.0
+    slack = [[float(i == j) for j in range(m)] for i in range(m)]
+    tab = [[-v for v in col] + list(col) + slack[i] + [0.0, min(col_max) / col_max[i]]
+           for i, col in enumerate(zip(*rel))]  # sum(x) in the scaled currents
+    tab += [[1.0] * cols + slack[k] + [1.0, 0.0], [1.0] * n + [-1.0] * n + [0.0] * (m + 2)]
     basis = list(range(cols, cols + m))
     for _ in range(50 * (cols + m)):
-        entering = np.flatnonzero(tab[m, :cols + m] < -tol)
-        if entering.size == 0:
-            return np.maximum(tab[m, cols:cols + k], 0.0) / col_max
-        j = entering[0]
-        rows = np.flatnonzero(tab[:m, j] > tol)
-        if rows.size == 0:
+        j = next((j for j in range(cols + m) if tab[m][j] < -tol), None)
+        if j is None:
+            return [max(tab[m][cols + i], 0.0) / col_max[i] for i in range(k)]
+        rows = [i for i in range(m) if tab[i][j] > tol]
+        if not rows:
             break
         for rhs in (-2, -1):
-            ratios = tab[rows, rhs] / tab[rows, j]
-            rows = rows[ratios <= ratios.min() + tol]
+            ratios = [tab[i][rhs] / tab[i][j] for i in rows]
+            rows = [i for i, ratio in zip(rows, ratios) if ratio <= min(ratios) + tol]
         r = min(rows, key=basis.__getitem__)
-        tab[r] /= tab[r, j]
-        others = np.arange(m + 1) != r
-        tab[others] -= np.outer(tab[others, j], tab[r])
+        tab[r] = [v / tab[r][j] for v in tab[r]]
+        tab = [row if i == r else [a - row[j] * b for a, b in zip(row, tab[r])]
+               for i, row in enumerate(tab)]
         basis[r] = j
     return start
 
@@ -402,50 +416,44 @@ def fit_radio_currents(rows, *, voltage: float = 3.0, phy_rate: float = 1_000_00
     ``i_mcu``/``f_mcu`` only populate the returned profile; the fit cannot
     observe them.
     """
-    import numpy as np
-
     rows = tuple(rows)
     if len(rows) < 3:
         raise SingularSystem(f"need at least 3 rows, got {len(rows)}")
-    target = np.asarray([r.e_theor_uj * 1e-6 for r in rows])
+    target = [r.e_theor_uj * 1e-6 for r in rows]
+
+    def abs_rel(design, x):
+        return [abs(_dot(d, x) / t - 1.0) for d, t in zip(design, target)]
 
     candidates = [ifs_slots] if ifs_slots is not None else [1, 2]
-    solutions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    solutions: dict[int, tuple[list[float], list[list[float]]]] = {}
     for slots in candidates:
         design = _design_matrix(rows, slots, voltage, phy_rate, ifs, include_ifs)
-        if np.linalg.matrix_rank(design) < design.shape[1]:
+        lsq = _least_squares(design, target)
+        if lsq is None:
             raise SingularSystem(
                 "design matrix is rank deficient; rows do not span independent "
                 "tx/rx/ifs time combinations")
-        lsq, *_ = np.linalg.lstsq(design, target, rcond=None)
-        polished = _chebyshev_polish(design, target, lsq)
-
-        def worst(x):
-            return float(np.abs(design @ x / target - 1.0).max())
-
-        best = polished if worst(polished) <= worst(lsq) else lsq
+        # The polished currents win ties (min keeps the first of equals).
+        best = min(_chebyshev_polish(design, target, lsq), lsq,
+                   key=lambda x: max(abs_rel(design, x)))
         solutions[slots] = (best, design)
 
-    scored = {s: float(np.abs(d @ x / target - 1.0).max())
-              for s, (x, d) in solutions.items()}
+    scored = {s: max(abs_rel(d, x)) for s, (x, d) in solutions.items()}
     # Prefer 2 on ties (data-IFS-ack-IFS accounting).
     chosen = min(scored, key=lambda s: (round(scored[s], 12), -s))
     current, design = solutions[chosen]
 
-    i_tx, i_rx = float(current[0]), float(current[1])
-    i_ifs = float(current[2]) if include_ifs else 0.0
-    modeled = design @ current
+    modeled = [_dot(d, current) for d in design]
     residuals = tuple(
         FitRowResidual(scheme=r.scheme, att_mtu=r.att_mtu, ll_pdu=r.ll_pdu, op=r.op,
-                       reference_uj=r.e_theor_uj, modeled_uj=float(m * 1e6),
-                       rel_err=float(m / t - 1.0))
+                       reference_uj=r.e_theor_uj, modeled_uj=m * 1e6, rel_err=m / t - 1.0)
         for r, m, t in zip(rows, modeled, target))
-    abs_rel = np.abs(modeled / target - 1.0)
+    errors = abs_rel(design, current)
     # RadioProfile requires positive currents; the include_ifs=False variant
     # (used for residual comparisons) gets an effectively-zero ifs current.
-    profile = RadioProfile(voltage=voltage, i_tx=i_tx, i_rx=i_rx,
-                           i_ifs=max(i_ifs, 1e-12), i_mcu=i_mcu, f_mcu=f_mcu)
+    profile = RadioProfile(voltage=voltage, i_tx=current[0], i_rx=current[1],
+                           i_ifs=max(current[2] if include_ifs else 0.0, 1e-12),
+                           i_mcu=i_mcu, f_mcu=f_mcu)
     return FitResult(profile=profile, ifs_slots=chosen, residuals=residuals,
-                     max_abs_rel_err=float(abs_rel.max()),
-                     mean_abs_rel_err=float(abs_rel.mean()),
-                     candidates=scored)
+                     max_abs_rel_err=max(errors), candidates=scored,
+                     mean_abs_rel_err=math.fsum(errors) / len(errors))

@@ -228,6 +228,11 @@ def test_config_unknown_key_exits_3(capsys, tmp_path):
                  id="gamma_keygen-incomplete"),
     pytest.param("ifs_slots", '{"ifs_slots": 1.9}', id="ifs_slots-fraction"),
     pytest.param("ifs_slots", '{"ifs_slots": true}', id="ifs_slots-bool"),
+    pytest.param("i_mcu", '{"i_mcu": true}', id="i_mcu-bool"),
+    pytest.param("gamma_comm", '{"gamma_comm": false}', id="gamma_comm-bool"),
+    pytest.param("gamma_keygen", '{"gamma_keygen": {"1": 1.27, "3": true, "5": 1.62}}',
+                 id="gamma_keygen-bool"),
+    pytest.param("cycles_file", '{"cycles_file": 5}', id="cycles_file-int"),
 ])
 def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
     # Python's json reads NaN, so the model itself must reject it; values
@@ -240,6 +245,23 @@ def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
     assert code == 3
     assert out == ""
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    pytest.param("--seed", ["simulate", "--scheme", "ml-kem-512",
+                            "--seed", "99999999999999999999"], id="seed-overflow"),
+    pytest.param("--payload", ["simulate", "--scheme", "ml-kem-512", "--payload", "-1"],
+                 id="payload-negative"),
+    pytest.param("--att-mtus", ["sweep", "--att-mtus", "65,abc"], id="att_mtus-text"),
+    pytest.param("--ll-pdus", ["sweep", "--ll-pdus", "27,"], id="ll_pdus-empty"),
+])
+def test_bad_argv_is_usage_error(capsys, tmp_path, flag, argv):
+    outputs = ["--trace", str(tmp_path / "t.jsonl"), "--ledger", str(tmp_path / "l.json")]
+    code, out, err = run_cli(capsys, *argv, *(outputs if argv[0] == "simulate" else []))
+    assert code == 2
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_att_mtu_above_cap_exits_3(capsys):
@@ -267,8 +289,8 @@ def test_module_entry_point():
 
 
 def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
-    # numpy serves only the current fit; the other commands must start
-    # without it, and the fit itself needs no scipy.
+    # pqpan has no runtime dependencies: no command loads numpy or scipy,
+    # the fit included.
     probe = (
         "import sys, pqpan, pqpan.cli\n"
         "out = sys.argv[1] + '/'\n"
@@ -277,23 +299,23 @@ def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
         "assert pqpan.cli.main(['sweep', '--reference-grid', '--out', out + 's.csv']) == 0\n"
         "assert pqpan.cli.main(['simulate', *argv, '--payload', '64',\n"
         "                       '--trace', out + 't.jsonl', '--ledger', out + 'l.json']) == 0\n"
-        "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "before_fit = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
         "assert pqpan.cli.main(['fit', '--out', out + 'f.json']) == 0\n"
-        "print(loaded, 'scipy' in sys.modules)\n")
+        "print(before_fit, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] False"
+    assert proc.stdout.splitlines()[-1] == "[] []"
 
 
 def test_fit_runs_without_scipy(tmp_path):
     probe = (
         "import sys\n"
-        "class NoScipy:\n"
+        "class Blocked:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.partition('.')[0] == 'scipy':\n"
-        "            raise ImportError('scipy is not installed')\n"
-        "sys.meta_path.insert(0, NoScipy())\n"
+        "        if name.partition('.')[0] in ('numpy', 'scipy'):\n"
+        "            raise ImportError(name + ' is not installed')\n"
+        "sys.meta_path.insert(0, Blocked())\n"
         "import pqpan.cli\n"
         "sys.exit(pqpan.cli.main(['fit', '--out', sys.argv[1]]))\n")
     report = tmp_path / "fit.json"

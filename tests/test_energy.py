@@ -1,10 +1,8 @@
 import dataclasses
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from pqpan import (CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
                    InvalidProfile, LinkConfig, RadioProfile, SingularSystem,
@@ -12,7 +10,7 @@ from pqpan import (CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidCo
                    comm_energy, comp_energy, default_calibration,
                    fit_radio_currents, identity_calibration, load_cycle_counts,
                    lookup_scheme, plan_transfer, pqke_total, session_energy)
-from pqpan.energy import _chebyshev_polish
+from pqpan.energy import _chebyshev_polish, _least_squares
 from pqpan.reference import ReferenceEnergyRow
 
 REFERENCE_GRID = [(65, 27), (65, 69), (104, 27), (104, 108),
@@ -212,21 +210,31 @@ def test_fit_reproduces_shipped_profile_exactly(reference_rows, ifs_slots):
 def test_chebyshev_polish_breaks_ties_to_least_total_current(design, least):
     # Every x >= 0 with x1 + 2*x2 = 2/3 (x2 + 2*x1 in the second case) reaches
     # the minimax residual 1/3; the least total current is one end.
-    x = _chebyshev_polish(np.array(design), np.ones(3), start=None)
+    x = _chebyshev_polish(design, [1.0] * 3, start=None)
     assert x == pytest.approx(least, abs=1e-12)
+
+
+def _draw_problem(data, n, k):
+    """A design and target, as numpy arrays, whose entries span the spread of
+    the bundled fit (volt-seconds against joules) and two decades more."""
+    np = pytest.importorskip("numpy")
+    from hypothesis.extra.numpy import arrays
+    design = data.draw(arrays(np.float64, (n, k), elements=st.floats(1e-3, 1e-1)))
+    target = data.draw(arrays(np.float64, n, elements=st.floats(1e-4, 1e-2)))
+    return np, design, target
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 60), st.integers(2, 3), st.data())
 def test_chebyshev_polish_matches_highs(n, k, data):
-    # Entries span the spread of the bundled fit (volt-seconds against joules)
-    # and two decades more; HiGHS solves the same LP in two stages: the
-    # minimax residual, then the least total current at that residual.
+    # HiGHS solves the same LP in two stages: the minimax residual, then the
+    # least total current at that residual.
     optimize = pytest.importorskip("scipy.optimize")
-    design = data.draw(arrays(np.float64, (n, k), elements=st.floats(1e-3, 1e-1)))
-    target = data.draw(arrays(np.float64, n, elements=st.floats(1e-4, 1e-2)))
-    x = _chebyshev_polish(design, target, start=None)
-    assert x is not None and (x >= 0).all()
+    np, design, target = _draw_problem(data, n, k)
+    x = _chebyshev_polish(design.tolist(), target.tolist(), start=None)
+    assert x is not None
+    x = np.asarray(x)
+    assert (x >= 0).all()
 
     rel = design / target[:, None]
     a_ub = np.vstack([np.hstack([rel, -np.ones((n, 1))]),
@@ -242,6 +250,19 @@ def test_chebyshev_polish_matches_highs(n, k, data):
     assert stage2.success
     assert np.abs(rel @ x - 1.0).max() == pytest.approx(z_star, rel=1e-9, abs=1e-12)
     assert x.sum() <= stage2.fun * (1 + 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 60), st.integers(2, 3), st.data())
+def test_least_squares_matches_lstsq(n, k, data):
+    # Well-conditioned problems only: the two solvers' answers may drift
+    # apart by about cond(design)**2 * eps, so 1e-9 needs cond below ~1e3.
+    np, design, target = _draw_problem(data, n, k)
+    assume(np.linalg.cond(design) < 1e3)
+    x = _least_squares(design.tolist(), target.tolist())
+    assert x is not None
+    want, *_ = np.linalg.lstsq(design, target, rcond=None)
+    assert np.linalg.norm(np.asarray(x) - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_fit_slot_candidates_tie(fit_result):
@@ -288,6 +309,15 @@ def test_fit_rejects_rank_deficient_rows(reference_rows):
                  == ("ML-KEM-512", 65, 27, "Notify_PK")]
     with pytest.raises(SingularSystem):
         fit_radio_currents(same_cell * 3)
+
+
+@pytest.mark.parametrize("op", ["Notify_PK", "Write_CT"])
+def test_fit_rejects_single_direction_rows(reference_rows, op):
+    # Within one direction the ack time (rx for a sender, tx for a receiver)
+    # and the IFS time both count link-layer PDUs, so their columns are
+    # proportional and the three currents are not separable.
+    with pytest.raises(SingularSystem, match="rank deficient"):
+        fit_radio_currents([r for r in reference_rows if r.op == op])
 
 
 def test_fit_needs_three_rows(reference_rows):
