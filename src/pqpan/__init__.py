@@ -8,8 +8,8 @@ from .errors import (ConsistencyError, HandshakeFailure, InvalidConfig,
 from .reference import (CalibrationFactors, KemParamSet, ReferenceEnergyRow,
                         default_calibration, identity_calibration, load_reference_table,
                         load_schemes, lookup_scheme, save_reference_table)
-from .link import (Direction, FragmentationPlan, LinkConfig, LinkFrame, TimeBudget,
-                   airtime, bytes_on_air, plan_counts, plan_transfer)
+from .link import (FragmentationPlan, LinkConfig, LinkFrame, TimeBudget, airtime,
+                   bytes_on_air, plan_counts, plan_transfer)
 from .kem import (Encapsulation, KemKeyPair, SessionKey, decapsulate,
                   derive_session_key, encapsulate, get_backend, keygen)
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, ECDH_PAIRING_UJ,

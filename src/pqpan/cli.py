@@ -23,9 +23,9 @@ import sys
 from dataclasses import replace
 
 from .config import ModelConfig, resolve_config
-from .energy import comm_energy, fit_radio_currents, pqke_total
+from .energy import AEAD_OVERHEAD_BYTES, comm_energy, fit_radio_currents, pqke_total
 from .errors import PqpanError
-from .link import LinkConfig, airtime, plan_transfer
+from .link import ARTIFACT_MAX, LinkConfig, airtime, plan_transfer
 from .reference import CalibrationFactors, load_reference_table, lookup_scheme
 from .sim import run_handshake, send_secured_payload
 
@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_checked(int, lambda v: -2 ** 63 <= v < 2 ** 63,
                                            "an integer of at most 64 signed bits"), default=0)
     _add_link_flags(p, require=False, default_att=404, default_ll=251)
-    p.add_argument("--payload", type=_checked(int, lambda v: v >= 0, "a byte count >= 0"),
+    payload_max = ARTIFACT_MAX - AEAD_OVERHEAD_BYTES  # the sealed payload is one artifact
+    p.add_argument("--payload", type=_checked(int, lambda v: 0 <= v <= payload_max,
+                                              f"a byte count in [0, {payload_max}]"),
                    default=None, metavar="BYTES",
                    help="also send one secured payload and print the session total")
     p.add_argument("--backend", choices=("stub", "real"), default=None)
@@ -302,7 +304,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PqpanError as exc:
+    except (PqpanError, UnicodeError) as exc:  # UnicodeError: an input file is not UTF-8
         print(f"pqpan: error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -115,7 +115,7 @@ def load_config(path: str | Path) -> ModelConfig:
 
     cycles = base.cycles
     if "cycles_file" in data:
-        if not isinstance(data["cycles_file"], str):
+        if not isinstance(data["cycles_file"], str) or "\0" in data["cycles_file"]:
             raise InvalidConfig(f"cycles_file must be a path string, got {data['cycles_file']!r}")
         cycles_path = Path(data["cycles_file"])
         if not cycles_path.is_absolute():

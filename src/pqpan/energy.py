@@ -39,6 +39,15 @@ AEAD_OVERHEAD_BYTES = 28
 SECURITY_NONE = "none"
 SECURITY_ECDH = "ecdh"
 
+#: Modeled profile ranges (volts, amperes, hertz). The lower ends keep every
+#: energy a positive normal float, so no total underflows to zero.
+VOLTAGE_MIN, VOLTAGE_MAX = 1e-3, 10.0
+CURRENT_MIN, CURRENT_MAX = 1e-12, 1.0
+F_MCU_MIN, F_MCU_MAX = 1e3, 1e10
+
+#: Largest cycle count per operation: about 4 h of MCU time at 64 MHz.
+CYCLES_MAX = 10**12
+
 
 @dataclass(frozen=True)
 class RadioProfile:
@@ -52,10 +61,12 @@ class RadioProfile:
     f_mcu: float = 64e6
 
     def __post_init__(self):
-        for name in ("voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu"):
+        bounds = [("voltage", VOLTAGE_MIN, VOLTAGE_MAX), ("f_mcu", F_MCU_MIN, F_MCU_MAX)]
+        bounds += [(name, CURRENT_MIN, CURRENT_MAX) for name in ("i_tx", "i_rx", "i_ifs", "i_mcu")]
+        for name, lo, hi in bounds:
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidProfile(f"{name} must be finite and positive, got {value}")
+            if not lo <= value <= hi:  # NaN fails too
+                raise InvalidProfile(f"{name} must be in [{lo}, {hi}], got {value}")
 
 
 # Recovered from the bundled reference table by fit_radio_currents with
@@ -79,8 +90,8 @@ class CycleCounts:
     decap: int
 
     def __post_init__(self):
-        if not all(0 <= c < math.inf for c in (self.keygen, self.encap, self.decap)):
-            raise InvalidProfile("cycle counts must be finite and non-negative")
+        if not all(0 <= c <= CYCLES_MAX for c in (self.keygen, self.encap, self.decap)):
+            raise InvalidProfile(f"cycle counts must be finite, in [0, {CYCLES_MAX}]")
 
 
 @lru_cache(maxsize=8)
@@ -106,6 +117,8 @@ def load_cycle_counts(path: str | None = None) -> dict[str, CycleCounts]:
         except (KeyError, TypeError, ValueError):
             raise ParseError("expected scheme,keygen,encaps,decaps",
                              path=label, row=i) from None
+        except InvalidProfile as exc:
+            raise ParseError(str(exc), path=label, row=i) from None
     leveled = sorted(
         ((lookup_scheme(name).nist_level, c) for name, c in counts.items()
          if lookup_scheme(name).nist_level is not None),
@@ -156,8 +169,8 @@ class EnergyBreakdown:
 
 def comp_energy(cycles: float, profile: RadioProfile) -> float:
     """Computation energy in microjoules for a cycle count."""
-    if not 0 <= cycles < math.inf:
-        raise InvalidProfile("cycles must be finite and non-negative")
+    if not 0 <= cycles <= CYCLES_MAX:
+        raise InvalidProfile(f"cycles must be finite, in [0, {CYCLES_MAX}]")
     return profile.i_mcu * profile.voltage * (cycles / profile.f_mcu) * 1e6
 
 
@@ -183,7 +196,7 @@ def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
         scheme = lookup_scheme(scheme)
     profile = profile or FITTED_RADIO_PROFILE
     gamma = gamma or default_calibration()
-    if not scheme.is_kem or scheme.nist_level is None:
+    if scheme.nist_level is None:
         raise UnsupportedScheme(f"{scheme.name} has no handshake energy model")
     counts = (load_cycle_counts() if cycles is None else cycles).get(scheme.name.upper())
     if counts is None:
@@ -449,10 +462,10 @@ def fit_radio_currents(rows, *, voltage: float = 3.0, phy_rate: float = 1_000_00
                        reference_uj=r.e_theor_uj, modeled_uj=m * 1e6, rel_err=m / t - 1.0)
         for r, m, t in zip(rows, modeled, target))
     errors = abs_rel(design, current)
-    # RadioProfile requires positive currents; the include_ifs=False variant
-    # (used for residual comparisons) gets an effectively-zero ifs current.
+    # RadioProfile requires currents of at least CURRENT_MIN; the include_ifs=False
+    # variant (used for residual comparisons) gets that effectively-zero ifs current.
     profile = RadioProfile(voltage=voltage, i_tx=current[0], i_rx=current[1],
-                           i_ifs=max(current[2] if include_ifs else 0.0, 1e-12),
+                           i_ifs=max(current[2] if include_ifs else 0.0, CURRENT_MIN),
                            i_mcu=i_mcu, f_mcu=f_mcu)
     return FitResult(profile=profile, ifs_slots=chosen, residuals=residuals,
                      max_abs_rel_err=max(errors), candidates=scored,

@@ -58,11 +58,7 @@ def _check_seed(seed: bytes) -> bytes:
 
 
 def _resolve(scheme: KemParamSet | str) -> KemParamSet:
-    if isinstance(scheme, str):
-        scheme = lookup_scheme(scheme)
-    if not scheme.is_kem:
-        raise UnsupportedScheme(f"{scheme.name} is a signature scheme, not a KEM")
-    return scheme
+    return lookup_scheme(scheme) if isinstance(scheme, str) else scheme
 
 
 class StubBackend:
@@ -75,9 +71,6 @@ class StubBackend:
     """
 
     name = "stub"
-
-    def supports(self, scheme: KemParamSet) -> bool:
-        return scheme.is_kem
 
     def sk_size(self, scheme: KemParamSet) -> int:
         return scheme.sk_size

@@ -14,7 +14,6 @@ pure and operate on value types.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfig
@@ -30,13 +29,8 @@ ATT_MTU_MIN, ATT_MTU_MAX = 23, 517
 LL_PDU_MIN, LL_PDU_MAX = 27, 251
 PHY_RATE_MIN, PHY_RATE_MAX = 1e3, 1e9
 IFS_MAX = 10e-3
-
-
-class Direction(enum.Enum):
-    """Frame direction relative to the party that initiated the transfer."""
-
-    TO_RESPONDER = "i2r"
-    TO_INITIATOR = "r2i"
+#: Largest artifact one transfer carries (1 MiB), so its frames fit in memory.
+ARTIFACT_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,8 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class LinkFrame:
-    direction: Direction
+    """A link-layer frame: data comes from the transfer's sender, acks from its receiver."""
+
     payload_bytes: int
     overhead_bytes: int = LL_OVERHEAD
     is_ack: bool = False
@@ -108,14 +103,6 @@ class FragmentationPlan:
     def data_frames(self) -> tuple[LinkFrame, ...]:
         return tuple(f for f in self.frames if not f.is_ack)
 
-    def frame_dicts(self) -> list[dict]:
-        """JSON-friendly ordered frame list for trace inspection."""
-        return [
-            {"dir": f.direction.value, "payload_B": f.payload_bytes,
-             "overhead_B": f.overhead_bytes, "is_ack": f.is_ack}
-            for f in self.frames
-        ]
-
 
 @dataclass(frozen=True)
 class TimeBudget:
@@ -141,8 +128,8 @@ def plan_counts(artifact_size: int, cfg: LinkConfig) -> tuple[int, int]:
     ``att_mtu - 3`` value bytes, and each 7-byte-headed SDU splits into
     ceil(sdu / ll_pdu) maximal link-layer frames.
     """
-    if artifact_size < 1:
-        raise InvalidConfig(f"artifact_size must be >= 1, got {artifact_size}")
+    if not 1 <= artifact_size <= ARTIFACT_MAX:
+        raise InvalidConfig(f"artifact_size must be in [1, {ARTIFACT_MAX}], got {artifact_size}")
     chunk = cfg.att_chunk
     n_att = -(-artifact_size // chunk)
     last_chunk = artifact_size - (n_att - 1) * chunk
@@ -151,20 +138,17 @@ def plan_counts(artifact_size: int, cfg: LinkConfig) -> tuple[int, int]:
     return n_att, (n_att - 1) * frames_full + frames_last
 
 
-def plan_transfer(artifact_size: int, cfg: LinkConfig,
-                  direction: Direction = Direction.TO_RESPONDER) -> FragmentationPlan:
+def plan_transfer(artifact_size: int, cfg: LinkConfig) -> FragmentationPlan:
     """Build the full frame sequence for transferring one artifact.
 
-    Data frames flow in ``direction``; each is followed by an empty ack in
-    the opposite direction. Frames are immutable, so the plan shares one
-    object per distinct frame: the ack and at most three data frames (a
-    full ``ll_pdu`` frame, the tail of a full SDU, the tail of the last SDU).
+    Each data frame is followed by an empty ack. Frames are immutable, so the
+    plan shares one object per distinct frame: the ack and at most three data
+    frames (a full ``ll_pdu`` frame, the tail of a full SDU, the tail of the
+    last SDU).
     """
-    if artifact_size < 1:
-        raise InvalidConfig(f"artifact_size must be >= 1, got {artifact_size}")
-    back = (Direction.TO_INITIATOR if direction is Direction.TO_RESPONDER
-            else Direction.TO_RESPONDER)
-    ack = LinkFrame(back, 0, is_ack=True)
+    if not 1 <= artifact_size <= ARTIFACT_MAX:
+        raise InvalidConfig(f"artifact_size must be in [1, {ARTIFACT_MAX}], got {artifact_size}")
+    ack = LinkFrame(0, is_ack=True)
     data: dict[int, LinkFrame] = {}
 
     def sdu_frames(chunk: int) -> tuple[LinkFrame, ...]:
@@ -172,7 +156,7 @@ def plan_transfer(artifact_size: int, cfg: LinkConfig,
         sizes = [cfg.ll_pdu] * n_full + [tail] * (tail > 0)
         for size in sizes:
             if size not in data:
-                data[size] = LinkFrame(direction, size)
+                data[size] = LinkFrame(size)
         return tuple(f for size in sizes for f in (data[size], ack))
 
     chunk = cfg.att_chunk

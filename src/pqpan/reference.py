@@ -3,7 +3,7 @@
 Three data sets ship with the package:
 
 * ``schemes.csv``     - artifact byte sizes for standardized key-encapsulation
-  and signature schemes, plus classical baselines.
+  schemes, plus the classical ECDH baseline.
 * ``table2.csv``      - the 48-row communication-energy reference table
   (theoretical and hardware-measured microjoules per transfer operation,
   across ATT MTU / LL PDU configurations and ML-KEM parameter sets).
@@ -25,9 +25,6 @@ from pathlib import Path
 
 from .errors import ConsistencyError, ParseError, UnknownScheme
 
-KIND_KEM = "KEM"
-KIND_SIGNATURE = "Signature"
-
 OP_NOTIFY_PK = "Notify_PK"
 OP_WRITE_CT = "Write_CT"
 
@@ -37,6 +34,9 @@ SECURITY_LEVELS = (1, 3, 5)
 #: Rows expected in the reference energy table: 3 schemes x 8 configs x 2 ops.
 REFERENCE_ROW_COUNT = 48
 
+#: Largest calibration factor; every factor lies in [1, GAMMA_MAX].
+GAMMA_MAX = 10.0
+
 #: Tolerance for re-deriving a stored delta from its (theoretical, empirical)
 #: energy pair.
 DELTA_TOLERANCE = 1e-3
@@ -44,42 +44,20 @@ DELTA_TOLERANCE = 1e-3
 
 @dataclass(frozen=True)
 class KemParamSet:
-    """Named scheme with its artifact byte sizes.
-
-    ``ct_or_sig_min``/``ct_or_sig_max`` differ only for signature schemes
-    whose size is published as a range; for every KEM they are equal and
-    exposed as :attr:`ct_size`.
-    """
+    """Named key-encapsulation scheme with its artifact byte sizes."""
 
     name: str
-    kind: str
     pk_size: int
     sk_size: int
-    ct_or_sig_min: int
-    ct_or_sig_max: int
+    ct_size: int
     nist_level: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (KIND_KEM, KIND_SIGNATURE):
-            raise ConsistencyError(f"{self.name}: unknown kind {self.kind!r}")
-        for field in ("pk_size", "sk_size", "ct_or_sig_min", "ct_or_sig_max"):
+        for field in ("pk_size", "sk_size", "ct_size"):
             if getattr(self, field) <= 0:
                 raise ConsistencyError(f"{self.name}: {field} must be positive")
-        if self.ct_or_sig_min > self.ct_or_sig_max:
-            raise ConsistencyError(f"{self.name}: size range is inverted")
         if self.nist_level is not None and self.nist_level not in SECURITY_LEVELS:
             raise ConsistencyError(f"{self.name}: level must be 1, 3, or 5")
-
-    @property
-    def is_kem(self) -> bool:
-        return self.kind == KIND_KEM
-
-    @property
-    def ct_size(self) -> int:
-        """Ciphertext size in bytes (KEMs only; signature sizes may be ranges)."""
-        if self.ct_or_sig_min != self.ct_or_sig_max:
-            raise ConsistencyError(f"{self.name}: ciphertext size is a range")
-        return self.ct_or_sig_min
 
     def transfers(self) -> tuple[tuple[str, int, bool], ...]:
         """The handshake's transfers in order: (op, artifact size, peripheral receives)."""
@@ -108,7 +86,7 @@ class CalibrationFactors:
 
     ``gamma_keygen``/``gamma_decap`` map a NIST security level to the factor
     for that computation phase; ``gamma_comm`` applies to both transfer
-    phases regardless of level. Every factor is finite and >= 1.0, and each
+    phases regardless of level. Every factor lies in [1, GAMMA_MAX], and each
     table covers every security level.
     """
 
@@ -122,9 +100,9 @@ class CalibrationFactors:
                   "gamma_comm": dict.fromkeys(SECURITY_LEVELS, self.gamma_comm)}
         for name, table in tables.items():
             if not (set(SECURITY_LEVELS) <= set(table)
-                    and all(math.isfinite(g) and g >= 1.0 for g in table.values())):
-                raise ConsistencyError(
-                    f"{name} needs a finite factor >= 1.0 for levels 1, 3 and 5, got {table}")
+                    and all(1.0 <= g <= GAMMA_MAX for g in table.values())):  # NaN fails too
+                raise ConsistencyError(f"{name} needs a factor in [1.0, {GAMMA_MAX}] "
+                                       f"for levels 1, 3 and 5, got {table}")
 
     def keygen_for(self, level: int) -> float:
         return self.gamma_keygen[level]
@@ -185,13 +163,9 @@ def load_schemes() -> dict[str, KemParamSet]:
         level_raw = (rec.get("level") or "").strip()
         scheme = KemParamSet(
             name=rec["name"],
-            kind=rec["kind"],
             pk_size=_int_field(rec["pk"], path=path, row=i, column="pk"),
             sk_size=_int_field(rec["sk"], path=path, row=i, column="sk"),
-            ct_or_sig_min=_int_field(rec["ct_or_sig_min"], path=path, row=i,
-                                     column="ct_or_sig_min"),
-            ct_or_sig_max=_int_field(rec["ct_or_sig_max"], path=path, row=i,
-                                     column="ct_or_sig_max"),
+            ct_size=_int_field(rec["ct"], path=path, row=i, column="ct"),
             nist_level=_int_field(level_raw, path=path, row=i, column="level")
             if level_raw else None,
         )

@@ -24,7 +24,7 @@ from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, comm_energy,
                      handshake_breakdown, handshake_inputs)
 from .errors import HandshakeFailure, NotEstablished
-from .link import Direction, FragmentationPlan, LinkConfig, airtime, plan_transfer
+from .link import FragmentationPlan, LinkConfig, airtime, plan_transfer
 from .reference import CalibrationFactors, KemParamSet
 
 OP_PAYLOAD = "Payload"
@@ -43,7 +43,6 @@ class Phase(enum.Enum):
     CT_SENT = "CtSent"
     CT_RECEIVED = "CtReceived"
     ESTABLISHED = "Established"
-    FAILED = "Failed"
 
 
 @dataclass
@@ -179,9 +178,10 @@ def _seed32(seed: int | bytes, label: bytes) -> bytes:
 
 
 def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan,
-                   initiator: Role, op: str, cfg: LinkConfig) -> float:
-    """Append a plan's frames with timestamps; returns the advanced clock."""
-    responder = Role.CENTRAL if initiator is Role.PERIPHERAL else Role.PERIPHERAL
+                   sender: Role, op: str, cfg: LinkConfig) -> float:
+    """Append a plan's frames with timestamps; returns the advanced clock.
+    ``sender`` sends the data frames and the other party the acks."""
+    receiver = Role.CENTRAL if sender is Role.PERIPHERAL else Role.PERIPHERAL
     # A plan shares one object per distinct frame, so (sender, airtime, gap)
     # is worked out once per object. Keyed by identity: hashing the frozen
     # frame would cost more than the work it saves.
@@ -189,13 +189,13 @@ def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan
     for frame in plan.frames:
         step = steps.get(id(frame))
         if step is None:
-            sender = initiator if frame.direction is Direction.TO_RESPONDER else responder
+            party = receiver if frame.is_ack else sender
             # One gap always follows a data frame; the second gap after the
             # ack is charged only under two-slot accounting.
             gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0
-            step = steps[id(frame)] = (sender, 8.0 * frame.on_air_bytes / cfg.phy_rate, gap)
-        sender, air, gap = step
-        records.append(TraceRecord(t, sender, frame.payload_bytes, frame.overhead_bytes,
+            step = steps[id(frame)] = (party, 8.0 * frame.on_air_bytes / cfg.phy_rate, gap)
+        party, air, gap = step
+        records.append(TraceRecord(t, party, frame.payload_bytes, frame.overhead_bytes,
                                    frame.is_ack, op))
         t += air
         t += gap

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from pqpan.cli import main
+from pqpan.energy import AEAD_OVERHEAD_BYTES
+from pqpan.link import ARTIFACT_MAX
 
 
 def run_cli(capsys, *argv):
@@ -40,7 +42,19 @@ def test_estimate_signature_scheme_exits_3(capsys):
     code, _, err = run_cli(capsys, "estimate", "--scheme", "ecdsa-p256",
                            "--att-mtu", "65", "--ll-pdu", "27")
     assert code == 3
-    assert "energy model" in err
+    assert "unknown scheme" in err
+
+
+@pytest.mark.parametrize("scheme,code", [
+    ("ml-dsa-44", 3), ("sphincs+-128", 3),  # signatures are not in the scheme table
+    ("ecdh-p256", 0), ("hqc-256", 0),  # KEMs without a handshake model still sweep
+])
+def test_sweep_scheme_table_is_kem_only(capsys, scheme, code):
+    got, out, err = run_cli(capsys, "sweep", "--schemes", scheme, "--att-mtus", "65",
+                            "--ll-pdus", "27")
+    assert got == code
+    assert ("unknown scheme" in err) == (code == 3) and "Traceback" not in err
+    assert len(out.splitlines()) == (0 if code else 3)
 
 
 def test_estimate_missing_flags_exits_2(capsys):
@@ -233,6 +247,10 @@ def test_config_unknown_key_exits_3(capsys, tmp_path):
     pytest.param("gamma_keygen", '{"gamma_keygen": {"1": 1.27, "3": true, "5": 1.62}}',
                  id="gamma_keygen-bool"),
     pytest.param("cycles_file", '{"cycles_file": 5}', id="cycles_file-int"),
+    pytest.param("cycles_file", '{"cycles_file": "a\\u0000b"}', id="cycles_file-nul"),
+    pytest.param("voltage", '{"voltage": 1e308, "i_mcu": 1e308}', id="voltage-huge"),
+    pytest.param("f_mcu", '{"f_mcu": 1e-300}', id="f_mcu-tiny"),
+    pytest.param("voltage", '{"voltage": 5e-324}', id="voltage-subnormal"),
 ])
 def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
     # Python's json reads NaN, so the model itself must reject it; values
@@ -252,6 +270,9 @@ def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
                             "--seed", "99999999999999999999"], id="seed-overflow"),
     pytest.param("--payload", ["simulate", "--scheme", "ml-kem-512", "--payload", "-1"],
                  id="payload-negative"),
+    pytest.param("--payload", ["simulate", "--scheme", "ml-kem-512", "--payload",
+                               str(ARTIFACT_MAX - AEAD_OVERHEAD_BYTES + 1)],
+                 id="payload-over-cap"),
     pytest.param("--att-mtus", ["sweep", "--att-mtus", "65,abc"], id="att_mtus-text"),
     pytest.param("--ll-pdus", ["sweep", "--ll-pdus", "27,"], id="ll_pdus-empty"),
 ])
@@ -262,6 +283,16 @@ def test_bad_argv_is_usage_error(capsys, tmp_path, flag, argv):
     assert out == ""
     assert flag in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value", [("--gamma-comm", "1e308"),
+                                        ("--gamma-keygen", "1e307")])
+def test_calibration_flag_above_cap_exits_3(capsys, flag, value):
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                             "--att-mtu", "65", "--ll-pdu", "27", flag, value)
+    assert code == 3
+    assert out == ""
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
 
 
 def test_att_mtu_above_cap_exits_3(capsys):
@@ -337,3 +368,17 @@ def test_config_custom_cycles_file(capsys, tmp_path):
     assert code == 0
     # 640k cycles at the default 3 mA / 3 V / 64 MHz: 90 uJ raw keygen.
     assert json.loads(out)["raw_uJ"]["keygen"] == pytest.approx(90.0, abs=0.01)
+
+
+def test_config_cycles_file_over_cap_exits_3(capsys, tmp_path):
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text("scheme,keygen,encaps,decaps\n"
+                      f"ML-KEM-512,{'9' * 400},700000,660000\n")
+    config = tmp_path / "profile.json"
+    config.write_text(json.dumps({"cycles_file": "cycles.csv"}))
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                             "--att-mtu", "65", "--ll-pdu", "27",
+                             "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert f"{cycles}:row 2" in err and "Traceback" not in err

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from pqpan import (CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
                    InvalidProfile, LinkConfig, RadioProfile, SingularSystem,
-                   TimeBudget, UnsupportedScheme, airtime,
+                   TimeBudget, UnknownScheme, UnsupportedScheme, airtime,
                    comm_energy, comp_energy, default_calibration,
                    fit_radio_currents, identity_calibration, load_cycle_counts,
                    lookup_scheme, plan_transfer, pqke_total, session_energy)
-from pqpan.energy import _chebyshev_polish, _least_squares
+from pqpan.energy import CYCLES_MAX, _chebyshev_polish, _least_squares
+from pqpan.link import ARTIFACT_MAX
 from pqpan.reference import ReferenceEnergyRow
 
 REFERENCE_GRID = [(65, 27), (65, 69), (104, 27), (104, 108),
@@ -44,7 +45,8 @@ def test_comp_energy_rejects_negative_cycles():
         comp_energy(-1, make_profile())
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   pytest.param(CYCLES_MAX + 1, id="over-cap")])
 @pytest.mark.parametrize("field", ["keygen", "encap", "decap"])
 def test_non_finite_cycles_rejected(field, value):
     counts = {"keygen": 1, "encap": 1, "decap": 1, field: value}
@@ -62,7 +64,7 @@ def test_invalid_profile_fields():
 
 
 @pytest.mark.parametrize("field", ["voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e308])
 def test_non_finite_profile_fields_rejected(field, value):
     with pytest.raises(InvalidProfile):
         make_profile(**{field: value})
@@ -128,8 +130,8 @@ def test_pqke_total_rejects_schemes_without_model():
     cfg = LinkConfig(att_mtu=65, ll_pdu=27)
     with pytest.raises(UnsupportedScheme):
         pqke_total("ecdh-p256", cfg)  # KEM but no cycle counts / level
-    with pytest.raises(UnsupportedScheme):
-        pqke_total("ml-dsa-65", cfg)
+    with pytest.raises(UnknownScheme, match="unknown scheme"):
+        pqke_total("ml-dsa-65", cfg)  # signatures are not in the scheme table
 
 
 def test_include_encap_adds_uncalibrated_term():
@@ -354,3 +356,8 @@ def test_session_secured_payload_costs_more_than_raw():
 def test_session_rejects_negative_payload():
     with pytest.raises(InvalidConfig):
         session_energy("none", -1, LinkConfig(att_mtu=404, ll_pdu=251))
+
+
+def test_session_rejects_payload_over_artifact_max():
+    with pytest.raises(InvalidConfig, match="artifact_size"):
+        session_energy("none", ARTIFACT_MAX + 1, LinkConfig(att_mtu=404, ll_pdu=251))

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqpan import (SizeMismatch, UnsupportedScheme, decapsulate, derive_session_key,
-                   encapsulate, get_backend, keygen, lookup_scheme)
+from pqpan import (SizeMismatch, UnknownScheme, UnsupportedScheme, decapsulate,
+                   derive_session_key, encapsulate, get_backend, keygen, lookup_scheme)
 
 MLKEM = ["ML-KEM-512", "ML-KEM-768", "ML-KEM-1024"]
 
@@ -73,7 +73,8 @@ def test_wrong_seed_length():
 
 
 def test_signature_scheme_rejected():
-    with pytest.raises(UnsupportedScheme):
+    # The scheme table holds KEMs only; a signature scheme is not a known name.
+    with pytest.raises(UnknownScheme, match="unknown scheme"):
         keygen("ecdsa-p256", seed(11))
 
 

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpan import (Direction, FragmentationPlan, InvalidConfig, LinkConfig,
-                   LinkFrame, airtime, bytes_on_air, plan_counts, plan_transfer)
+from pqpan import (FragmentationPlan, InvalidConfig, LinkConfig, LinkFrame, airtime,
+                   bytes_on_air, plan_counts, plan_transfer)
+from pqpan.link import ARTIFACT_MAX
 from chunking_oracle import byte_stream_counts
 
 ATT_GRID = [23, 65, 104, 204, 404, 512]
@@ -140,26 +141,8 @@ def test_dle_time_dominance(artifact, att):
     assert dle.total <= base.total
 
 
-def test_direction_assignment():
-    plan = plan_transfer(100, cfg(65, 27), direction=Direction.TO_INITIATOR)
-    assert all(f.direction is Direction.TO_INITIATOR for f in plan.data_frames())
-    assert all(f.direction is Direction.TO_RESPONDER
-               for f in plan.frames if f.is_ack)
-
-
-def test_frame_dicts_export():
-    plan = plan_transfer(1, cfg(65, 27))
-    dicts = plan.frame_dicts()
-    assert dicts == [
-        {"dir": "i2r", "payload_B": 8, "overhead_B": 10, "is_ack": False},
-        {"dir": "r2i", "payload_B": 0, "overhead_B": 10, "is_ack": True},
-    ]
-
-
-def naive_plan(artifact_size, c, direction=Direction.TO_RESPONDER):
+def naive_plan(artifact_size, c):
     """Reference plan: one fresh LinkFrame per frame, chunk by chunk."""
-    back = (Direction.TO_INITIATOR if direction is Direction.TO_RESPONDER
-            else Direction.TO_RESPONDER)
     frames, chunks = [], []
     remaining = artifact_size
     while remaining > 0:
@@ -170,19 +153,19 @@ def naive_plan(artifact_size, c, direction=Direction.TO_RESPONDER):
         while sdu > 0:
             payload = min(c.ll_pdu, sdu)
             sdu -= payload
-            frames.append(LinkFrame(direction, payload))
-            frames.append(LinkFrame(back, 0, is_ack=True))
+            frames.append(LinkFrame(payload))
+            frames.append(LinkFrame(0, is_ack=True))
     return FragmentationPlan(frames=tuple(frames), att_pdu_count=len(chunks),
                              ll_data_pdu_count=len(frames) // 2,
                              att_chunks=tuple(chunks))
 
 
 @given(artifacts, st.integers(min_value=23, max_value=517),
-       st.integers(min_value=27, max_value=251), st.sampled_from(list(Direction)))
-def test_plan_equals_naive_rebuild_with_shared_frames(artifact, att, ll, direction):
+       st.integers(min_value=27, max_value=251))
+def test_plan_equals_naive_rebuild_with_shared_frames(artifact, att, ll):
     c = cfg(att, ll)
-    plan = plan_transfer(artifact, c, direction)
-    naive = naive_plan(artifact, c, direction)
+    plan = plan_transfer(artifact, c)
+    naive = naive_plan(artifact, c)
     assert plan == naive
     assert repr(plan) == repr(naive)
     # One ack object and at most three data objects: full frame, tail of a
@@ -215,6 +198,14 @@ def test_invalid_artifact_size():
         plan_transfer(0, cfg(65, 27))
 
 
+@pytest.mark.parametrize("plan", [plan_transfer, plan_counts])
+def test_artifact_size_capped(plan):
+    c = cfg(404, 251)
+    plan(ARTIFACT_MAX, c)  # the cap itself is accepted
+    with pytest.raises(InvalidConfig, match="artifact_size"):
+        plan(ARTIFACT_MAX + 1, c)
+
+
 def test_ack_frames_carry_no_payload():
     with pytest.raises(InvalidConfig):
-        LinkFrame(Direction.TO_INITIATOR, payload_bytes=5, is_ack=True)
+        LinkFrame(payload_bytes=5, is_ack=True)

@@ -42,20 +42,13 @@ def test_unknown_scheme():
 def test_all_sizes_positive():
     for s in load_schemes().values():
         assert s.pk_size > 0 and s.sk_size > 0
-        assert 0 < s.ct_or_sig_min <= s.ct_or_sig_max
+        assert s.ct_size > 0
 
 
 def test_hqc_levels_in_size_order():
     sizes = [lookup_scheme(f"HQC-{n}") for n in (128, 192, 256)]
     assert [s.nist_level for s in sizes] == [1, 3, 5]
     assert sizes[0].pk_size < sizes[1].pk_size < sizes[2].pk_size
-
-
-def test_sphincs_signature_range():
-    s = lookup_scheme("SPHINCS+-128")
-    assert (s.ct_or_sig_min, s.ct_or_sig_max) == (7856, 49856)
-    with pytest.raises(ConsistencyError):
-        s.ct_size  # range, not a single size
 
 
 def test_reference_table_shape(reference_rows):
