@@ -15,9 +15,9 @@ from .kem import (Encapsulation, KemKeyPair, SessionKey, decapsulate,
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, ECDH_PAIRING_UJ,
                      EnergyBreakdown, FITTED_RADIO_PROFILE, FitResult, RadioProfile,
                      comm_energy, comp_energy, fit_radio_currents, handshake_breakdown,
-                     load_cycle_counts, pqke_total, session_energy)
+                     load_cycle_counts, pqke_total, session_energy, transfer_energy)
 from .sim import (EnergyLedger, FrameTrace, HandshakeResult, PartyState, Phase,
                   Role, run_handshake, send_secured_payload)
-from .config import ModelConfig, default_config, load_config, resolve_config
+from .config import ModelConfig, load_config, resolve_config
 
 __version__ = "0.1.0"

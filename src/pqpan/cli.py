@@ -20,13 +20,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 
 from .config import ModelConfig, resolve_config
 from .energy import AEAD_OVERHEAD_BYTES, comm_energy, fit_radio_currents, pqke_total
 from .errors import PqpanError
+from .kem import BACKENDS
 from .link import ARTIFACT_MAX, LinkConfig, airtime, plan_transfer
-from .reference import CalibrationFactors, load_reference_table, lookup_scheme
+from .reference import SECURITY_LEVELS, load_reference_table, lookup_scheme
 from .sim import run_handshake, send_secured_payload
 
 DEFAULT_SWEEP_SCHEMES = "ML-KEM-512,ML-KEM-768,ML-KEM-1024"
@@ -47,13 +47,14 @@ def _checked(parse, ok, expected: str):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    every_level = _checked(lambda t: dict.fromkeys(SECURITY_LEVELS, float(t)), bool, "a number")
     p.add_argument("--config", "--profile", dest="config", metavar="PATH",
                    help="JSON config file (falls back to $PQPAN_PROFILE)")
     p.add_argument("--gamma-comm", type=float, metavar="G",
                    help="override the communication calibration factor")
-    p.add_argument("--gamma-keygen", type=float, metavar="G",
+    p.add_argument("--gamma-keygen", type=every_level, metavar="G",
                    help="override the key-generation calibration factor (all levels)")
-    p.add_argument("--gamma-decap", type=float, metavar="G",
+    p.add_argument("--gamma-decap", type=every_level, metavar="G",
                    help="override the decapsulation calibration factor (all levels)")
 
 
@@ -67,20 +68,11 @@ def _add_link_flags(p: argparse.ArgumentParser, require: bool,
                    help="inter-frame gaps charged per data/ack exchange")
 
 
-def _apply_overrides(cfg: ModelConfig, args) -> ModelConfig:
-    gamma = cfg.gamma
-    if args.gamma_comm is not None or args.gamma_keygen is not None \
-            or args.gamma_decap is not None:
-        gamma = CalibrationFactors(
-            gamma_keygen={lvl: args.gamma_keygen for lvl in gamma.gamma_keygen}
-            if args.gamma_keygen is not None else gamma.gamma_keygen,
-            gamma_decap={lvl: args.gamma_decap for lvl in gamma.gamma_decap}
-            if args.gamma_decap is not None else gamma.gamma_decap,
-            gamma_comm=args.gamma_comm if args.gamma_comm is not None
-            else gamma.gamma_comm,
-        )
-    ifs_slots = args.ifs_slots if getattr(args, "ifs_slots", None) else cfg.ifs_slots
-    return replace(cfg, gamma=gamma, ifs_slots=ifs_slots)
+def _model_config(args) -> ModelConfig:
+    """The config file, then each flag whose dest is a config key, on one path."""
+    flags = {key: value for key in ("gamma_comm", "gamma_keygen", "gamma_decap", "ifs_slots")
+             if (value := getattr(args, key)) is not None}
+    return resolve_config(args.config, flags)
 
 
 def _link_config(cfg: ModelConfig, att_mtu: int, ll_pdu: int) -> LinkConfig:
@@ -97,7 +89,7 @@ def _round_tree(obj, ndigits=2):
 
 
 def cmd_estimate(args) -> int:
-    cfg = _apply_overrides(resolve_config(args.config), args)
+    cfg = _model_config(args)
     link = _link_config(cfg, args.att_mtu, args.ll_pdu)
     breakdown = pqke_total(args.scheme, link, cfg.profile, cfg.cycles, cfg.gamma,
                            include_encap=args.include_encap)
@@ -127,7 +119,7 @@ def _sweep_rows(cfg: ModelConfig, cells):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _apply_overrides(resolve_config(args.config), args)
+    cfg = _model_config(args)
     if args.reference_grid:
         ref_rows = load_reference_table(args.table)
         cells = sorted({(r.scheme, r.att_mtu, r.ll_pdu) for r in ref_rows})
@@ -183,9 +175,8 @@ def cmd_fit(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        summary = {k: report[k] for k in ("ifs_slots", "candidates_max_abs_rel_err",
-                                          "max_abs_rel_err", "mean_abs_rel_err",
-                                          "profile")}
+        summary = {k: report[k] for k in ("ifs_slots", "max_abs_rel_err",
+                                          "mean_abs_rel_err", "profile")}
         print(json.dumps(summary, indent=2))
         print(f"report written to {args.out}", file=sys.stderr)
     else:
@@ -194,7 +185,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(resolve_config(args.config), args)
+    cfg = _model_config(args)
     link = _link_config(cfg, args.att_mtu, args.ll_pdu)
     backend = args.backend or cfg.kem_backend
     result = run_handshake(args.scheme, link, cfg.profile, cfg.gamma, cfg.cycles,
@@ -269,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="recover radio currents from a reference table")
     p.add_argument("--table", default=None, metavar="PATH",
                    help="reference table CSV (defaults to the bundled copy)")
-    p.add_argument("--ifs-slots", type=int, choices=(1, 2), default=None,
-                   help="pin the IFS accounting instead of trying both")
+    p.add_argument("--ifs-slots", type=int, choices=(1, 2), default=2,
+                   help="inter-frame gaps charged per data/ack exchange (default 2); "
+                        "scales the fitted i_ifs and cannot change a residual")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the full report JSON here (summary goes to stdout)")
     p.set_defaults(func=cmd_fit)
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                                               f"a byte count in [0, {payload_max}]"),
                    default=None, metavar="BYTES",
                    help="also send one secured payload and print the session total")
-    p.add_argument("--backend", choices=("stub", "real"), default=None)
+    p.add_argument("--backend", choices=BACKENDS, default=None)
     p.add_argument("--trace", default="pqpan_trace.jsonl", metavar="PATH",
                    help="JSON-lines frame trace output")
     p.add_argument("--ledger", default="pqpan_ledger.json", metavar="PATH",
@@ -304,7 +296,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PqpanError, UnicodeError) as exc:  # UnicodeError: an input file is not UTF-8
+    except PqpanError as exc:
         print(f"pqpan: error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

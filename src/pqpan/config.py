@@ -20,7 +20,8 @@ All keys are optional; currents are amperes, times seconds, frequencies Hz.
 by ``pqpan fit`` is itself a valid config (its nested ``profile`` object is
 recognized), so a fitted profile can be fed straight back via ``--config``.
 The ``PQPAN_PROFILE`` environment variable names a fallback config path used
-when ``--config`` is absent.
+when ``--config`` is absent. Overrides, such as the CLI's ``--gamma-*`` and
+``--ifs-slots`` flags, are config keys merged after the file.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from pathlib import Path
 
 from .energy import CycleCounts, FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
 from .errors import InvalidConfig
-from .reference import CalibrationFactors, default_calibration
+from .kem import BACKENDS
+from .link import LinkConfig
+from .reference import CalibrationFactors, default_calibration, read_text
 
 ENV_PROFILE = "PQPAN_PROFILE"
 
@@ -40,7 +43,9 @@ _PROFILE_KEYS = ("voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu")
 _LINK_KEYS = ("phy_rate", "ifs", "ifs_slots")
 _OTHER_KEYS = ("gamma_comm", "gamma_keygen", "gamma_decap", "cycles_file",
                "kem_backend")
-#: Keys the fit report adds around its profile; ignored on load.
+#: Keys the fit report adds around its profile; ignored on load. Reports
+#: written by earlier versions also carry ``candidates_max_abs_rel_err``, and
+#: they must still load as ``--config``.
 _REPORT_KEYS = ("profile", "provenance", "residuals", "max_abs_rel_err",
                 "mean_abs_rel_err", "candidates_max_abs_rel_err")
 
@@ -52,15 +57,10 @@ class ModelConfig:
     profile: RadioProfile
     gamma: CalibrationFactors
     cycles: dict[str, CycleCounts]
-    phy_rate: float = 1_000_000.0
-    ifs: float = 150e-6
-    ifs_slots: int = 2
+    phy_rate: float = LinkConfig.phy_rate
+    ifs: float = LinkConfig.ifs
+    ifs_slots: int = LinkConfig.ifs_slots
     kem_backend: str = "stub"
-
-
-def default_config() -> ModelConfig:
-    return ModelConfig(profile=FITTED_RADIO_PROFILE, gamma=default_calibration(),
-                       cycles=load_cycle_counts())
 
 
 def _gamma_table(data: dict, key: str, default: dict[int, float]) -> dict[int, float]:
@@ -83,59 +83,59 @@ def _number(data: dict, key: str, default):
     raise InvalidConfig(f"{key} must be a number, got {value!r}")
 
 
-def load_config(path: str | Path) -> ModelConfig:
-    """Load a JSON config file on top of the package defaults."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"{path}: config must be a JSON object")
-
-    if isinstance(data.get("profile"), dict):
-        # Fit-report layout: hoist the nested profile, keep top-level knobs.
-        nested = data["profile"]
-        data = {k: v for k, v in data.items() if k not in _REPORT_KEYS}
-        data.update(nested)
-
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> ModelConfig:
+    """The package defaults, then the JSON config file at ``path``, then
+    ``overrides``: config keys that pass the same checks as the file's."""
+    data = {}
+    if path is not None:
+        path = Path(path)
+        try:
+            data = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise InvalidConfig(f"{path}: config must be a JSON object")
+        if isinstance(data.get("profile"), dict):
+            # Fit-report layout: hoist the nested profile, keep top-level knobs.
+            nested = data["profile"]
+            data = {k: v for k, v in data.items() if k not in _REPORT_KEYS}
+            data.update(nested)
+    data.update(overrides or {})
     known = set(_PROFILE_KEYS) | set(_LINK_KEYS) | set(_OTHER_KEYS)
     unknown = set(data) - known
     if unknown:
-        raise InvalidConfig(f"{path}: unknown config keys {sorted(unknown)}")
+        raise InvalidConfig(f"{path or 'config'}: unknown config keys {sorted(unknown)}")
 
-    base = default_config()
-    profile_overrides = {k: _number(data, k, None) for k in _PROFILE_KEYS if k in data}
-    profile = replace(base.profile, **profile_overrides) if profile_overrides else base.profile
-
+    profile = replace(FITTED_RADIO_PROFILE,
+                      **{k: _number(data, k, None) for k in _PROFILE_KEYS if k in data})
+    base = default_calibration()
     gamma = CalibrationFactors(
-        gamma_keygen=_gamma_table(data, "gamma_keygen", base.gamma.gamma_keygen),
-        gamma_decap=_gamma_table(data, "gamma_decap", base.gamma.gamma_decap),
-        gamma_comm=_number(data, "gamma_comm", base.gamma.gamma_comm))
+        gamma_keygen=_gamma_table(data, "gamma_keygen", base.gamma_keygen),
+        gamma_decap=_gamma_table(data, "gamma_decap", base.gamma_decap),
+        gamma_comm=_number(data, "gamma_comm", base.gamma_comm))
 
-    cycles = base.cycles
+    cycles = load_cycle_counts()
     if "cycles_file" in data:
         if not isinstance(data["cycles_file"], str) or "\0" in data["cycles_file"]:
             raise InvalidConfig(f"cycles_file must be a path string, got {data['cycles_file']!r}")
-        cycles_path = Path(data["cycles_file"])
-        if not cycles_path.is_absolute():
-            cycles_path = path.parent / cycles_path
-        cycles = load_cycle_counts(str(cycles_path))
+        # Relative to the config file; an absolute path replaces the prefix.
+        cycles = load_cycle_counts(str((path.parent if path else Path()) / data["cycles_file"]))
 
-    ifs_slots = data.get("ifs_slots", base.ifs_slots)
+    ifs_slots = data.get("ifs_slots", ModelConfig.ifs_slots)
     if isinstance(ifs_slots, bool) or ifs_slots not in (1, 2):  # no truncation
         raise InvalidConfig(f"ifs_slots must be 1 or 2, got {ifs_slots!r}")
+    kem_backend = data.get("kem_backend", ModelConfig.kem_backend)
+    if kem_backend not in BACKENDS:
+        raise InvalidConfig(f"kem_backend must be one of {BACKENDS}, got {kem_backend!r}")
 
     return ModelConfig(
         profile=profile, gamma=gamma, cycles=cycles,
-        phy_rate=_number(data, "phy_rate", base.phy_rate),
-        ifs=_number(data, "ifs", base.ifs),
-        ifs_slots=int(ifs_slots),
-        kem_backend=str(data.get("kem_backend", base.kem_backend)),
-    )
+        phy_rate=_number(data, "phy_rate", ModelConfig.phy_rate),
+        ifs=_number(data, "ifs", ModelConfig.ifs),
+        ifs_slots=int(ifs_slots), kem_backend=kem_backend)
 
 
-def resolve_config(explicit_path: str | None) -> ModelConfig:
-    """Pick the active config: --config flag, then $PQPAN_PROFILE, then defaults."""
-    path = explicit_path or os.environ.get(ENV_PROFILE)
-    return load_config(path) if path else default_config()
+def resolve_config(explicit_path: str | None, overrides: dict | None = None) -> ModelConfig:
+    """Pick the active config file: --config flag, then $PQPAN_PROFILE, then
+    none; ``overrides`` go on top, as in :func:`load_config`."""
+    return load_config(explicit_path or os.environ.get(ENV_PROFILE) or None, overrides)

@@ -19,16 +19,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem,
                      UnsupportedScheme)
 from .link import LinkConfig, TimeBudget, airtime, plan_transfer
 from .reference import (CalibrationFactors, KemParamSet, default_calibration,
-                        lookup_scheme)
+                        lookup_scheme, read_text)
 
 #: Measured cost of the classical ECDH P-256 pairing baseline, microjoules.
 ECDH_PAIRING_UJ = 328.0
@@ -105,7 +104,7 @@ def load_cycle_counts(path: str | None = None) -> dict[str, CycleCounts]:
     if path is None:
         text = resources.files("pqpan").joinpath("data/cycles.csv").read_text(encoding="utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
     counts: dict[str, CycleCounts] = {}
@@ -186,6 +185,12 @@ def comm_energy(budget: TimeBudget, profile: RadioProfile,
     joules = profile.voltage * (i_data * budget.t_tx + i_ack * budget.t_rx
                                 + profile.i_ifs * budget.t_ifs)
     return joules * 1e6
+
+
+def transfer_energy(artifact: int, cfg: LinkConfig, profile: RadioProfile,
+                    gamma: CalibrationFactors) -> float:
+    """Calibrated microjoules the sender of one ``artifact``-byte transfer spends."""
+    return gamma.gamma_comm * comm_energy(airtime(plan_transfer(artifact, cfg), cfg), profile)
 
 
 def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
@@ -274,8 +279,7 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     transfer = 0.0
     if payload > 0:
         artifact = payload if kind == SECURITY_NONE else payload + AEAD_OVERHEAD_BYTES
-        budget = airtime(plan_transfer(artifact, cfg), cfg)
-        transfer = gamma.gamma_comm * comm_energy(budget, profile)
+        transfer = transfer_energy(artifact, cfg, profile, gamma)
     return pairing + transfer
 
 
@@ -299,14 +303,11 @@ class FitResult:
     residuals: tuple[FitRowResidual, ...]
     max_abs_rel_err: float
     mean_abs_rel_err: float
-    #: max |relative residual| achieved by each candidate slot count tried.
-    candidates: dict[int, float]
 
     def as_dict(self) -> dict:
         return {
             "provenance": "fitted from reference table, not datasheet",
             "ifs_slots": self.ifs_slots,
-            "candidates_max_abs_rel_err": self.candidates,
             "max_abs_rel_err": self.max_abs_rel_err,
             "mean_abs_rel_err": self.mean_abs_rel_err,
             "profile": {
@@ -323,23 +324,19 @@ class FitResult:
         }
 
 
-def _design_matrix(rows, ifs_slots: int, voltage: float, phy_rate: float,
-                   ifs: float, include_ifs: bool) -> list[list[float]]:
+def _design_matrix(rows, ifs_slots: int) -> list[list[float]]:
+    voltage = FITTED_RADIO_PROFILE.voltage
     design = []
     for row in rows:
         artifact, as_receiver = {op: (size, rx) for op, size, rx
                                  in lookup_scheme(row.scheme).transfers()}[row.op]
-        cfg = LinkConfig(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu, phy_rate=phy_rate,
-                         ifs=ifs, ifs_slots=ifs_slots)
+        cfg = LinkConfig(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu, ifs_slots=ifs_slots)
         budget = airtime(plan_transfer(artifact, cfg), cfg)
         t_data, t_ack = budget.t_tx, budget.t_rx
         # Columns multiply (i_tx, i_rx, i_ifs); for receive-side operations
         # the data time is spent in rx and the ack time in tx.
         t_for_tx, t_for_rx = (t_ack, t_data) if as_receiver else (t_data, t_ack)
-        cols = [voltage * t_for_tx, voltage * t_for_rx]
-        if include_ifs:
-            cols.append(voltage * budget.t_ifs)
-        design.append(cols)
+        design.append([voltage * t_for_tx, voltage * t_for_rx, voltage * budget.t_ifs])
     return design
 
 
@@ -412,61 +409,46 @@ def _chebyshev_polish(design, target, start):
     return start
 
 
-def fit_radio_currents(rows, *, voltage: float = 3.0, phy_rate: float = 1_000_000.0,
-                       ifs: float = 150e-6, ifs_slots: int | None = None,
-                       include_ifs: bool = True, i_mcu: float = 3.0e-3,
-                       f_mcu: float = 64e6) -> FitResult:
+def fit_radio_currents(rows, ifs_slots: int = 2) -> FitResult:
     """Recover (i_tx, i_rx, i_ifs) from reference rows.
 
     Solves the least-squares system ``E = V * (i_tx*t_tx + i_rx*t_rx +
     i_ifs*t_ifs)`` over all rows, then polishes with a Chebyshev step that
     minimizes the worst relative residual (least total current among the
-    currents that reach it). Run for both candidate IFS slot
-    counts unless ``ifs_slots`` pins one; the two candidates' t_ifs columns
-    are proportional, so their residuals tie and the tie breaks to the
-    default of 2.
+    currents that reach it). ``ifs_slots`` is the IFS accounting: the t_ifs
+    column is proportional to it, so it scales the fitted ``i_ifs`` and
+    leaves every residual as it is.
 
-    ``i_mcu``/``f_mcu`` only populate the returned profile; the fit cannot
-    observe them.
+    The PHY rate and gap length are ``LinkConfig``'s defaults. The voltage
+    and the MCU fields, which the fit cannot observe, are
+    ``FITTED_RADIO_PROFILE``'s.
     """
     rows = tuple(rows)
     if len(rows) < 3:
         raise SingularSystem(f"need at least 3 rows, got {len(rows)}")
     target = [r.e_theor_uj * 1e-6 for r in rows]
+    design = _design_matrix(rows, ifs_slots)
+    lsq = _least_squares(design, target)
+    if lsq is None:
+        raise SingularSystem(
+            "design matrix is rank deficient; rows do not span independent "
+            "tx/rx/ifs time combinations")
 
-    def abs_rel(design, x):
+    def abs_rel(x):
         return [abs(_dot(d, x) / t - 1.0) for d, t in zip(design, target)]
 
-    candidates = [ifs_slots] if ifs_slots is not None else [1, 2]
-    solutions: dict[int, tuple[list[float], list[list[float]]]] = {}
-    for slots in candidates:
-        design = _design_matrix(rows, slots, voltage, phy_rate, ifs, include_ifs)
-        lsq = _least_squares(design, target)
-        if lsq is None:
-            raise SingularSystem(
-                "design matrix is rank deficient; rows do not span independent "
-                "tx/rx/ifs time combinations")
-        # The polished currents win ties (min keeps the first of equals).
-        best = min(_chebyshev_polish(design, target, lsq), lsq,
-                   key=lambda x: max(abs_rel(design, x)))
-        solutions[slots] = (best, design)
-
-    scored = {s: max(abs_rel(d, x)) for s, (x, d) in solutions.items()}
-    # Prefer 2 on ties (data-IFS-ack-IFS accounting).
-    chosen = min(scored, key=lambda s: (round(scored[s], 12), -s))
-    current, design = solutions[chosen]
-
+    # The polished currents win ties (min keeps the first of equals).
+    current = min(_chebyshev_polish(design, target, lsq), lsq, key=lambda x: max(abs_rel(x)))
     modeled = [_dot(d, current) for d in design]
     residuals = tuple(
         FitRowResidual(scheme=r.scheme, att_mtu=r.att_mtu, ll_pdu=r.ll_pdu, op=r.op,
                        reference_uj=r.e_theor_uj, modeled_uj=m * 1e6, rel_err=m / t - 1.0)
         for r, m, t in zip(rows, modeled, target))
-    errors = abs_rel(design, current)
-    # RadioProfile requires currents of at least CURRENT_MIN; the include_ifs=False
-    # variant (used for residual comparisons) gets that effectively-zero ifs current.
-    profile = RadioProfile(voltage=voltage, i_tx=current[0], i_rx=current[1],
-                           i_ifs=max(current[2] if include_ifs else 0.0, CURRENT_MIN),
-                           i_mcu=i_mcu, f_mcu=f_mcu)
-    return FitResult(profile=profile, ifs_slots=chosen, residuals=residuals,
-                     max_abs_rel_err=max(errors), candidates=scored,
+    errors = abs_rel(current)
+    # RadioProfile requires currents of at least CURRENT_MIN; a table whose
+    # gaps cost nothing fits i_ifs to zero.
+    profile = replace(FITTED_RADIO_PROFILE, i_tx=current[0], i_rx=current[1],
+                      i_ifs=max(current[2], CURRENT_MIN))
+    return FitResult(profile=profile, ifs_slots=ifs_slots, residuals=residuals,
+                     max_abs_rel_err=max(errors),
                      mean_abs_rel_err=math.fsum(errors) / len(errors))

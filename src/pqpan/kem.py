@@ -150,6 +150,8 @@ class RealBackend:
 
 
 _BACKENDS = {"stub": StubBackend, "real": RealBackend}
+#: Backend names, for ``get_backend``, the ``kem_backend`` config key and ``--backend``.
+BACKENDS = tuple(_BACKENDS)
 
 
 def get_backend(name: str):

@@ -133,6 +133,14 @@ def _bundled(name: str):
     return resources.files("pqpan").joinpath("data").joinpath(name)
 
 
+def read_text(path: str | Path) -> str:
+    """A user-supplied file's text; one that is not UTF-8 is a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeError as exc:
+        raise ParseError(f"not readable as UTF-8 text ({exc})", path=str(path)) from None
+
+
 def _int_field(raw: str, *, path: str, row: int, column: str) -> int:
     try:
         return int(raw)
@@ -201,7 +209,7 @@ def load_reference_table(path: str | Path | None = None) -> tuple[ReferenceEnerg
         text = _bundled(label).read_text(encoding="utf-8")
     else:
         label = str(path)
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
 
     reader = csv.reader(io.StringIO(text))
     try:

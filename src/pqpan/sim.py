@@ -22,7 +22,7 @@ from math import isfinite
 
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, comm_energy,
-                     handshake_breakdown, handshake_inputs)
+                     handshake_breakdown, handshake_inputs, transfer_energy)
 from .errors import HandshakeFailure, NotEstablished
 from .link import FragmentationPlan, LinkConfig, airtime, plan_transfer
 from .reference import CalibrationFactors, KemParamSet
@@ -278,11 +278,9 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
                            profile=profile, gamma=gamma)
 
 
-def send_secured_payload(session: HandshakeResult, payload: bytes,
-                         cfg: LinkConfig | None = None,
-                         profile: RadioProfile | None = None,
-                         gamma: CalibrationFactors | None = None) -> tuple[FrameTrace, float]:
-    """Notify one AEAD-protected payload over an established session.
+def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[FrameTrace, float]:
+    """Notify one AEAD-protected payload over an established session, on the
+    session's link, profile and calibration.
 
     The payload grows by the 28-byte AEAD envelope (tag + nonce); the cipher
     itself is modeled as a size transform only. Returns the frame-trace
@@ -293,13 +291,9 @@ def send_secured_payload(session: HandshakeResult, payload: bytes,
     if (session.peripheral.phase is not Phase.ESTABLISHED
             or session.central.phase is not Phase.ESTABLISHED):
         raise NotEstablished("handshake has not completed")
-    cfg = cfg or session.cfg
-    profile = profile or session.profile
-    gamma = gamma or session.gamma
-
-    plan = plan_transfer(len(payload) + AEAD_OVERHEAD_BYTES, cfg)
+    cfg, artifact = session.cfg, len(payload) + AEAD_OVERHEAD_BYTES
     records: list[TraceRecord] = []
-    clock = _emit_transfer(records, session.trace.clock, plan, Role.PERIPHERAL,
-                           OP_PAYLOAD, cfg)
-    energy = gamma.gamma_comm * comm_energy(airtime(plan, cfg), profile)
+    clock = _emit_transfer(records, session.trace.clock, plan_transfer(artifact, cfg),
+                           Role.PERIPHERAL, OP_PAYLOAD, cfg)
+    energy = transfer_energy(artifact, cfg, session.profile, session.gamma)
     return FrameTrace(records=tuple(records), clock=clock), energy

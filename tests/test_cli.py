@@ -172,6 +172,25 @@ def test_fitted_report_round_trips_as_config(capsys, tmp_path):
     assert json.loads(out)["raw_uJ"]["notify_pk"] == pytest.approx(362.63, rel=0.02)
 
 
+def test_fit_report_with_slot_candidates_loads_as_config(capsys, tmp_path):
+    # Earlier versions wrote each tried slot count's worst residual as
+    # candidates_max_abs_rel_err; such reports must still load.
+    code, out, _ = run_cli(capsys, "fit")
+    assert code == 0
+    report = json.loads(out)
+    old = {**report, "candidates_max_abs_rel_err": {"1": report["max_abs_rel_err"],
+                                                    "2": report["max_abs_rel_err"]}}
+    estimates = []
+    for name, doc in (("new.json", report), ("old.json", old)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                                 "--att-mtu", "65", "--ll-pdu", "27",
+                                 "--config", str(tmp_path / name))
+        assert code == 0, err
+        estimates.append(out)
+    assert estimates[0] == estimates[1]
+
+
 def test_simulate_deterministic_outputs(capsys, tmp_path):
     paths = {}
     for tag in ("a", "b"):
@@ -251,6 +270,8 @@ def test_config_unknown_key_exits_3(capsys, tmp_path):
     pytest.param("voltage", '{"voltage": 1e308, "i_mcu": 1e308}', id="voltage-huge"),
     pytest.param("f_mcu", '{"f_mcu": 1e-300}', id="f_mcu-tiny"),
     pytest.param("voltage", '{"voltage": 5e-324}', id="voltage-subnormal"),
+    pytest.param("kem_backend", '{"kem_backend": [1, 2]}', id="kem_backend-list"),
+    pytest.param("kem_backend", '{"kem_backend": "quantum"}', id="kem_backend-unknown"),
 ])
 def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
     # Python's json reads NaN, so the model itself must reject it; values
@@ -301,6 +322,25 @@ def test_att_mtu_above_cap_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "att_mtu" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["--table", "--config", "cycles_file"])
+def test_non_utf8_input_file_exits_3_naming_it(capsys, tmp_path, source):
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x00\x82 not text")
+    if source == "--table":
+        argv = ["fit", "--table", str(binary)]
+    else:
+        config = binary
+        if source == "cycles_file":
+            config = tmp_path / "profile.json"
+            config.write_text(json.dumps({"cycles_file": binary.name}))
+        argv = ["estimate", "--scheme", "ml-kem-512", "--att-mtu", "65", "--ll-pdu", "27",
+                "--config", str(config)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert str(binary) in err and "Traceback" not in err
 
 
 def test_config_missing_file_exits_4(capsys):

@@ -181,3 +181,36 @@ def test_cli_argv_fuzz(tmp_path, argv):
 ]))
 def test_cli_config_fuzz(tmp_path, config, command):
     run_in(tmp_path, [*command, "--config", INPUTS[0]], config)
+
+
+# Factors argparse's float() accepts: in range, at its ends, just beyond
+# them, far out and not finite.
+FLAG_FACTORS = st.one_of(FACTOR, st.floats(), st.sampled_from(
+    [1.0, 10.0, math.nextafter(1.0, 0.0), math.nextafter(10.0, math.inf), 0.0, -1.0,
+     1e308, math.nan, math.inf, -math.inf]))
+
+
+def _estimate(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(["gamma_comm", "gamma_keygen", "gamma_decap", "ifs_slots"]),
+       scheme=st.sampled_from(["ml-kem-512", "ml-kem-768", "ml-kem-1024"]), data=st.data())
+def test_flag_and_config_key_share_one_path(tmp_path, monkeypatch, key, scheme, data):
+    # A flag and its config key give the same exit code and the same stdout,
+    # byte for byte; the per-level flags set every level of the key's table.
+    monkeypatch.delenv("PQPAN_PROFILE", raising=False)
+    value = data.draw(st.sampled_from([1, 2]) if key == "ifs_slots" else FLAG_FACTORS)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {key: dict.fromkeys("135", value) if key in ("gamma_keygen", "gamma_decap") else value}))
+    argv = ["estimate", "--scheme", scheme, "--att-mtu", "65", "--ll-pdu", "27"]
+    # One token, so that argparse cannot take "-inf" or "-1e+308" for a flag.
+    by_flag = _estimate([*argv, f"--{key.replace('_', '-')}={value!r}"])
+    assert by_flag == _estimate([*argv, "--config", str(config)])
+    event(f"{key}: exit {by_flag[0]}")

@@ -1,4 +1,5 @@
-"""Golden outputs: the CLI's JSON, CSV, trace and ledger on a fixed grid.
+"""Golden outputs: the CLI's JSON, CSV, trace and ledger on a fixed grid, and
+the full ``fit`` report under each IFS accounting.
 
 Each case runs ``pqpan.cli.main`` in-process and compares every output
 byte for byte with the copy stored under ``tests/golden/``. A refactor that
@@ -36,6 +37,8 @@ def _cell_id(scheme, att, ll, slots):
 
 def _cases():
     """(case id, argv with ``{out}`` placeholders, {golden file: output file})."""
+    yield "fit", ["fit"], {"fit.json": None}
+    yield "fit_s1", ["fit", "--ifs-slots", "1"], {"fit_s1.json": None}
     yield ("sweep_reference_compare",
            ["sweep", "--reference-grid", "--compare", "--out", "{out}/sweep.csv"],
            {"sweep_reference_compare.csv": "sweep.csv"})
