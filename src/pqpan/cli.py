@@ -27,7 +27,7 @@ from .errors import PqpanError
 from .kem import BACKENDS
 from .link import ARTIFACT_MAX, LinkConfig, airtime, plan_transfer
 from .reference import SECURITY_LEVELS, load_reference_table, lookup_scheme
-from .sim import run_handshake, send_secured_payload
+from .sim import SEED_MAX, SEED_MIN, run_handshake, send_secured_payload
 
 DEFAULT_SWEEP_SCHEMES = "ML-KEM-512,ML-KEM-768,ML-KEM-1024"
 DEFAULT_SWEEP_ATT = "65,104,204,404"
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the deterministic two-party handshake")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--seed", type=_checked(int, lambda v: -2 ** 63 <= v < 2 ** 63,
+    p.add_argument("--seed", type=_checked(int, lambda v: SEED_MIN <= v <= SEED_MAX,
                                            "an integer of at most 64 signed bits"), default=0)
     _add_link_flags(p, require=False, default_att=404, default_ll=251)
     payload_max = ARTIFACT_MAX - AEAD_OVERHEAD_BYTES  # the sealed payload is one artifact

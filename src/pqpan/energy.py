@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
-from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem,
-                     UnsupportedScheme)
-from .link import LinkConfig, TimeBudget, airtime, plan_transfer
+from .errors import InvalidProfile, ParseError, SingularSystem, UnsupportedScheme
+from .link import LinkConfig, TimeBudget, airtime, int_in_range, plan_transfer
 from .reference import (CalibrationFactors, KemParamSet, default_calibration,
                         lookup_scheme, read_text)
 
@@ -187,10 +186,12 @@ def comm_energy(budget: TimeBudget, profile: RadioProfile,
     return joules * 1e6
 
 
-def transfer_energy(artifact: int, cfg: LinkConfig, profile: RadioProfile,
-                    gamma: CalibrationFactors) -> float:
-    """Calibrated microjoules the sender of one ``artifact``-byte transfer spends."""
-    return gamma.gamma_comm * comm_energy(airtime(plan_transfer(artifact, cfg), cfg), profile)
+def transfer_energy(budget: TimeBudget, profile: RadioProfile, gamma: CalibrationFactors,
+                    as_receiver: bool = False) -> float:
+    """Calibrated microjoules for a transfer's sender-side time budget, spent by
+    its sender or, with ``as_receiver``, the other end: :func:`comm_energy`
+    times ``gamma_comm``."""
+    return gamma.gamma_comm * comm_energy(budget, profile, as_receiver)
 
 
 def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
@@ -220,8 +221,8 @@ def handshake_breakdown(counts: CycleCounts, pk_budget: TimeBudget, ct_budget: T
     e_notify = comm_energy(pk_budget, profile)
     e_write = comm_energy(ct_budget, profile, as_receiver=True)
     e_encap = comp_energy(counts.encap, profile) if include_encap else None
-    adj_keygen = gamma.keygen_for(level) * e_keygen
-    adj_decap = gamma.decap_for(level) * e_decap
+    adj_keygen = gamma.gamma_keygen[level] * e_keygen
+    adj_decap = gamma.gamma_decap[level] * e_decap
     adj_notify = gamma.gamma_comm * e_notify
     adj_write = gamma.gamma_comm * e_write
     total = adj_keygen + adj_decap + adj_notify + adj_write
@@ -260,11 +261,10 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
 
     ``security`` selects the pairing mechanism: ``"none"`` (no pairing, raw
     payload), ``"ecdh"`` (classical pairing at its measured constant), or a
-    KEM scheme name. Secured payloads grow by the 28-byte AEAD envelope; a
-    zero-byte payload sends nothing.
+    KEM scheme name. ``payload`` is an integer byte count. Secured payloads
+    grow by the 28-byte AEAD envelope; a zero-byte payload sends nothing.
     """
-    if payload < 0:
-        raise InvalidConfig("payload must be non-negative")
+    payload = int_in_range("payload", payload, 0, math.inf)  # the artifact cap comes later
     profile = profile or FITTED_RADIO_PROFILE
     gamma = gamma or default_calibration()
 
@@ -279,7 +279,7 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     transfer = 0.0
     if payload > 0:
         artifact = payload if kind == SECURITY_NONE else payload + AEAD_OVERHEAD_BYTES
-        transfer = transfer_energy(artifact, cfg, profile, gamma)
+        transfer = transfer_energy(airtime(plan_transfer(artifact, cfg), cfg), profile, gamma)
     return pairing + transfer
 
 

@@ -70,8 +70,6 @@ class StubBackend:
     material plus their own keys, which gives the roundtrip property.
     """
 
-    name = "stub"
-
     def sk_size(self, scheme: KemParamSet) -> int:
         return scheme.sk_size
 
@@ -97,8 +95,6 @@ class RealBackend:
     ``sk_size`` differs from the expanded sizes used by the stub. Public
     key, ciphertext, and shared-secret sizes are exact.
     """
-
-    name = "real"
 
     _CLASS_NAMES = {
         "ML-KEM-512": "MLKEM512PrivateKey",

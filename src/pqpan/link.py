@@ -14,6 +14,7 @@ pure and operate on value types.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfig
@@ -33,9 +34,21 @@ IFS_MAX = 10e-3
 ARTIFACT_MAX = 1 << 20
 
 
+def int_in_range(name: str, value, lo: int, hi: int) -> int:
+    """``value`` as an int in [lo, hi], else InvalidConfig. Any integer type
+    ``operator.index`` takes is accepted, except bool; a float, even 65.0, is not."""
+    try:
+        if not isinstance(value, bool) and lo <= (value := operator.index(value)) <= hi:
+            return value
+    except TypeError:
+        pass
+    raise InvalidConfig(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
-    """Link parameters for one transfer, each within its modeled range.
+    """Link parameters for one transfer, each within its modeled range;
+    ``att_mtu``, ``ll_pdu`` and ``ifs_slots`` are integers.
 
     The analytical model converts bytes to airtime directly and does not
     schedule connection events. ``ifs_slots`` is the number of inter-frame
@@ -49,14 +62,13 @@ class LinkConfig:
     ifs_slots: int = 2
 
     def __post_init__(self):
-        bounds = (("att_mtu", ATT_MTU_MIN, ATT_MTU_MAX), ("ll_pdu", LL_PDU_MIN, LL_PDU_MAX),
-                  ("phy_rate", PHY_RATE_MIN, PHY_RATE_MAX), ("ifs", 0.0, IFS_MAX))
-        for name, lo, hi in bounds:
+        for name, lo, hi in (("att_mtu", ATT_MTU_MIN, ATT_MTU_MAX),
+                             ("ll_pdu", LL_PDU_MIN, LL_PDU_MAX), ("ifs_slots", 1, 2)):
+            object.__setattr__(self, name, int_in_range(name, getattr(self, name), lo, hi))
+        for name, lo, hi in (("phy_rate", PHY_RATE_MIN, PHY_RATE_MAX), ("ifs", 0.0, IFS_MAX)):
             value = getattr(self, name)
             if not lo <= value <= hi:  # NaN fails too
                 raise InvalidConfig(f"{name} must be in [{lo}, {hi}], got {value}")
-        if self.ifs_slots not in (1, 2):
-            raise InvalidConfig(f"ifs_slots must be 1 or 2, got {self.ifs_slots}")
 
     @property
     def att_chunk(self) -> int:
@@ -128,8 +140,7 @@ def plan_counts(artifact_size: int, cfg: LinkConfig) -> tuple[int, int]:
     ``att_mtu - 3`` value bytes, and each 7-byte-headed SDU splits into
     ceil(sdu / ll_pdu) maximal link-layer frames.
     """
-    if not 1 <= artifact_size <= ARTIFACT_MAX:
-        raise InvalidConfig(f"artifact_size must be in [1, {ARTIFACT_MAX}], got {artifact_size}")
+    artifact_size = int_in_range("artifact_size", artifact_size, 1, ARTIFACT_MAX)
     chunk = cfg.att_chunk
     n_att = -(-artifact_size // chunk)
     last_chunk = artifact_size - (n_att - 1) * chunk
@@ -146,8 +157,7 @@ def plan_transfer(artifact_size: int, cfg: LinkConfig) -> FragmentationPlan:
     frames (a full ``ll_pdu`` frame, the tail of a full SDU, the tail of the
     last SDU).
     """
-    if not 1 <= artifact_size <= ARTIFACT_MAX:
-        raise InvalidConfig(f"artifact_size must be in [1, {ARTIFACT_MAX}], got {artifact_size}")
+    artifact_size = int_in_range("artifact_size", artifact_size, 1, ARTIFACT_MAX)
     ack = LinkFrame(0, is_ack=True)
     data: dict[int, LinkFrame] = {}
 

@@ -104,12 +104,6 @@ class CalibrationFactors:
                 raise ConsistencyError(f"{name} needs a factor in [1.0, {GAMMA_MAX}] "
                                        f"for levels 1, 3 and 5, got {table}")
 
-    def keygen_for(self, level: int) -> float:
-        return self.gamma_keygen[level]
-
-    def decap_for(self, level: int) -> float:
-        return self.gamma_decap[level]
-
 
 def default_calibration() -> CalibrationFactors:
     """Calibration defaults for the nRF52-class reference platform."""

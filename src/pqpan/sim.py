@@ -3,10 +3,12 @@
 A peripheral and a central execute the key-establishment protocol over an
 in-memory, lossless, in-order link: the peripheral generates a key pair and
 notifies the public key; the central encapsulates and writes the ciphertext
-back; the peripheral decapsulates and both derive the session key. The
-simulator produces the full frame trace with virtual timestamps, and an
-energy ledger that must reconcile exactly with the analytical model (it
-introduces no cost terms of its own).
+back; the peripheral decapsulates and both derive the session key, going
+from Idle to Established (or raising). Every transfer, the secured payload
+included, is planned once and yields the full frame trace with virtual
+timestamps and its time budget; the energy ledger prices those budgets, so
+it reconciles exactly with the analytical model (it introduces no cost
+terms of its own).
 
 Virtual time advances by frame airtime plus inter-frame spacing only;
 connection-interval idle gaps are outside the analytical model's scope.
@@ -21,13 +23,14 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 from . import kem
-from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, comm_energy,
-                     handshake_breakdown, handshake_inputs, transfer_energy)
+from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
+                     handshake_inputs, transfer_energy)
 from .errors import HandshakeFailure, NotEstablished
-from .link import FragmentationPlan, LinkConfig, airtime, plan_transfer
+from .link import LinkConfig, airtime, int_in_range, plan_transfer
 from .reference import CalibrationFactors, KemParamSet
 
 OP_PAYLOAD = "Payload"
+SEED_MIN, SEED_MAX = -2 ** 63, 2 ** 63 - 1  # an integer seed is packed in 8 bytes
 
 
 class Role(enum.Enum):
@@ -37,11 +40,6 @@ class Role(enum.Enum):
 
 class Phase(enum.Enum):
     IDLE = "Idle"
-    KEYGEN_DONE = "KeyGenDone"
-    PK_SENT = "PkSent"
-    PK_RECEIVED = "PkReceived"
-    CT_SENT = "CtSent"
-    CT_RECEIVED = "CtReceived"
     ESTABLISHED = "Established"
 
 
@@ -80,11 +78,6 @@ class FrameTrace:
 
     records: tuple[TraceRecord, ...]
     clock: float = 0.0
-
-    @property
-    def end_time(self) -> float:
-        """Start time of the last frame (0.0 for an empty trace)."""
-        return self.records[-1].time_s if self.records else 0.0
 
     def data_frame_count(self, op: str | None = None) -> int:
         return sum(1 for r in self.records
@@ -142,8 +135,6 @@ class HandshakeResult:
     central: PartyState
     trace: FrameTrace
     ledger: EnergyLedger
-    pk_plan: FragmentationPlan
-    ct_plan: FragmentationPlan
     cfg: LinkConfig
     profile: RadioProfile
     gamma: CalibrationFactors
@@ -172,16 +163,28 @@ class Reassembler:
         return bytes(self._buf)
 
 
-def _seed32(seed: int | bytes, label: bytes) -> bytes:
-    raw = seed if isinstance(seed, bytes) else int(seed).to_bytes(8, "big", signed=True)
-    return hashlib.shake_256(b"pqpan-sim" + label + raw).digest(kem.SEED_BYTES)
+def _seed32(seed: bytes, label: bytes) -> bytes:
+    return hashlib.shake_256(b"pqpan-sim" + label + seed).digest(kem.SEED_BYTES)
 
 
-def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan,
-                   sender: Role, op: str, cfg: LinkConfig) -> float:
-    """Append a plan's frames with timestamps; returns the advanced clock.
-    ``sender`` sends the data frames and the other party the acks."""
-    receiver = Role.CENTRAL if sender is Role.PERIPHERAL else Role.PERIPHERAL
+def _transfer(records: list[TraceRecord], t: float, transfer: tuple[str, int, bool],
+              cfg: LinkConfig, artifact: bytes | None = None):
+    """Send one (op, size, peripheral receives) row of :meth:`KemParamSet.transfers`,
+    appending its frames from clock ``t``; the sender sends the data frames and
+    the other party the acks. Returns the advanced clock, the plan's time budget
+    and ``artifact`` reassembled from the ATT chunks (None without one)."""
+    op, size, peripheral_receives = transfer
+    plan = plan_transfer(size, cfg)
+    received = None
+    if artifact is not None:
+        rx = Reassembler(size, op)
+        offset = 0
+        for chunk in plan.att_chunks:
+            rx.feed(artifact[offset:offset + chunk])
+            offset += chunk
+        received = rx.finish()
+    sender, receiver = ((Role.CENTRAL, Role.PERIPHERAL) if peripheral_receives
+                        else (Role.PERIPHERAL, Role.CENTRAL))
     # A plan shares one object per distinct frame, so (sender, airtime, gap)
     # is worked out once per object. Keyed by identity: hashing the frozen
     # frame would cost more than the work it saves.
@@ -199,23 +202,7 @@ def _emit_transfer(records: list[TraceRecord], t: float, plan: FragmentationPlan
                                    frame.is_ack, op))
         t += air
         t += gap
-    return t
-
-
-def _carry(records: list[TraceRecord], t: float, artifact: bytes,
-           transfer: tuple[str, int, bool], cfg: LinkConfig):
-    """Send an artifact as one row of :meth:`KemParamSet.transfers` describes;
-    returns the advanced clock, the plan and the reassembled artifact."""
-    op, size, peripheral_receives = transfer
-    plan = plan_transfer(size, cfg)
-    rx = Reassembler(size, op)
-    offset = 0
-    for chunk in plan.att_chunks:
-        rx.feed(artifact[offset:offset + chunk])
-        offset += chunk
-    sender = Role.CENTRAL if peripheral_receives else Role.PERIPHERAL
-    t = _emit_transfer(records, t, plan, sender, op, cfg)
-    return t, plan, rx.finish()
+    return t, airtime(plan, cfg), received
 
 
 def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
@@ -223,13 +210,16 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
                   gamma: CalibrationFactors | None = None,
                   cycles: dict[str, CycleCounts] | None = None,
                   seed: int | bytes = 0, backend: str = "stub") -> HandshakeResult:
-    """Run the full handshake; all randomness is fixed by ``seed``.
+    """Run the full handshake; all randomness is fixed by ``seed``: ``bytes``,
+    or an integer in [SEED_MIN, SEED_MAX].
 
-    Returns both party states (Established on success), the timestamped
-    frame trace, and the per-party energy ledger. The peripheral's ledger is
-    :func:`~pqpan.energy.handshake_breakdown` of the two transfers' plans, so
+    Returns both party states (Established), the timestamped frame trace, and
+    the per-party energy ledger. The peripheral's ledger is
+    :func:`~pqpan.energy.handshake_breakdown` of the two transfers' budgets, so
     it equals ``pqke_total`` for identical inputs.
     """
+    if not isinstance(seed, bytes):
+        seed = int_in_range("seed", seed, SEED_MIN, SEED_MAX).to_bytes(8, "big", signed=True)
     scheme, profile, gamma, counts = handshake_inputs(scheme, profile, gamma, cycles)
     kem_backend = kem.get_backend(backend)
     pk_transfer, ct_transfer = scheme.transfers()
@@ -240,17 +230,13 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
 
     # Step 1: peripheral generates its key pair and notifies the public key.
     peripheral.keypair = kem.keygen(scheme, _seed32(seed, b"keygen"), kem_backend)
-    peripheral.phase = Phase.KEYGEN_DONE
-    t, pk_plan, central.peer_pk = _carry(records, 0.0, peripheral.keypair.pk, pk_transfer, cfg)
-    peripheral.phase = Phase.PK_SENT
-    central.phase = Phase.PK_RECEIVED
+    t, pk_budget, central.peer_pk = _transfer(records, 0.0, pk_transfer, cfg,
+                                              peripheral.keypair.pk)
 
     # Step 2: central encapsulates against the received key and writes the
     # ciphertext back.
     enc = kem.encapsulate(central.peer_pk, scheme, _seed32(seed, b"encap"), kem_backend)
-    t, ct_plan, ct = _carry(records, t, enc.ct, ct_transfer, cfg)
-    central.phase = Phase.CT_SENT
-    peripheral.phase = Phase.CT_RECEIVED
+    t, ct_budget, ct = _transfer(records, t, ct_transfer, cfg, enc.ct)
 
     # Step 3: peripheral decapsulates; both sides derive the session key.
     ss = kem.decapsulate(peripheral.keypair.sk, ct, scheme, kem_backend)
@@ -259,23 +245,21 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
     peripheral.phase = Phase.ESTABLISHED
     central.phase = Phase.ESTABLISHED
 
-    # The central sits on the other end of each transfer the peripheral makes.
-    pk_budget, ct_budget = airtime(pk_plan, cfg), airtime(ct_plan, cfg)
     phases = handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma,
                                  scheme.nist_level, include_encap=True)
+    # The central sits on the other end of each transfer the peripheral makes.
     ledger = EnergyLedger(
         peripheral={"keygen": phases.adj_keygen, "notify_pk": phases.adj_notify_pk,
                     "write_ct": phases.adj_write_ct, "decap": phases.adj_decap},
-        central={"notify_pk": gamma.gamma_comm * comm_energy(
-                     pk_budget, profile, as_receiver=not pk_transfer[2]),
+        central={"notify_pk": transfer_energy(pk_budget, profile, gamma,
+                                              as_receiver=not pk_transfer[2]),
                  "encap": phases.adj_encap,
-                 "write_ct": gamma.gamma_comm * comm_energy(
-                     ct_budget, profile, as_receiver=not ct_transfer[2])})
+                 "write_ct": transfer_energy(ct_budget, profile, gamma,
+                                             as_receiver=not ct_transfer[2])})
 
     return HandshakeResult(peripheral=peripheral, central=central,
                            trace=FrameTrace(records=tuple(records), clock=t),
-                           ledger=ledger, pk_plan=pk_plan, ct_plan=ct_plan, cfg=cfg,
-                           profile=profile, gamma=gamma)
+                           ledger=ledger, cfg=cfg, profile=profile, gamma=gamma)
 
 
 def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[FrameTrace, float]:
@@ -291,9 +275,9 @@ def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[Fram
     if (session.peripheral.phase is not Phase.ESTABLISHED
             or session.central.phase is not Phase.ESTABLISHED):
         raise NotEstablished("handshake has not completed")
-    cfg, artifact = session.cfg, len(payload) + AEAD_OVERHEAD_BYTES
     records: list[TraceRecord] = []
-    clock = _emit_transfer(records, session.trace.clock, plan_transfer(artifact, cfg),
-                           Role.PERIPHERAL, OP_PAYLOAD, cfg)
-    energy = transfer_energy(artifact, cfg, session.profile, session.gamma)
+    clock, budget, _ = _transfer(
+        records, session.trace.clock,
+        (OP_PAYLOAD, len(payload) + AEAD_OVERHEAD_BYTES, False), session.cfg)
+    energy = transfer_energy(budget, session.profile, session.gamma)
     return FrameTrace(records=tuple(records), clock=clock), energy

@@ -144,7 +144,10 @@ def test_criterion_simulator_reconciliation(capsys):
         worst_rel = max(worst_rel, rel)
         if result.peripheral.session_key.key != result.central.session_key.key:
             key_failures += 1
-        expected = result.pk_plan.ll_data_pdu_count + result.ct_plan.ll_data_pdu_count
+        # The closed form, itself checked against the byte-stream oracle, not
+        # the simulator's own plans.
+        expected = sum(plan_counts(size, cfg)[1]
+                       for _, size, _ in lookup_scheme(scheme).transfers())
         if (result.trace.data_frame_count() != expected
                 or result.trace.ack_count() != expected):
             count_failures += 1

@@ -1,8 +1,9 @@
 """Fuzzing of the CLI boundary with drawn argv and drawn config JSON.
 
 Whatever the input, ``main`` returns 0, 2, 3 or 4 without raising, and a run
-that exits 0 prints and writes finite numbers only. Every output path lies
-under the test's temporary directory.
+that exits 0 prints and writes finite numbers only. A drawn argv whose values
+are all valid exits 0. Every output path lies under the test's temporary
+directory.
 """
 
 import contextlib
@@ -37,40 +38,52 @@ bad_tokens = st.one_of(*[extremes.map(str)] * 3, st.floats().map(repr), st.integ
 leaf = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=8), st.none())
 bad_values = st.one_of(extremes, leaf, st.lists(leaf, max_size=3),
                        st.dictionaries(st.sampled_from(["1", "3", "5", "x"]), leaf, max_size=4))
-SCHEMES = ["ml-kem-512", "ML-KEM-768", "ml-kem-1024", "ecdh-p256", "hqc-256",
-           "ml-dsa-44", "sphincs+-128", "ecdsa-p256"]
+SCHEMES = ["ml-kem-512", "ML-KEM-768", "ml-kem-1024"]
 
 # Valid values per flag: (required flags, optional flags); None marks a
-# switch. An example then swaps at most two values for bad ones, so that most
-# runs get past argument parsing with a bad value inside.
+# switch. Every listed value is valid, so an example without a swap exits 0.
+# An example then swaps at most two values for bad ones: a bad token, or one
+# of the flag's own bad values below.
 GAMMA = {f"--gamma-{part}": ["1.0", "1.15", "10.0"] for part in ("comm", "keygen", "decap")}
 SLOTS = {"--ifs-slots": ["1", "2"]}
 LINK = {"--att-mtu": ["23", "65", "404", "517"], "--ll-pdu": ["27", "69", "251"], **SLOTS}
+# Path values are Path objects, resolved under each example's own directory.
+CONFIG = {"--config": [Path("in/config.json")]}
+TABLE = {"--table": [Path("in/table.csv")]}
 COMMANDS = {
-    "estimate": ({"--scheme": SCHEMES, **LINK}, {"--include-encap": None, **GAMMA}),
-    "sweep": ({}, {"--schemes": ["ml-kem-512,ML-KEM-768", "hqc-256,ecdh-p256", "ml-dsa-44"],
+    "estimate": ({"--scheme": SCHEMES, **LINK}, {"--include-encap": None, **GAMMA, **CONFIG}),
+    "sweep": ({}, {"--schemes": ["ml-kem-512,ML-KEM-768", "hqc-256,ecdh-p256"],
                    "--att-mtus": ["65", "23,404,517"], "--ll-pdus": ["27", "27,251"],
                    "--reference-grid": None, "--compare": None, "--format": ["csv", "json"],
-                   **SLOTS, **GAMMA}),
-    "fit": ({}, SLOTS),
+                   **SLOTS, **GAMMA, **CONFIG, **TABLE}),
+    "fit": ({}, {**SLOTS, **TABLE}),
     "simulate": ({"--scheme": SCHEMES}, {"--seed": ["0", "7"], "--payload": ["0", "64", "600"],
-                                         "--backend": ["stub", "real"], **LINK, **GAMMA}),
+                                         "--backend": ["stub"], **LINK, **GAMMA, **CONFIG}),
 }
-# Path values are Path objects, resolved under each example's own directory.
+BAD_PATHS = [Path("in/missing.json"), Path("in/binary.bin")]
+# Names that exist but that the command cannot price, or that do not exist;
+# the real backend, which not every scheme or install has; unreadable paths.
+# A path is swapped only for another path under the example's directory.
+BAD = {"--scheme": ["ecdh-p256", "hqc-256", "ml-dsa-44", "sphincs+-128", "ecdsa-p256"],
+       "--schemes": ["ml-dsa-44", "sphincs+-128,ml-kem-512"], "--backend": ["real"],
+       "--config": BAD_PATHS, "--table": BAD_PATHS}
 OUTPUTS = {"sweep": ["--out", Path("out.csv")], "fit": ["--out", Path("fit.json")],
            "simulate": ["--trace", Path("trace.jsonl"), "--ledger", Path("ledger.json")]}
-INPUTS = [Path("in/config.json"), Path("in/missing.json"), Path("in/binary.bin")]
 
 
 @st.composite
 def argvs(draw):
+    """(argv, number of swapped values)."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
     flags = {**required, **{f: v for f, v in optional.items() if draw(st.booleans())}}
     values = {f: draw(st.sampled_from(v)) for f, v in flags.items() if v is not None}
-    if values:
-        for flag in draw(st.lists(st.sampled_from(sorted(values)), max_size=2, unique=True)):
-            values[flag] = draw(bad_tokens)
+    # Generation favours the first entry, so one swap, a single bad value in
+    # an otherwise valid command, is the most common case.
+    swaps = draw(st.permutations(sorted(values)))[:draw(st.sampled_from((1, 2, 0)))]
+    for flag in swaps:
+        own = st.sampled_from(BAD[flag]) if flag in BAD else st.nothing()
+        values[flag] = draw(own if flag in ("--config", "--table") else st.one_of(bad_tokens, own))
     argv = [command]
     for flag in draw(st.permutations(sorted(flags))):
         argv += [flag, values[flag]] if flag in values else [flag]
@@ -78,11 +91,7 @@ def argvs(draw):
         argv += OUTPUTS[command]
         if values.get("--format") == "json":
             argv[-1] = Path("out.json")
-    if command != "fit":
-        argv += draw(st.sampled_from([[]] + [["--config", path] for path in INPUTS]))
-    if command in ("sweep", "fit"):
-        argv += draw(st.sampled_from([[]] + [["--table", path] for path in INPUTS[1:]]))
-    return argv
+    return argv, len(swaps)
 
 
 FACTOR = st.floats(1.0, 10.0)
@@ -149,6 +158,8 @@ def run_in(root: Path, argv, config=None):
     (work / "in" / "over_cap.csv").write_text(
         f"scheme,keygen,encaps,decaps\nML-KEM-512,{'9' * 400},1,1\n")
     (work / "in" / "binary.bin").write_bytes(b"\xff\xfe\x00\x80 not text")
+    (work / "in" / "table.csv").write_text(
+        resources.files("pqpan").joinpath("data/table2.csv").read_text())
     (work / "in" / "config.json").write_text(json.dumps(
         {"gamma_comm": 1.0} if config is None else config))
     argv = [str(work / a) if isinstance(a, Path) else a for a in argv]
@@ -163,12 +174,16 @@ def run_in(root: Path, argv, config=None):
         for path in work.iterdir():
             if path.is_file():
                 assert_finite_output(path.read_text(), path.suffix[1:])
+    return code
 
 
 @FUZZ
-@given(argv=argvs())
-def test_cli_argv_fuzz(tmp_path, argv):
-    run_in(tmp_path, argv)
+@given(case=argvs())
+def test_cli_argv_fuzz(tmp_path, case):
+    argv, swaps = case
+    code = run_in(tmp_path, argv)
+    event(f"{swaps} swaps: exit {code}")
+    assert swaps or code == 0, (argv, code)
 
 
 @FUZZ
@@ -180,7 +195,7 @@ def test_cli_argv_fuzz(tmp_path, argv):
      "--payload", "64", *OUTPUTS["simulate"]],
 ]))
 def test_cli_config_fuzz(tmp_path, config, command):
-    run_in(tmp_path, [*command, "--config", INPUTS[0]], config)
+    run_in(tmp_path, [*command, *CONFIG["--config"]], config)
 
 
 # Factors argparse's float() accepts: in range, at its ends, just beyond

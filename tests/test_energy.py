@@ -361,6 +361,13 @@ def test_session_rejects_negative_payload():
         session_energy("none", -1, LinkConfig(att_mtu=404, ll_pdu=251))
 
 
+@pytest.mark.parametrize("security", ["none", "ml-kem-512"])
+@pytest.mark.parametrize("payload", [float("nan"), 10.5, 1024.0, True])
+def test_session_rejects_non_integer_payload(security, payload):
+    with pytest.raises(InvalidConfig, match="payload"):
+        session_energy(security, payload, LinkConfig(att_mtu=404, ll_pdu=251))
+
+
 def test_session_rejects_payload_over_artifact_max():
     with pytest.raises(InvalidConfig, match="artifact_size"):
         session_energy("none", ARTIFACT_MAX + 1, LinkConfig(att_mtu=404, ll_pdu=251))

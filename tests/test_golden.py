@@ -78,6 +78,14 @@ def test_cli_output_matches_golden(argv, files, tmp_path, monkeypatch):
         assert produced == (GOLDEN / name).read_bytes(), f"{name} differs from golden"
 
 
+def test_golden_files_are_exactly_the_cases():
+    # A stale golden left by a refactor, or a case whose golden is missing,
+    # shows up here rather than as a silently unchecked file.
+    named = [name for _, _, files in CASES for name in files]
+    assert len(named) == len(set(named)) == 57
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(named)
+
+
 if __name__ == "__main__":
     import os
     import tempfile

@@ -173,7 +173,9 @@ def test_plan_equals_naive_rebuild_with_shared_frames(artifact, att, ll):
     assert len({id(f) for f in plan.frames}) <= 4
 
 
-@pytest.mark.parametrize("att,ll", [(22, 27), (518, 27), (65, 26), (65, 252)])
+@pytest.mark.parametrize("att,ll", [
+    (22, 27), (518, 27), (65, 26), (65, 252), pytest.param(65.0, 27, id="att-float"),
+    pytest.param(65, 27.0, id="ll-float"), pytest.param("65", 27, id="att-str")])
 def test_invalid_link_config(att, ll):
     with pytest.raises(InvalidConfig):
         LinkConfig(att_mtu=att, ll_pdu=ll)
@@ -188,9 +190,10 @@ def test_non_finite_link_values_rejected(field, value):
         LinkConfig(att_mtu=65, ll_pdu=27, **{field: value})
 
 
-def test_invalid_ifs_slots():
+@pytest.mark.parametrize("slots", [3, True, 2.0])
+def test_invalid_ifs_slots(slots):
     with pytest.raises(InvalidConfig):
-        LinkConfig(att_mtu=65, ll_pdu=27, ifs_slots=3)
+        LinkConfig(att_mtu=65, ll_pdu=27, ifs_slots=slots)
 
 
 def test_invalid_artifact_size():
@@ -198,12 +201,16 @@ def test_invalid_artifact_size():
         plan_transfer(0, cfg(65, 27))
 
 
-@pytest.mark.parametrize("plan", [plan_transfer, plan_counts])
-def test_artifact_size_capped(plan):
+@pytest.mark.parametrize("plan,size", [
+    pytest.param(plan, size, id=plan.__name__ + suffix)
+    for plan in (plan_transfer, plan_counts)
+    for size, suffix in ((ARTIFACT_MAX + 1, ""), (800.5, "-800.5"), (800.0, "-800.0"),
+                         (True, "-True"))])
+def test_artifact_size_capped(plan, size):
     c = cfg(404, 251)
     plan(ARTIFACT_MAX, c)  # the cap itself is accepted
     with pytest.raises(InvalidConfig, match="artifact_size"):
-        plan(ARTIFACT_MAX + 1, c)
+        plan(size, c)
 
 
 def test_ack_frames_carry_no_payload():

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpan import (FrameTrace, HandshakeFailure, LinkConfig, NotEstablished, Phase,
-                   Role, pqke_total, run_handshake, send_secured_payload)
+import pqpan.energy
+import pqpan.link
+import pqpan.sim
+from pqpan import (FrameTrace, HandshakeFailure, InvalidConfig, LinkConfig, NotEstablished,
+                   Phase, Role, lookup_scheme, plan_transfer, pqke_total, run_handshake,
+                   send_secured_payload)
 from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
@@ -31,8 +35,8 @@ def test_trace_frame_counts_match_plans():
 @pytest.mark.parametrize("scheme", ["ml-kem-512", "ml-kem-768", "ml-kem-1024"])
 def test_trace_equals_plan_union(scheme):
     r = run_handshake(scheme, CFG_DEFAULT, seed=3)
-    plan_frames = [(f.payload_bytes, f.is_ack) for f in r.pk_plan.frames]
-    plan_frames += [(f.payload_bytes, f.is_ack) for f in r.ct_plan.frames]
+    plan_frames = [(f.payload_bytes, f.is_ack) for _, size, _ in lookup_scheme(scheme).transfers()
+                   for f in plan_transfer(size, CFG_DEFAULT).frames]
     trace_frames = [(rec.payload_bytes, rec.is_ack) for rec in r.trace.records]
     assert sorted(trace_frames) == sorted(plan_frames)
 
@@ -149,7 +153,7 @@ def test_send_secured_payload_energy_and_frames():
     # each SDU spanning two frames.
     assert trace.data_frame_count("Payload") == 6
     assert energy > 0
-    assert trace.records[0].time_s > r.trace.end_time
+    assert trace.records[0].time_s > r.trace.records[-1].time_s
 
 
 @pytest.mark.parametrize("slots", [1, 2])
@@ -186,9 +190,30 @@ def test_send_secured_payload_dle_strictly_cheaper():
 
 def test_send_before_established_rejected():
     r = run_handshake("ml-kem-512", CFG_DLE, seed=13)
-    r.peripheral.phase = Phase.CT_RECEIVED
+    r.peripheral.phase = Phase.IDLE
     with pytest.raises(NotEstablished):
         send_secured_payload(r, b"hello")
+
+
+def test_send_secured_payload_plans_once(monkeypatch):
+    r = run_handshake("ml-kem-512", CFG_DLE, seed=16)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan_transfer(*args, **kwargs)
+
+    for module in (pqpan.link, pqpan.energy, pqpan.sim):
+        monkeypatch.setattr(module, "plan_transfer", counted)
+    send_secured_payload(r, bytes(100))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1, 2 ** 70, 1.5, True, "7", bytearray(8)],
+                         ids=["2^63", "-2^63-1", "2^70", "1.5", "True", "str", "bytearray"])
+def test_run_handshake_rejects_bad_seed(seed):
+    with pytest.raises(InvalidConfig, match="seed"):
+        run_handshake("ml-kem-512", CFG_DLE, seed=seed)
 
 
 def test_reassembler_overflow_is_handshake_failure():
