@@ -20,12 +20,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 from .config import ModelConfig, resolve_config
 from .energy import AEAD_OVERHEAD_BYTES, comm_energy, fit_radio_currents, pqke_total
 from .errors import PqpanError
 from .kem import BACKENDS
-from .link import ARTIFACT_MAX, LinkConfig, airtime, plan_transfer
+from .link import ARTIFACT_MAX, airtime, plan_transfer
 from .reference import SECURITY_LEVELS, load_reference_table, lookup_scheme
 from .sim import SEED_MAX, SEED_MIN, run_handshake, send_secured_payload
 
@@ -64,8 +65,8 @@ def _add_link_flags(p: argparse.ArgumentParser, require: bool,
                    help="ATT MTU in bytes (23..517)")
     p.add_argument("--ll-pdu", type=int, required=require, default=default_ll,
                    help="link-layer PDU payload cap in bytes (27..251)")
-    p.add_argument("--ifs-slots", type=int, choices=(1, 2), default=None,
-                   help="inter-frame gaps charged per data/ack exchange")
+    p.add_argument("--ifs-slots", type=int, default=None,
+                   help="inter-frame gaps charged per data/ack exchange (1 or 2)")
 
 
 def _model_config(args) -> ModelConfig:
@@ -73,11 +74,6 @@ def _model_config(args) -> ModelConfig:
     flags = {key: value for key in ("gamma_comm", "gamma_keygen", "gamma_decap", "ifs_slots")
              if (value := getattr(args, key)) is not None}
     return resolve_config(args.config, flags)
-
-
-def _link_config(cfg: ModelConfig, att_mtu: int, ll_pdu: int) -> LinkConfig:
-    return LinkConfig(att_mtu=att_mtu, ll_pdu=ll_pdu, phy_rate=cfg.phy_rate,
-                      ifs=cfg.ifs, ifs_slots=cfg.ifs_slots)
 
 
 def _round_tree(obj, ndigits=2):
@@ -90,7 +86,7 @@ def _round_tree(obj, ndigits=2):
 
 def cmd_estimate(args) -> int:
     cfg = _model_config(args)
-    link = _link_config(cfg, args.att_mtu, args.ll_pdu)
+    link = replace(cfg.link, att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
     breakdown = pqke_total(args.scheme, link, cfg.profile, cfg.cycles, cfg.gamma,
                            include_encap=args.include_encap)
     out = {"scheme": lookup_scheme(args.scheme).name,
@@ -107,7 +103,7 @@ def _sweep_rows(cfg: ModelConfig, cells):
     rows = []
     for scheme_name, att, ll in cells:
         scheme = lookup_scheme(scheme_name)
-        link = _link_config(cfg, att, ll)
+        link = replace(cfg.link, att_mtu=att, ll_pdu=ll)
         for op, artifact, as_receiver in scheme.transfers():
             budget = airtime(plan_transfer(artifact, link), link)
             e = comm_energy(budget, cfg.profile, as_receiver=as_receiver)
@@ -186,7 +182,7 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _model_config(args)
-    link = _link_config(cfg, args.att_mtu, args.ll_pdu)
+    link = replace(cfg.link, att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
     backend = args.backend or cfg.kem_backend
     result = run_handshake(args.scheme, link, cfg.profile, cfg.gamma, cfg.cycles,
                            seed=args.seed, backend=backend)
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (defaults to stdout)")
-    p.add_argument("--ifs-slots", type=int, choices=(1, 2), default=None)
+    p.add_argument("--ifs-slots", type=int, default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_sweep)
 

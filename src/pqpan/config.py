@@ -21,7 +21,8 @@ by ``pqpan fit`` is itself a valid config (its nested ``profile`` object is
 recognized), so a fitted profile can be fed straight back via ``--config``.
 The ``PQPAN_PROFILE`` environment variable names a fallback config path used
 when ``--config`` is absent. Overrides, such as the CLI's ``--gamma-*`` and
-``--ifs-slots`` flags, are config keys merged after the file.
+``--ifs-slots`` flags, are config keys merged after the file. The loader only
+parses: each value is checked by the type it configures, as a library argument is.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 from .energy import CycleCounts, FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
 from .errors import InvalidConfig
 from .kem import BACKENDS
-from .link import LinkConfig
+from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig
 from .reference import CalibrationFactors, default_calibration, read_text
 
 ENV_PROFILE = "PQPAN_PROFILE"
@@ -52,35 +53,21 @@ _REPORT_KEYS = ("profile", "provenance", "residuals", "max_abs_rel_err",
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Resolved modeling defaults shared by the CLI commands."""
+    """Resolved modeling defaults for the CLI; each command sets ``link``'s att_mtu and ll_pdu."""
 
     profile: RadioProfile
     gamma: CalibrationFactors
     cycles: dict[str, CycleCounts]
-    phy_rate: float = LinkConfig.phy_rate
-    ifs: float = LinkConfig.ifs
-    ifs_slots: int = LinkConfig.ifs_slots
+    link: LinkConfig
     kem_backend: str = "stub"
 
 
-def _gamma_table(data: dict, key: str, default: dict[int, float]) -> dict[int, float]:
+def _gamma_table(data: dict, key: str, default: dict[int, float]):
     raw = data.get(key, default)
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{key} must map security levels to factors")
     try:
-        return {int(level): _number(raw, level, None) for level in raw}
-    except (InvalidConfig, ValueError):
-        raise InvalidConfig(f"{key} has a non-numeric entry") from None
-
-
-def _number(data: dict, key: str, default):
-    """``data[key]`` as a float, or ``default`` when absent."""
-    try:
-        if type(value := data.get(key, default)) in (int, float):  # not bool, str or None
-            return float(value)
-    except OverflowError:
-        pass
-    raise InvalidConfig(f"{key} must be a number, got {value!r}")
+        return {int(level): g for level, g in raw.items()} if isinstance(raw, dict) else raw
+    except ValueError:
+        raise InvalidConfig(f"{key} has a level that is not an integer") from None
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> ModelConfig:
@@ -89,9 +76,10 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     data = {}
     if path is not None:
         path = Path(path)
+        text = read_text(path)
         try:
-            data = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise InvalidConfig(f"{path}: not valid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise InvalidConfig(f"{path}: config must be a JSON object")
@@ -106,13 +94,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if unknown:
         raise InvalidConfig(f"{path or 'config'}: unknown config keys {sorted(unknown)}")
 
-    profile = replace(FITTED_RADIO_PROFILE,
-                      **{k: _number(data, k, None) for k in _PROFILE_KEYS if k in data})
+    profile = replace(FITTED_RADIO_PROFILE, **{k: data[k] for k in _PROFILE_KEYS if k in data})
     base = default_calibration()
     gamma = CalibrationFactors(
         gamma_keygen=_gamma_table(data, "gamma_keygen", base.gamma_keygen),
         gamma_decap=_gamma_table(data, "gamma_decap", base.gamma_decap),
-        gamma_comm=_number(data, "gamma_comm", base.gamma_comm))
+        gamma_comm=data.get("gamma_comm", base.gamma_comm))
+    link = LinkConfig(att_mtu=ATT_MTU_MIN, ll_pdu=LL_PDU_MIN,
+                      **{k: data[k] for k in _LINK_KEYS if k in data})
 
     cycles = load_cycle_counts()
     if "cycles_file" in data:
@@ -121,18 +110,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         # Relative to the config file; an absolute path replaces the prefix.
         cycles = load_cycle_counts(str((path.parent if path else Path()) / data["cycles_file"]))
 
-    ifs_slots = data.get("ifs_slots", ModelConfig.ifs_slots)
-    if isinstance(ifs_slots, bool) or ifs_slots not in (1, 2):  # no truncation
-        raise InvalidConfig(f"ifs_slots must be 1 or 2, got {ifs_slots!r}")
     kem_backend = data.get("kem_backend", ModelConfig.kem_backend)
     if kem_backend not in BACKENDS:
         raise InvalidConfig(f"kem_backend must be one of {BACKENDS}, got {kem_backend!r}")
-
-    return ModelConfig(
-        profile=profile, gamma=gamma, cycles=cycles,
-        phy_rate=_number(data, "phy_rate", ModelConfig.phy_rate),
-        ifs=_number(data, "ifs", ModelConfig.ifs),
-        ifs_slots=int(ifs_slots), kem_backend=kem_backend)
+    return ModelConfig(profile=profile, gamma=gamma, cycles=cycles, link=link,
+                       kem_backend=kem_backend)
 
 
 def resolve_config(explicit_path: str | None, overrides: dict | None = None) -> ModelConfig:

@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
-from .errors import InvalidProfile, ParseError, SingularSystem, UnsupportedScheme
-from .link import LinkConfig, TimeBudget, airtime, int_in_range, plan_transfer
+from .errors import (InvalidProfile, ParseError, SingularSystem, UnsupportedScheme,
+                     int_in_range, real_in_range)
+from .link import LinkConfig, TimeBudget, airtime, plan_transfer
 from .reference import (CalibrationFactors, KemParamSet, default_calibration,
                         lookup_scheme, read_text)
 
@@ -62,9 +63,7 @@ class RadioProfile:
         bounds = [("voltage", VOLTAGE_MIN, VOLTAGE_MAX), ("f_mcu", F_MCU_MIN, F_MCU_MAX)]
         bounds += [(name, CURRENT_MIN, CURRENT_MAX) for name in ("i_tx", "i_rx", "i_ifs", "i_mcu")]
         for name, lo, hi in bounds:
-            value = getattr(self, name)
-            if not lo <= value <= hi:  # NaN fails too
-                raise InvalidProfile(f"{name} must be in [{lo}, {hi}], got {value}")
+            real_in_range(name, getattr(self, name), lo, hi, InvalidProfile)
 
 
 # Recovered from the bundled reference table by fit_radio_currents with
@@ -81,15 +80,15 @@ FITTED_RADIO_PROFILE = RadioProfile(
 
 @dataclass(frozen=True)
 class CycleCounts:
-    """MCU cycle counts for one scheme's KEM operations."""
+    """MCU cycle counts for one scheme's KEM operations, integers in [0, CYCLES_MAX]."""
 
     keygen: int
     encap: int
     decap: int
 
     def __post_init__(self):
-        if not all(0 <= c <= CYCLES_MAX for c in (self.keygen, self.encap, self.decap)):
-            raise InvalidProfile(f"cycle counts must be finite, in [0, {CYCLES_MAX}]")
+        for name in ("keygen", "encap", "decap"):
+            int_in_range(name, getattr(self, name), 0, CYCLES_MAX, InvalidProfile)
 
 
 @lru_cache(maxsize=8)
@@ -166,23 +165,26 @@ class EnergyBreakdown:
 
 
 def comp_energy(cycles: float, profile: RadioProfile) -> float:
-    """Computation energy in microjoules for a cycle count."""
-    if not 0 <= cycles <= CYCLES_MAX:
-        raise InvalidProfile(f"cycles must be finite, in [0, {CYCLES_MAX}]")
+    """Computation energy in microjoules for a cycle count in [0, CYCLES_MAX]."""
+    cycles = real_in_range("cycles", cycles, 0, CYCLES_MAX, InvalidProfile)
     return profile.i_mcu * profile.voltage * (cycles / profile.f_mcu) * 1e6
+
+
+def radio_state_times(budget: TimeBudget, as_receiver: bool) -> tuple[float, float, float]:
+    """Seconds in (tx, rx, ifs) for one end of a transfer with this sender-side
+    budget: the sender sends data and receives acks, the receiver the reverse."""
+    if as_receiver:
+        return budget.t_rx, budget.t_tx, budget.t_ifs
+    return budget.t_tx, budget.t_rx, budget.t_ifs
 
 
 def comm_energy(budget: TimeBudget, profile: RadioProfile,
                 as_receiver: bool = False) -> float:
-    """Communication energy in microjoules for a sender-side time budget.
-
-    With ``as_receiver`` the device sits on the other end of the transfer:
-    it spends the data time receiving and the ack time transmitting, so the
-    tx/rx currents swap roles.
-    """
-    i_data, i_ack = (profile.i_rx, profile.i_tx) if as_receiver else (profile.i_tx, profile.i_rx)
-    joules = profile.voltage * (i_data * budget.t_tx + i_ack * budget.t_rx
-                                + profile.i_ifs * budget.t_ifs)
+    """Communication energy in microjoules for a sender-side time budget, spent
+    by its sender or, with ``as_receiver``, the other end."""
+    t_tx, t_rx, t_ifs = radio_state_times(budget, as_receiver)
+    joules = profile.voltage * (profile.i_tx * t_tx + profile.i_rx * t_rx
+                                + profile.i_ifs * t_ifs)
     return joules * 1e6
 
 
@@ -331,12 +333,9 @@ def _design_matrix(rows, ifs_slots: int) -> list[list[float]]:
         artifact, as_receiver = {op: (size, rx) for op, size, rx
                                  in lookup_scheme(row.scheme).transfers()}[row.op]
         cfg = LinkConfig(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu, ifs_slots=ifs_slots)
-        budget = airtime(plan_transfer(artifact, cfg), cfg)
-        t_data, t_ack = budget.t_tx, budget.t_rx
-        # Columns multiply (i_tx, i_rx, i_ifs); for receive-side operations
-        # the data time is spent in rx and the ack time in tx.
-        t_for_tx, t_for_rx = (t_ack, t_data) if as_receiver else (t_data, t_ack)
-        design.append([voltage * t_for_tx, voltage * t_for_rx, voltage * budget.t_ifs])
+        # Columns multiply (i_tx, i_rx, i_ifs).
+        times = radio_state_times(airtime(plan_transfer(artifact, cfg), cfg), as_receiver)
+        design.append([voltage * t for t in times])
     return design
 
 

@@ -14,10 +14,9 @@ pure and operate on value types.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, int_in_range, real_in_range
 
 ATT_HEADER = 3
 L2CAP_HEADER = 4
@@ -32,17 +31,6 @@ PHY_RATE_MIN, PHY_RATE_MAX = 1e3, 1e9
 IFS_MAX = 10e-3
 #: Largest artifact one transfer carries (1 MiB), so its frames fit in memory.
 ARTIFACT_MAX = 1 << 20
-
-
-def int_in_range(name: str, value, lo: int, hi: int) -> int:
-    """``value`` as an int in [lo, hi], else InvalidConfig. Any integer type
-    ``operator.index`` takes is accepted, except bool; a float, even 65.0, is not."""
-    try:
-        if not isinstance(value, bool) and lo <= (value := operator.index(value)) <= hi:
-            return value
-    except TypeError:
-        pass
-    raise InvalidConfig(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +50,12 @@ class LinkConfig:
     ifs_slots: int = 2
 
     def __post_init__(self):
-        for name, lo, hi in (("att_mtu", ATT_MTU_MIN, ATT_MTU_MAX),
-                             ("ll_pdu", LL_PDU_MIN, LL_PDU_MAX), ("ifs_slots", 1, 2)):
-            object.__setattr__(self, name, int_in_range(name, getattr(self, name), lo, hi))
-        for name, lo, hi in (("phy_rate", PHY_RATE_MIN, PHY_RATE_MAX), ("ifs", 0.0, IFS_MAX)):
-            value = getattr(self, name)
-            if not lo <= value <= hi:  # NaN fails too
-                raise InvalidConfig(f"{name} must be in [{lo}, {hi}], got {value}")
+        for check, name, lo, hi in (
+                (int_in_range, "att_mtu", ATT_MTU_MIN, ATT_MTU_MAX),
+                (int_in_range, "ll_pdu", LL_PDU_MIN, LL_PDU_MAX),
+                (real_in_range, "phy_rate", PHY_RATE_MIN, PHY_RATE_MAX),
+                (real_in_range, "ifs", 0.0, IFS_MAX), (int_in_range, "ifs_slots", 1, 2)):
+            object.__setattr__(self, name, check(name, getattr(self, name), lo, hi))
 
     @property
     def att_chunk(self) -> int:

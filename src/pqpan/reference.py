@@ -23,7 +23,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConsistencyError, ParseError, UnknownScheme
+from .errors import ConsistencyError, ParseError, UnknownScheme, real_in_range
 
 OP_NOTIFY_PK = "Notify_PK"
 OP_WRITE_CT = "Write_CT"
@@ -86,8 +86,8 @@ class CalibrationFactors:
 
     ``gamma_keygen``/``gamma_decap`` map a NIST security level to the factor
     for that computation phase; ``gamma_comm`` applies to both transfer
-    phases regardless of level. Every factor lies in [1, GAMMA_MAX], and each
-    table covers every security level.
+    phases regardless of level. Every factor is a number in [1, GAMMA_MAX], and
+    each table is a dict that covers every security level.
     """
 
     gamma_keygen: dict[int, float]
@@ -95,14 +95,13 @@ class CalibrationFactors:
     gamma_comm: float
 
     def __post_init__(self):
-        # gamma_comm applies at every level, so it is checked as a full table.
-        tables = {"gamma_keygen": self.gamma_keygen, "gamma_decap": self.gamma_decap,
-                  "gamma_comm": dict.fromkeys(SECURITY_LEVELS, self.gamma_comm)}
-        for name, table in tables.items():
-            if not (set(SECURITY_LEVELS) <= set(table)
-                    and all(1.0 <= g <= GAMMA_MAX for g in table.values())):  # NaN fails too
-                raise ConsistencyError(f"{name} needs a factor in [1.0, {GAMMA_MAX}] "
-                                       f"for levels 1, 3 and 5, got {table}")
+        for name in ("gamma_keygen", "gamma_decap"):
+            table = getattr(self, name)
+            if not (isinstance(table, dict) and set(SECURITY_LEVELS) <= set(table)):
+                raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
+            for factor in table.values():
+                real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
+        real_in_range("gamma_comm", self.gamma_comm, 1.0, GAMMA_MAX, ConsistencyError)
 
 
 def default_calibration() -> CalibrationFactors:

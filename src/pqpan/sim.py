@@ -25,8 +25,8 @@ from math import isfinite
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
-from .errors import HandshakeFailure, NotEstablished
-from .link import LinkConfig, airtime, int_in_range, plan_transfer
+from .errors import HandshakeFailure, NotEstablished, int_in_range
+from .link import LinkConfig, airtime, plan_transfer
 from .reference import CalibrationFactors, KemParamSet
 
 OP_PAYLOAD = "Payload"

@@ -272,6 +272,9 @@ def test_config_unknown_key_exits_3(capsys, tmp_path):
     pytest.param("voltage", '{"voltage": 5e-324}', id="voltage-subnormal"),
     pytest.param("kem_backend", '{"kem_backend": [1, 2]}', id="kem_backend-list"),
     pytest.param("kem_backend", '{"kem_backend": "quantum"}', id="kem_backend-unknown"),
+    # json.loads refuses an int of more digits than Python converts; the
+    # error names the file.
+    pytest.param("bad.json", '{"i_tx": ' + "1" * 5000 + "}", id="i_tx-over-digit-limit"),
 ])
 def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
     # Python's json reads NaN, so the model itself must reject it; values

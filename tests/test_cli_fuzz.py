@@ -220,7 +220,8 @@ def test_flag_and_config_key_share_one_path(tmp_path, monkeypatch, key, scheme, 
     # A flag and its config key give the same exit code and the same stdout,
     # byte for byte; the per-level flags set every level of the key's table.
     monkeypatch.delenv("PQPAN_PROFILE", raising=False)
-    value = data.draw(st.sampled_from([1, 2]) if key == "ifs_slots" else FLAG_FACTORS)
+    value = data.draw(st.sampled_from([1, 2, 0, 3, -1, 2 ** 63]) if key == "ifs_slots"
+                      else FLAG_FACTORS)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
         {key: dict.fromkeys("135", value) if key in ("gamma_keygen", "gamma_decap") else value}))
