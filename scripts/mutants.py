@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Hand-picked source mutants, each run against the tier-1 test suite.
+
+A mutant is one textual substitution in one file under ``src/pqpan``. For
+each, the repository is copied to a temporary directory, the substitution
+is applied to the copy, and the tier-1 tests run there with ``-x``. The
+mutant is killed when a test fails and survives when every test passes. An
+unmutated copy runs first, and must pass, so that a kill means the mutant
+changed an outcome some test checks. Standard library only; one test run at
+a time, each about as long as the tier-1 suite.
+
+Usage: python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+#: The tier-1 test of this table; every mutant would fail it, so it is left out.
+TABLE_TEST = "tests/test_scripts.py::test_mutant_table_matches_source"
+RUN_TIMEOUT_S = 900
+
+#: name -> (file under src/pqpan, old text, new text); each old text occurs
+#: exactly once in src/.
+MUTANTS = {
+    "peripheral key from the central's secret": (
+        "sim.py", "peripheral.session_key = kem.derive_session_key(ss)",
+        "peripheral.session_key = kem.derive_session_key(enc.ss)"),
+    "session key context": (
+        "kem.py", 'SESSION_KEY_CONTEXT = b"pqke-ble-v1"', 'SESSION_KEY_CONTEXT = b"pqke-ble-v2"'),
+    "cycle counts only non-decreasing": (
+        "energy.py", "lo.keygen < hi.keygen and lo.encap < hi.encap and lo.decap < hi.decap",
+        "lo.keygen <= hi.keygen and lo.encap <= hi.encap and lo.decap <= hi.decap"),
+    "non-positive e_emp accepted": (
+        "reference.py", "if row.e_theor_uj <= 0 or row.e_emp_uj <= 0:",
+        "if row.e_theor_uj <= 0:"),
+    "ecdh-p256 alias dropped": (
+        "energy.py", 'elif kind in (SECURITY_ECDH, "ecdh-p256"):', "elif kind == SECURITY_ECDH:"),
+    "one-slot gap rule dropped": (
+        "sim.py", "gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0",
+        "gap = cfg.ifs"),
+    "AEAD envelope on an unsecured payload": (
+        "energy.py",
+        "artifact = payload if kind == SECURITY_NONE else payload + AEAD_OVERHEAD_BYTES",
+        "artifact = payload + AEAD_OVERHEAD_BYTES"),
+    "delta tolerance widened": (
+        "reference.py", "DELTA_TOLERANCE = 1e-3", "DELTA_TOLERANCE = 1e-1"),
+    "cycles_file relative to the working directory": (
+        "config.py", '(path.parent if path else Path()) / data["cycles_file"]',
+        'Path() / data["cycles_file"]'),
+    "reassembly overflow unchecked": (
+        "sim.py", "if len(self._buf) + len(chunk) > self.expected_size:", "if False:"),
+    "decapsulation ciphertext size unchecked": (
+        "kem.py", "if len(ct) != scheme.ct_size:", "if False:"),
+    "encapsulation left out of the total": (
+        "energy.py", "total += e_encap", "total += 0.0"),
+    "minimax polish skipped": (
+        "energy.py",
+        "current = min(_chebyshev_polish(design, target, lsq), lsq, "
+        "key=lambda x: max(abs_rel(x)))",
+        "current = lsq"),
+    "comm_share unrounded": (
+        "cli.py", 'body["comm_share"] = round(breakdown.comm_share, 4)',
+        'body["comm_share"] = breakdown.comm_share'),
+}
+
+
+def suite_passes(tree: Path) -> bool:
+    """Whether the tier-1 suite, stopped at the first failure, passes in ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", "--deselect", TABLE_TEST]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False  # a mutant that hangs the suite is caught
+    return proc.returncode == 0
+
+
+def copy_tree(dest: Path) -> Path:
+    tree = dest / "repo"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_work", ".benchmarks"))
+    return tree
+
+
+def mutate(tree: Path, file: str, old: str, new: str) -> None:
+    path = tree / "src" / "pqpan" / file
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"{file}: {old!r} occurs {text.count(old)} times, not once")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="pqpan-mutants-") as tmp:
+        if not suite_passes(copy_tree(Path(tmp))):
+            print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
+            return 2
+    survived = []
+    for name, (file, old, new) in MUTANTS.items():
+        with tempfile.TemporaryDirectory(prefix="pqpan-mutants-") as tmp:
+            tree = copy_tree(Path(tmp))
+            mutate(tree, file, old, new)
+            killed = not suite_passes(tree)
+        print(f"{'killed' if killed else 'SURVIVED'}  {file}: {name}", flush=True)
+        if not killed:
+            survived.append(name)
+    print(f"killed {len(MUTANTS) - len(survived)} of {len(MUTANTS)}")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

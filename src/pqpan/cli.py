@@ -22,13 +22,11 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import ModelConfig, resolve_config
+from .config import BACKENDS, ModelConfig, resolve_config
 from .energy import AEAD_OVERHEAD_BYTES, comm_energy, fit_radio_currents, pqke_total
 from .errors import PqpanError
-from .kem import BACKENDS
 from .link import ARTIFACT_MAX, airtime, plan_transfer
 from .reference import SECURITY_LEVELS, load_reference_table, lookup_scheme
-from .sim import SEED_MAX, SEED_MIN, run_handshake, send_secured_payload
 
 DEFAULT_SWEEP_SCHEMES = "ML-KEM-512,ML-KEM-768,ML-KEM-1024"
 DEFAULT_SWEEP_ATT = "65,104,204,404"
@@ -45,6 +43,13 @@ def _checked(parse, ok, expected: str):
             pass
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return check
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``simulate --seed``; reads the range from sim only when given."""
+    from .sim import SEED_MAX, SEED_MIN
+    return _checked(int, lambda v: SEED_MIN <= v <= SEED_MAX,
+                    "an integer of at most 64 signed bits")(text)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -181,6 +186,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import run_handshake, send_secured_payload  # only simulate loads sim and kem
+
     cfg = _model_config(args)
     link = replace(cfg.link, att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
     backend = args.backend or cfg.kem_backend
@@ -265,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the deterministic two-party handshake")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--seed", type=_checked(int, lambda v: SEED_MIN <= v <= SEED_MAX,
-                                           "an integer of at most 64 signed bits"), default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_link_flags(p, require=False, default_att=404, default_ll=251)
     payload_max = ARTIFACT_MAX - AEAD_OVERHEAD_BYTES  # the sealed payload is one artifact
     p.add_argument("--payload", type=_checked(int, lambda v: 0 <= v <= payload_max,

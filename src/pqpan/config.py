@@ -33,12 +33,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .energy import CycleCounts, FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
-from .errors import InvalidConfig
-from .kem import BACKENDS
+from .errors import InvalidConfig, _shown
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig
 from .reference import CalibrationFactors, default_calibration, read_text
 
 ENV_PROFILE = "PQPAN_PROFILE"
+#: Names of the KEM backends ``kem.get_backend`` serves, for the ``kem_backend``
+#: key and ``--backend``; defined here so that loading a config loads no KEM code.
+BACKENDS = ("stub", "real")
 
 _PROFILE_KEYS = ("voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu")
 _LINK_KEYS = ("phy_rate", "ifs", "ifs_slots")
@@ -62,12 +64,19 @@ class ModelConfig:
     kem_backend: str = "stub"
 
 
+def _level(key: str, level) -> int:
+    """A calibration table's level key: an int (not a bool), or a decimal
+    integer string as a JSON object key holds it."""
+    if type(level) is int:
+        return level
+    if isinstance(level, str) and level.isascii() and level.removeprefix("-").isdigit():
+        return int(level)
+    raise InvalidConfig(f"{key} has a level that is not an integer")
+
+
 def _gamma_table(data: dict, key: str, default: dict[int, float]):
     raw = data.get(key, default)
-    try:
-        return {int(level): g for level, g in raw.items()} if isinstance(raw, dict) else raw
-    except ValueError:
-        raise InvalidConfig(f"{key} has a level that is not an integer") from None
+    return {_level(key, level): g for level, g in raw.items()} if isinstance(raw, dict) else raw
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> ModelConfig:
@@ -106,13 +115,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     cycles = load_cycle_counts()
     if "cycles_file" in data:
         if not isinstance(data["cycles_file"], str) or "\0" in data["cycles_file"]:
-            raise InvalidConfig(f"cycles_file must be a path string, got {data['cycles_file']!r}")
+            raise InvalidConfig(
+                f"cycles_file must be a path string, got {_shown(data['cycles_file'])}")
         # Relative to the config file; an absolute path replaces the prefix.
         cycles = load_cycle_counts(str((path.parent if path else Path()) / data["cycles_file"]))
 
     kem_backend = data.get("kem_backend", ModelConfig.kem_backend)
     if kem_backend not in BACKENDS:
-        raise InvalidConfig(f"kem_backend must be one of {BACKENDS}, got {kem_backend!r}")
+        raise InvalidConfig(f"kem_backend must be one of {BACKENDS}, got {_shown(kem_backend)}")
     return ModelConfig(profile=profile, gamma=gamma, cycles=cycles, link=link,
                        kem_backend=kem_backend)
 

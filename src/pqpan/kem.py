@@ -19,7 +19,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from .errors import SizeMismatch, UnsupportedScheme
+from .errors import SizeMismatch, UnsupportedScheme, _shown
 from .reference import KemParamSet, lookup_scheme
 
 SEED_BYTES = 32
@@ -145,17 +145,16 @@ class RealBackend:
         return priv_cls.from_seed_bytes(sk).decapsulate(ct)
 
 
+#: The backends by name; ``config.BACKENDS`` lists the same names.
 _BACKENDS = {"stub": StubBackend, "real": RealBackend}
-#: Backend names, for ``get_backend``, the ``kem_backend`` config key and ``--backend``.
-BACKENDS = tuple(_BACKENDS)
 
 
 def get_backend(name: str):
-    try:
-        return _BACKENDS[name]()
-    except KeyError:
+    backend = _BACKENDS.get(name) if isinstance(name, str) else None
+    if backend is None:
         raise UnsupportedScheme(
-            f"unknown kem backend {name!r} (choose from {sorted(_BACKENDS)})") from None
+            f"unknown kem backend {_shown(name)} (choose from {sorted(_BACKENDS)})")
+    return backend()
 
 
 def keygen(scheme: KemParamSet | str, seed: bytes, backend=None) -> KemKeyPair:

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from pqpan.cli import main
+from pqpan.config import load_config
 from pqpan.energy import AEAD_OVERHEAD_BYTES
+from pqpan.errors import InvalidConfig
 from pqpan.link import ARTIFACT_MAX
 
 
@@ -289,6 +291,25 @@ def test_config_non_finite_link_value_exits_3(capsys, tmp_path, key, text):
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["kem_backend", "cycles_file"])
+def test_config_value_too_long_to_show_is_rejected(key):
+    # A library caller's override can hold an int whose repr Python refuses;
+    # the error still names the key.
+    with pytest.raises(InvalidConfig, match=f"{key} must be .*<int too long to show>"):
+        load_config(overrides={key: 10 ** 5000})
+
+
+@pytest.mark.parametrize("table", ["gamma_keygen", "gamma_decap"])
+@pytest.mark.parametrize("level", [1.9, None, True])
+def test_config_gamma_level_key_must_be_an_integer(table, level):
+    # JSON keys are strings; an override may also use int keys, but a float
+    # is not truncated and a bool is not read as level 1.
+    cfg = load_config(overrides={table: {1: 2.0, "3": 1.5, 5: 1.5}})
+    assert getattr(cfg.gamma, table) == {1: 2.0, 3: 1.5, 5: 1.5}
+    with pytest.raises(InvalidConfig, match=f"{table} has a level that is not an integer"):
+        load_config(overrides={table: {level: 2.0, 3: 1.38, 5: 1.62}})
+
+
 @pytest.mark.parametrize("flag,argv", [
     pytest.param("--seed", ["simulate", "--scheme", "ml-kem-512",
                             "--seed", "99999999999999999999"], id="seed-overflow"),
@@ -362,24 +383,78 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["scheme"] == "ML-KEM-768"
 
 
-def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
-    # pqpan has no runtime dependencies: no command loads numpy or scipy,
-    # the fit included.
+#: The names ``pqpan`` exported when its namespace became lazy, by defining module.
+EXPORTS = {
+    "errors": "ConsistencyError HandshakeFailure InvalidConfig InvalidProfile NotEstablished "
+              "ParseError PqpanError SingularSystem SizeMismatch UnknownScheme "
+              "UnsupportedScheme",
+    "reference": "CalibrationFactors KemParamSet ReferenceEnergyRow default_calibration "
+                 "identity_calibration load_reference_table load_schemes lookup_scheme "
+                 "save_reference_table",
+    "link": "FragmentationPlan LinkConfig LinkFrame TimeBudget airtime bytes_on_air "
+            "plan_counts plan_transfer",
+    "kem": "Encapsulation KemKeyPair SessionKey decapsulate derive_session_key encapsulate "
+           "get_backend keygen",
+    "energy": "AEAD_OVERHEAD_BYTES CycleCounts ECDH_PAIRING_UJ EnergyBreakdown "
+              "FITTED_RADIO_PROFILE FitResult RadioProfile comm_energy comp_energy "
+              "fit_radio_currents handshake_breakdown load_cycle_counts pqke_total "
+              "session_energy transfer_energy",
+    "sim": "EnergyLedger FrameTrace HandshakeResult PartyState Phase Role run_handshake "
+           "send_secured_payload",
+    "config": "ModelConfig load_config resolve_config",
+}
+
+
+def _loaded_after(argv):
+    """The watched modules loaded by a fresh interpreter that runs ``argv``
+    through ``pqpan.cli.main``."""
     probe = (
-        "import sys, pqpan, pqpan.cli\n"
-        "out = sys.argv[1] + '/'\n"
-        "argv = ['--scheme', 'ml-kem-768', '--att-mtu', '65', '--ll-pdu', '27']\n"
-        "assert pqpan.cli.main(['estimate', *argv]) == 0\n"
-        "assert pqpan.cli.main(['sweep', '--reference-grid', '--out', out + 's.csv']) == 0\n"
-        "assert pqpan.cli.main(['simulate', *argv, '--payload', '64',\n"
-        "                       '--trace', out + 't.jsonl', '--ledger', out + 'l.json']) == 0\n"
-        "before_fit = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
-        "assert pqpan.cli.main(['fit', '--out', out + 'f.json']) == 0\n"
-        "print(before_fit, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+        "import json, sys, pqpan.cli\n"
+        "assert pqpan.cli.main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(m for m in ('numpy', 'scipy', 'pqpan.sim', 'pqpan.kem')\n"
+        "                        if m in sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] []"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
+    # pqpan has no runtime dependencies: no command loads numpy or scipy,
+    # the fit included. Each command loads only the layers it runs, so only
+    # simulate loads the simulator and the KEM code.
+    out = str(tmp_path) + "/"
+    link = ["--scheme", "ml-kem-768", "--att-mtu", "65", "--ll-pdu", "27"]
+    assert _loaded_after(["estimate", *link]) == []
+    assert _loaded_after(["sweep", "--reference-grid", "--out", out + "s.csv"]) == []
+    assert _loaded_after(["fit", "--out", out + "f.json"]) == []
+    assert _loaded_after(["simulate", *link, "--payload", "64", "--seed", "5",
+                          "--trace", out + "t.jsonl", "--ledger", out + "l.json"]) == [
+        "pqpan.kem", "pqpan.sim"]
+
+
+def test_package_names_resolve_lazily_to_their_layer():
+    # EXPORTS lists each layer before those that import it, so every layer
+    # module is first reached through the package attribute.
+    probe = (
+        "import json, sys, pqpan\n"
+        "before = sorted(m for m in sys.modules if m.startswith('pqpan.'))\n"
+        "same, layers = [], []\n"
+        "for module, names in json.loads(sys.argv[1]).items():\n"
+        "    layers.append(getattr(pqpan, module) is sys.modules['pqpan.' + module])\n"
+        "    for name in names.split():\n"
+        "        exec(f'from pqpan import {name} as got')\n"
+        "        same.append(got is getattr(sys.modules['pqpan.' + module], name))\n"
+        "print(json.dumps([before, all(same), all(layers), pqpan.__all__,\n"
+        "                  sorted(set(pqpan.__all__) - set(dir(pqpan)))]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(EXPORTS)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, same, layers, exported, undir = json.loads(proc.stdout)
+    assert before == []  # a bare import loads no layer module
+    assert same and layers
+    assert exported == sorted(n for names in EXPORTS.values() for n in names.split())
+    assert undir == []
 
 
 def test_fit_runs_without_scipy(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqpan import (CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
-                   InvalidProfile, LinkConfig, RadioProfile, SingularSystem,
+                   InvalidProfile, LinkConfig, ParseError, RadioProfile, SingularSystem,
                    TimeBudget, UnknownScheme, UnsupportedScheme, airtime,
                    comm_energy, comp_energy, default_calibration,
                    fit_radio_currents, identity_calibration, load_cycle_counts,
@@ -181,6 +181,18 @@ def test_cycle_counts_increase_with_level():
         assert lo.decap < hi.decap
 
 
+@pytest.mark.parametrize("column", [1, 2, 3], ids=["keygen", "encaps", "decaps"])
+def test_cycles_file_with_a_count_shared_by_two_levels_rejected(tmp_path, column):
+    rows = [["ML-KEM-512", 100, 200, 300], ["ML-KEM-768", 1000, 2000, 3000],
+            ["ML-KEM-1024", 5000, 6000, 7000]]
+    rows[1][column] = rows[0][column]
+    path = tmp_path / "cycles.csv"
+    path.write_text("scheme,keygen,encaps,decaps\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    with pytest.raises(ParseError, match="increase strictly"):
+        load_cycle_counts(str(path))
+
+
 # Current fit
 
 def test_fit_on_reference_table(fit_result):
@@ -339,6 +351,13 @@ def test_session_none_zero_payload():
 def test_session_ecdh_zero_payload_is_pairing_constant():
     assert session_energy("ecdh", 0, LinkConfig(att_mtu=404, ll_pdu=251)) \
         == ECDH_PAIRING_UJ
+
+
+def test_session_ecdh_p256_is_the_ecdh_pairing():
+    # The scheme table's ECDH-P256 row has no handshake model; as a security
+    # choice it names the classical pairing.
+    cfg = LinkConfig(att_mtu=404, ll_pdu=251)
+    assert session_energy("ECDH-P256", 1024, cfg) == session_energy("ecdh", 1024, cfg)
 
 
 def test_session_ordering_one_kib():

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,20 @@ def test_unknown_backend():
         get_backend("hardware")
 
 
+@pytest.mark.parametrize("name", [10 ** 5000, ["stub"]], ids=["huge-int", "list"])
+def test_unknown_backend_of_another_type(name):
+    # The name reaches get_backend unchecked from a run_handshake caller.
+    with pytest.raises(UnsupportedScheme, match="unknown kem backend"):
+        get_backend(name)
+
+
+def test_config_lists_exactly_the_backends_kem_serves():
+    from pqpan import config, kem
+    assert set(config.BACKENDS) == set(kem._BACKENDS)
+    for name in config.BACKENDS:
+        get_backend(name)
+
+
 def test_session_key_derivation():
     ss = seed(12)
     k1 = derive_session_key(ss)
@@ -90,6 +105,12 @@ def test_session_key_derivation():
     assert k1 == k2
     assert len(k1.key) == 32
     assert derive_session_key(seed(13)) != k1
+
+
+def test_session_key_known_answer():
+    ss = seed(12)
+    expected = hmac.new(ss, b"pqke-ble-v1", hashlib.sha256).digest()
+    assert derive_session_key(ss).key == expected
 
 
 # Real backend: exercised only when the provider ships ML-KEM support.

@@ -127,6 +127,19 @@ def test_consistency_error_on_tampered_delta(reference_rows, tmp_path):
         load_reference_table(out)
 
 
+def test_parse_error_on_negative_empirical_energy(reference_rows, tmp_path):
+    out = tmp_path / "negative.csv"
+    save_reference_table(reference_rows, out)
+    lines = out.read_text().splitlines()
+    scheme, att, ll, op, theor = lines[1].split(",")[:5]
+    # e_emp = -e_theor gives (e_emp - e_theor)/e_emp = 2 exactly, so the
+    # stored delta stays consistent and only the positivity rule applies.
+    lines[1] = ",".join([scheme, att, ll, op, theor, "-" + theor, "200.00"])
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="row 2: energies must be positive"):
+        load_reference_table(out)
+
+
 def test_consistency_error_on_wrong_row_count(reference_rows, tmp_path):
     out = tmp_path / "short.csv"
     save_reference_table(reference_rows[:10], out)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import math
 import os
@@ -23,3 +24,21 @@ def test_energy_landscape_prints_the_grid():
         assert (row[7] != "") == (row[2] == "27")
         numbers = [float(v.removesuffix("x")) for v in row[1:] if v]
         assert all(math.isfinite(x) for x in numbers), row
+
+
+def test_mutant_table_matches_source():
+    # The mutant runner is outside tier-1; this keeps its table from rotting:
+    # each old text occurs exactly once in src/, in the file named, and the
+    # mutated file still compiles, so a kill is never a syntax error.
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.TABLE_TEST == "tests/test_scripts.py::test_mutant_table_matches_source"
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in (ROOT / "src" / "pqpan").glob("*.py")}
+    assert len(mutants.MUTANTS) == 14
+    for name, (file, old, new) in mutants.MUTANTS.items():
+        assert old != new, name
+        assert sources[file].count(old) == 1, name
+        assert sum(text.count(old) for text in sources.values()) == 1, name
+        compile(sources[file].replace(old, new), file, "exec")

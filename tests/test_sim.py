@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqpan.energy
+import pqpan.kem
 import pqpan.link
 import pqpan.sim
 from pqpan import (FrameTrace, HandshakeFailure, InvalidConfig, LinkConfig, NotEstablished,
-                   Phase, Role, lookup_scheme, plan_transfer, pqke_total, run_handshake,
-                   send_secured_payload)
+                   Phase, Role, derive_session_key, lookup_scheme, plan_transfer, pqke_total,
+                   run_handshake, send_secured_payload)
 from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
@@ -22,6 +23,15 @@ def test_handshake_establishes_and_agrees():
     assert r.peripheral.phase is Phase.ESTABLISHED
     assert r.central.phase is Phase.ESTABLISHED
     assert r.peripheral.session_key.key == r.central.session_key.key
+
+
+def test_peripheral_key_comes_from_its_own_decapsulation(monkeypatch):
+    # A decapsulation that recovers another secret must leave the two
+    # parties with different keys, so a mismatch can show in the ledger.
+    monkeypatch.setattr(pqpan.kem, "decapsulate", lambda *args: bytes(32))
+    r = run_handshake("ml-kem-512", CFG_DEFAULT, seed=1)
+    assert r.peripheral.session_key == derive_session_key(bytes(32))
+    assert r.peripheral.session_key != r.central.session_key
 
 
 def test_trace_frame_counts_match_plans():
