@@ -63,6 +63,13 @@ MUTANTS = {
         "current = min(_chebyshev_polish(design, target, lsq), lsq, "
         "key=lambda x: max(abs_rel(x)))",
         "current = lsq"),
+    "trace clock additions fused": (
+        "sim.py", "t += air\n            t += gap", "t += air + gap"),
+    "JSONL tail shared across sender roles": (
+        "sim.py", "tails = {key: tail(*step[:4], part.op) for key, step in steps.items()}",
+        "tails = {key: tail(part.frames[0][0], *step[1:4], part.op) for key, step in steps.items()}"),
+    "trace equality ignores the frames": (
+        "sim.py", "return (self.records, self.clock) == (other.records, other.clock)", "return True"),
     "comm_share unrounded": (
         "cli.py", 'body["comm_share"] = round(breakdown.comm_share, 4)',
         'body["comm_share"] = breakdown.comm_share'),

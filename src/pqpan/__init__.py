@@ -17,7 +17,7 @@ _LAYERS = {
                "SizeMismatch", "UnknownScheme", "UnsupportedScheme"),
     "reference": ("CalibrationFactors", "KemParamSet", "ReferenceEnergyRow",
                   "default_calibration", "identity_calibration", "load_reference_table",
-                  "load_schemes", "lookup_scheme", "save_reference_table"),
+                  "load_schemes", "lookup_scheme"),
     "link": ("FragmentationPlan", "LinkConfig", "LinkFrame", "TimeBudget", "airtime",
              "bytes_on_air", "plan_counts", "plan_transfer"),
     "kem": ("Encapsulation", "KemKeyPair", "SessionKey", "decapsulate",

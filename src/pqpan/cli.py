@@ -209,7 +209,7 @@ def cmd_simulate(args) -> int:
 
     if args.payload is not None:
         delta, payload_energy = send_secured_payload(result, bytes(args.payload))
-        trace = type(trace)(records=trace.records + delta.records, clock=delta.clock)
+        trace = trace + delta
         summary["payload_B"] = args.payload
         summary["payload_energy_uJ"] = payload_energy
         summary["session_total_uJ"] = (result.ledger.peripheral_pqke_total()

@@ -116,13 +116,6 @@ class RealBackend:
                 f"{[n for n in self._CLASS_NAMES.values() if hasattr(mlkem, n)]})")
         return getattr(mlkem, priv_name), getattr(mlkem, priv_name.replace("Private", "Public"))
 
-    def supports(self, scheme: KemParamSet) -> bool:
-        try:
-            self._classes(scheme)
-        except UnsupportedScheme:
-            return False
-        return True
-
     def sk_size(self, scheme: KemParamSet) -> int:
         return 64  # provider keeps the FIPS-203 (d, z) seed form
 

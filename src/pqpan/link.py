@@ -115,10 +115,6 @@ class TimeBudget:
     t_rx: float
     t_ifs: float
 
-    @property
-    def total(self) -> float:
-        return self.t_tx + self.t_rx + self.t_ifs
-
 
 def plan_counts(artifact_size: int, cfg: LinkConfig) -> tuple[int, int]:
     """Closed-form (att_pdu_count, ll_data_pdu_count) for an artifact.

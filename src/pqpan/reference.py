@@ -244,14 +244,3 @@ def load_reference_table(path: str | Path | None = None) -> tuple[ReferenceEnerg
             f"{label}: expected {REFERENCE_ROW_COUNT} rows, got {len(rows)}")
     return tuple(rows)
 
-
-def save_reference_table(rows: tuple[ReferenceEnergyRow, ...] | list[ReferenceEnergyRow],
-                         path: str | Path) -> None:
-    """Write rows back in the bundled CSV format (2-decimal energies)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TABLE_COLUMNS)
-        for r in rows:
-            writer.writerow([r.scheme, r.att_mtu, r.ll_pdu, r.op,
-                             f"{r.e_theor_uj:.2f}", f"{r.e_emp_uj:.2f}",
-                             f"{r.delta * 100:.2f}"])

@@ -5,13 +5,20 @@ in-memory, lossless, in-order link: the peripheral generates a key pair and
 notifies the public key; the central encapsulates and writes the ciphertext
 back; the peripheral decapsulates and both derive the session key, going
 from Idle to Established (or raising). Every transfer, the secured payload
-included, is planned once and yields the full frame trace with virtual
-timestamps and its time budget; the energy ledger prices those budgets, so
-it reconciles exactly with the analytical model (it introduces no cost
-terms of its own).
+included, is planned once and yields its frames with virtual timestamps and
+its time budget; the energy ledger prices those budgets, so it reconciles
+exactly with the analytical model (it introduces no cost terms of its own).
 
 Virtual time advances by frame airtime plus inter-frame spacing only;
 connection-interval idle gaps are outside the analytical model's scope.
+
+The trace stores each transfer once, compactly: its start time and one
+shared step per distinct frame, referenced once per frame. Frame times are
+recomputed from the transfer's start whenever they are read, with the same
+two additions per frame, so they are bit-identical on every read. The JSONL
+export and the frame counts read this form; per-frame :class:`TraceRecord`
+objects are built on the first read of :attr:`FrameTrace.records` and kept.
+``a + b`` joins two traces without building records.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from math import isfinite
 
 from . import kem
@@ -72,41 +81,121 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
+class _Transfer:
+    """One transfer's frames, held compactly: ``frames`` has one step per frame,
+    (sender, payload B, overhead B, is_ack, airtime, gap), and frames that are
+    alike share one step tuple. The first frame starts at ``start``, and
+    ``clock`` is the time after the last frame and its gap."""
+
+    op: str
+    start: float
+    frames: tuple[tuple[Role, int, int, bool, float, float], ...]
+    clock: float = field(init=False)
+
+    def __post_init__(self):
+        for clock in self.times():
+            pass
+        object.__setattr__(self, "clock", clock)
+
+    def times(self):
+        """Each frame's start time, then the clock after the last frame: each
+        frame advances the clock by its airtime, then by its gap."""
+        t = self.start
+        for _, _, _, _, air, gap in self.frames:
+            yield t
+            t += air
+            t += gap
+        yield t
+
+    def count(self, is_ack: bool) -> int:
+        acks = sum(step[3] for step in self.frames)
+        return acks if is_ack else len(self.frames) - acks
+
+    def records(self) -> list[TraceRecord]:
+        return [TraceRecord(t, *step[:4], self.op) for t, step in zip(self.times(), self.frames)]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FrameTrace:
     """Timestamped frames; ``clock`` is the virtual time after the last
-    frame and its trailing gap, where the next transfer starts."""
+    frame and its trailing gap, where the next transfer starts.
 
-    records: tuple[TraceRecord, ...]
-    clock: float = 0.0
+    ``records`` passed in are kept as they are. The simulator passes its
+    transfers there instead, each stored once and compactly, so no per-frame
+    object exists until :attr:`records` is read. ``a + b`` is ``a``'s frames
+    then ``b``'s, ending at ``b``'s clock.
+    """
+
+    _parts: tuple[TraceRecord | _Transfer, ...]
+    clock: float
+
+    def __init__(self, records=(), clock: float = 0.0):
+        object.__setattr__(self, "_parts", tuple(records))
+        object.__setattr__(self, "clock", clock)
+
+    @cached_property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """Every frame as a :class:`TraceRecord`, built on the first read."""
+        return tuple(chain.from_iterable(
+            part.records() if isinstance(part, _Transfer) else (part,) for part in self._parts))
+
+    def __add__(self, other: FrameTrace) -> FrameTrace:
+        return FrameTrace(self._parts + other._parts, other.clock)
+
+    def __eq__(self, other):
+        if not isinstance(other, FrameTrace):
+            return NotImplemented
+        return (self.records, self.clock) == (other.records, other.clock)
+
+    def __hash__(self):
+        return hash((self.records, self.clock))
+
+    def _count(self, is_ack: bool, op: str | None) -> int:
+        n = 0
+        for part in self._parts:
+            if op is None or part.op == op:
+                n += part.count(is_ack) if isinstance(part, _Transfer) else part.is_ack == is_ack
+        return n
 
     def data_frame_count(self, op: str | None = None) -> int:
-        return sum(1 for r in self.records
-                   if not r.is_ack and (op is None or r.op == op))
+        return self._count(False, op)
 
     def ack_count(self, op: str | None = None) -> int:
-        return sum(1 for r in self.records
-                   if r.is_ack and (op is None or r.op == op))
+        return self._count(True, op)
 
     def to_jsonl(self) -> str:
         """One JSON object per record, in the form of :meth:`TraceRecord.as_dict`.
 
         Lines are formatted directly, byte for byte as ``json.dumps`` would:
         finite floats with ``repr``, ints as they are, and each distinct op
-        string through ``json.dumps`` once.
+        string through ``json.dumps`` once. All of a line but its time is
+        formatted once per step of a transfer.
         """
         ops: dict[str, str] = {}
+
+        def tail(sender, payload_bytes, overhead_bytes, is_ack, op):
+            op_json = ops.get(op)
+            if op_json is None:
+                op_json = ops[op] = json.dumps(op)
+            direction = '"p->c"' if sender is Role.PERIPHERAL else '"c->p"'
+            return (f', "dir": {direction}, "payload_B": {payload_bytes}, '
+                    f'"overhead_B": {overhead_bytes}, "op": {op_json}, '
+                    f'"is_ack": {"true" if is_ack else "false"}}}')
+
+        def timed_tails(part):
+            """(time, line tail) of each frame of ``part``."""
+            if isinstance(part, _Transfer):
+                steps = dict(zip(map(id, part.frames), part.frames))
+                tails = {key: tail(*step[:4], part.op) for key, step in steps.items()}
+                return zip(part.times(), map(tails.__getitem__, map(id, part.frames)))
+            return [(part.time_s, tail(part.sender, part.payload_bytes, part.overhead_bytes,
+                                       part.is_ack, part.op))]
+
         lines = []
-        for r in self.records:
-            op = ops.get(r.op)
-            if op is None:
-                op = ops[r.op] = json.dumps(r.op)
-            t = r.time_s * 1e6
-            time_us = repr(t) if isfinite(t) else json.dumps(t)
-            sender = '"p->c"' if r.sender is Role.PERIPHERAL else '"c->p"'
-            is_ack = "true" if r.is_ack else "false"
-            lines.append(f'{{"time_us": {time_us}, "dir": {sender}, '
-                         f'"payload_B": {r.payload_bytes}, "overhead_B": {r.overhead_bytes}, '
-                         f'"op": {op}, "is_ack": {is_ack}}}')
+        for part in self._parts:
+            for t, line in timed_tails(part):
+                u = t * 1e6
+                lines.append(f'{{"time_us": {repr(u) if isfinite(u) else json.dumps(u)}{line}')
         return "\n".join(lines) + "\n"
 
 
@@ -167,12 +256,12 @@ def _seed32(seed: bytes, label: bytes) -> bytes:
     return hashlib.shake_256(b"pqpan-sim" + label + seed).digest(kem.SEED_BYTES)
 
 
-def _transfer(records: list[TraceRecord], t: float, transfer: tuple[str, int, bool],
-              cfg: LinkConfig, artifact: bytes | None = None):
-    """Send one (op, size, peripheral receives) row of :meth:`KemParamSet.transfers`,
-    appending its frames from clock ``t``; the sender sends the data frames and
-    the other party the acks. Returns the advanced clock, the plan's time budget
-    and ``artifact`` reassembled from the ATT chunks (None without one)."""
+def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig,
+              artifact: bytes | None = None):
+    """Send one (op, size, peripheral receives) row of :meth:`KemParamSet.transfers`
+    from clock ``t``; the sender sends the data frames and the other party the
+    acks. Returns the transfer's frames, the plan's time budget and ``artifact``
+    reassembled from the ATT chunks (None without one)."""
     op, size, peripheral_receives = transfer
     plan = plan_transfer(size, cfg)
     received = None
@@ -185,24 +274,17 @@ def _transfer(records: list[TraceRecord], t: float, transfer: tuple[str, int, bo
         received = rx.finish()
     sender, receiver = ((Role.CENTRAL, Role.PERIPHERAL) if peripheral_receives
                         else (Role.PERIPHERAL, Role.CENTRAL))
-    # A plan shares one object per distinct frame, so (sender, airtime, gap)
-    # is worked out once per object. Keyed by identity: hashing the frozen
-    # frame would cost more than the work it saves.
-    steps: dict[int, tuple[Role, float, float]] = {}
-    for frame in plan.frames:
-        step = steps.get(id(frame))
-        if step is None:
-            party = receiver if frame.is_ack else sender
-            # One gap always follows a data frame; the second gap after the
-            # ack is charged only under two-slot accounting.
-            gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0
-            step = steps[id(frame)] = (party, 8.0 * frame.on_air_bytes / cfg.phy_rate, gap)
-        party, air, gap = step
-        records.append(TraceRecord(t, party, frame.payload_bytes, frame.overhead_bytes,
-                                   frame.is_ack, op))
-        t += air
-        t += gap
-    return t, airtime(plan, cfg), received
+    # The plan shares one object per distinct frame, so each becomes one step.
+    step_of = {}
+    for key, frame in dict(zip(map(id, plan.frames), plan.frames)).items():
+        party = receiver if frame.is_ack else sender
+        # One gap always follows a data frame; the second gap after the ack is
+        # charged only under two-slot accounting.
+        gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0
+        step_of[key] = (party, frame.payload_bytes, frame.overhead_bytes, frame.is_ack,
+                        8.0 * frame.on_air_bytes / cfg.phy_rate, gap)
+    frames = tuple(map(step_of.__getitem__, map(id, plan.frames)))
+    return _Transfer(op, t, frames), airtime(plan, cfg), received
 
 
 def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
@@ -226,17 +308,16 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
 
     peripheral = PartyState(role=Role.PERIPHERAL, scheme=scheme)
     central = PartyState(role=Role.CENTRAL, scheme=scheme)
-    records: list[TraceRecord] = []
 
     # Step 1: peripheral generates its key pair and notifies the public key.
     peripheral.keypair = kem.keygen(scheme, _seed32(seed, b"keygen"), kem_backend)
-    t, pk_budget, central.peer_pk = _transfer(records, 0.0, pk_transfer, cfg,
-                                              peripheral.keypair.pk)
+    pk_frames, pk_budget, central.peer_pk = _transfer(0.0, pk_transfer, cfg,
+                                                      peripheral.keypair.pk)
 
     # Step 2: central encapsulates against the received key and writes the
     # ciphertext back.
     enc = kem.encapsulate(central.peer_pk, scheme, _seed32(seed, b"encap"), kem_backend)
-    t, ct_budget, ct = _transfer(records, t, ct_transfer, cfg, enc.ct)
+    ct_frames, ct_budget, ct = _transfer(pk_frames.clock, ct_transfer, cfg, enc.ct)
 
     # Step 3: peripheral decapsulates; both sides derive the session key.
     ss = kem.decapsulate(peripheral.keypair.sk, ct, scheme, kem_backend)
@@ -258,7 +339,7 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
                                              as_receiver=not ct_transfer[2])})
 
     return HandshakeResult(peripheral=peripheral, central=central,
-                           trace=FrameTrace(records=tuple(records), clock=t),
+                           trace=FrameTrace((pk_frames, ct_frames), ct_frames.clock),
                            ledger=ledger, cfg=cfg, profile=profile, gamma=gamma)
 
 
@@ -275,9 +356,8 @@ def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[Fram
     if (session.peripheral.phase is not Phase.ESTABLISHED
             or session.central.phase is not Phase.ESTABLISHED):
         raise NotEstablished("handshake has not completed")
-    records: list[TraceRecord] = []
-    clock, budget, _ = _transfer(
-        records, session.trace.clock,
-        (OP_PAYLOAD, len(payload) + AEAD_OVERHEAD_BYTES, False), session.cfg)
+    frames, budget, _ = _transfer(
+        session.trace.clock, (OP_PAYLOAD, len(payload) + AEAD_OVERHEAD_BYTES, False),
+        session.cfg)
     energy = transfer_energy(budget, session.profile, session.gamma)
-    return FrameTrace(records=tuple(records), clock=clock), energy
+    return FrameTrace((frames,), frames.clock), energy

@@ -6,12 +6,15 @@ failure). All checks run on the shipped defaults: fitted radio currents,
 bundled cycle snapshot, default calibration.
 """
 
+import csv
+import io
 import random
 import time
+from importlib import resources
 
 import pytest
 
-from pqpan import (LinkConfig, decapsulate, encapsulate, fit_radio_currents,
+from pqpan import (LinkConfig, Role, decapsulate, encapsulate, fit_radio_currents,
                    keygen, load_reference_table, lookup_scheme, plan_counts,
                    pqke_total, run_handshake, session_energy)
 from pqpan.cli import main
@@ -126,8 +129,41 @@ def test_criterion_kem_roundtrips(capsys):
                 f"{failures} secret mismatches, {size_errors} size errors")
 
 
+def bundled_cycles() -> dict[str, tuple[int, int]]:
+    """Scheme -> (keygen, decaps) cycles, read from the bundled CSV directly."""
+    text = resources.files("pqpan").joinpath("data/cycles.csv").read_text(encoding="utf-8")
+    rows = csv.DictReader(io.StringIO(
+        "".join(ln for ln in text.splitlines(True) if not ln.startswith("#"))))
+    return {r["scheme"]: (int(r["keygen"]), int(r["decaps"])) for r in rows}
+
+
+def peripheral_total_from_trace(result, cfg, cycles) -> float:
+    """The peripheral's calibrated handshake energy in uJ, derived without
+    pqpan.energy: radio time from the trace's frames (tx when it sends, rx
+    when it receives, ``ifs_slots`` gaps per data frame), computation from
+    the cycle counts, both priced with the run's profile and calibration."""
+    p, g = result.profile, result.gamma
+    t_tx = t_rx = 0.0
+    n_data = 0
+    for rec in result.trace.records:
+        air = 8.0 * (rec.payload_bytes + rec.overhead_bytes) / cfg.phy_rate
+        if rec.sender is Role.PERIPHERAL:
+            t_tx += air
+        else:
+            t_rx += air
+        n_data += not rec.is_ack
+    t_ifs = cfg.ifs_slots * n_data * cfg.ifs
+    comm = p.voltage * (p.i_tx * t_tx + p.i_rx * t_rx + p.i_ifs * t_ifs) * 1e6
+    keygen_cycles, decap_cycles = cycles[result.peripheral.scheme.name]
+    level = result.peripheral.scheme.nist_level
+    comp = (g.gamma_keygen[level] * keygen_cycles
+            + g.gamma_decap[level] * decap_cycles) * p.i_mcu * p.voltage / p.f_mcu * 1e6
+    return g.gamma_comm * comm + comp
+
+
 def test_criterion_simulator_reconciliation(capsys):
     rng = random.Random(20260810)
+    cycles = bundled_cycles()
     worst_rel = 0.0
     key_failures = 0
     count_failures = 0
@@ -139,9 +175,10 @@ def test_criterion_simulator_reconciliation(capsys):
         cfg = LinkConfig(att_mtu=att, ll_pdu=ll)
         result = run_handshake(scheme, cfg, seed=seed)
         analytic = pqke_total(scheme, cfg)
-        rel = abs(result.ledger.peripheral_pqke_total() - analytic.e_total) \
-            / analytic.e_total
-        worst_rel = max(worst_rel, rel)
+        ledger_total = result.ledger.peripheral_pqke_total()
+        # Against the model, and against a total priced from the trace alone.
+        for expected in (analytic.e_total, peripheral_total_from_trace(result, cfg, cycles)):
+            worst_rel = max(worst_rel, abs(ledger_total - expected) / expected)
         if result.peripheral.session_key.key != result.central.session_key.key:
             key_failures += 1
         # The closed form, itself checked against the byte-stream oracle, not

@@ -383,14 +383,13 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["scheme"] == "ML-KEM-768"
 
 
-#: The names ``pqpan`` exported when its namespace became lazy, by defining module.
+#: The names ``pqpan`` exports, by defining module.
 EXPORTS = {
     "errors": "ConsistencyError HandshakeFailure InvalidConfig InvalidProfile NotEstablished "
               "ParseError PqpanError SingularSystem SizeMismatch UnknownScheme "
               "UnsupportedScheme",
     "reference": "CalibrationFactors KemParamSet ReferenceEnergyRow default_calibration "
-                 "identity_calibration load_reference_table load_schemes lookup_scheme "
-                 "save_reference_table",
+                 "identity_calibration load_reference_table load_schemes lookup_scheme",
     "link": "FragmentationPlan LinkConfig LinkFrame TimeBudget airtime bytes_on_air "
             "plan_counts plan_transfer",
     "kem": "Encapsulation KemKeyPair SessionKey decapsulate derive_session_key encapsulate "

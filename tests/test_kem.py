@@ -117,7 +117,9 @@ def test_session_key_known_answer():
 
 def _real_or_skip(name):
     backend = get_backend("real")
-    if not backend.supports(lookup_scheme(name)):
+    try:
+        keygen(lookup_scheme(name), seed(13), backend)
+    except UnsupportedScheme:
         pytest.skip(f"real backend cannot serve {name} in this environment")
     return backend
 

@@ -138,7 +138,7 @@ def test_frame_count_monotone_in_ll_pdu(artifact, att, ll_pair):
 def test_dle_time_dominance(artifact, att):
     base = airtime(plan_transfer(artifact, cfg(att, 27)), cfg(att, 27))
     dle = airtime(plan_transfer(artifact, cfg(att, 251)), cfg(att, 251))
-    assert dle.total <= base.total
+    assert dle.t_tx + dle.t_rx + dle.t_ifs <= base.t_tx + base.t_rx + base.t_ifs
 
 
 def naive_plan(artifact_size, c):

@@ -2,7 +2,7 @@ import pytest
 
 from pqpan import (CalibrationFactors, ConsistencyError, ParseError, UnknownScheme,
                    default_calibration, load_reference_table, load_schemes,
-                   lookup_scheme, save_reference_table)
+                   lookup_scheme)
 
 # (pk, sk, ct, level) as standardized.
 MLKEM_SIZES = {
@@ -85,9 +85,17 @@ def test_negative_delta_rows_are_exactly_the_documented_two(reference_rows):
                         ("ML-KEM-1024", 404, 27, "Notify_PK")}
 
 
+def write_table(rows, path):
+    """Write rows in the bundled CSV format (2-decimal energies)."""
+    lines = ["scheme,att_mtu,ll_pdu,op,e_theor_uJ,e_emp_uJ,delta_pct"]
+    lines += [f"{r.scheme},{r.att_mtu},{r.ll_pdu},{r.op},{r.e_theor_uj:.2f},"
+              f"{r.e_emp_uj:.2f},{r.delta * 100:.2f}" for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_round_trip_bit_exact(reference_rows, tmp_path):
     out = tmp_path / "table.csv"
-    save_reference_table(reference_rows, out)
+    write_table(reference_rows, out)
     assert load_reference_table(out) == reference_rows
     from importlib import resources
     bundled = resources.files("pqpan").joinpath("data/table2.csv").read_text()
@@ -119,7 +127,7 @@ def test_parse_error_on_wrong_header(tmp_path):
 
 def test_consistency_error_on_tampered_delta(reference_rows, tmp_path):
     out = tmp_path / "tampered.csv"
-    save_reference_table(reference_rows, out)
+    write_table(reference_rows, out)
     lines = out.read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",2.00"  # true delta is 8.58
     out.write_text("\n".join(lines) + "\n")
@@ -129,7 +137,7 @@ def test_consistency_error_on_tampered_delta(reference_rows, tmp_path):
 
 def test_parse_error_on_negative_empirical_energy(reference_rows, tmp_path):
     out = tmp_path / "negative.csv"
-    save_reference_table(reference_rows, out)
+    write_table(reference_rows, out)
     lines = out.read_text().splitlines()
     scheme, att, ll, op, theor = lines[1].split(",")[:5]
     # e_emp = -e_theor gives (e_emp - e_theor)/e_emp = 2 exactly, so the
@@ -142,7 +150,7 @@ def test_parse_error_on_negative_empirical_energy(reference_rows, tmp_path):
 
 def test_consistency_error_on_wrong_row_count(reference_rows, tmp_path):
     out = tmp_path / "short.csv"
-    save_reference_table(reference_rows[:10], out)
+    write_table(reference_rows[:10], out)
     with pytest.raises(ConsistencyError, match="48"):
         load_reference_table(out)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter, defaultdict
 
@@ -10,8 +11,8 @@ import pqpan.kem
 import pqpan.link
 import pqpan.sim
 from pqpan import (FrameTrace, HandshakeFailure, InvalidConfig, LinkConfig, NotEstablished,
-                   Phase, Role, derive_session_key, lookup_scheme, plan_transfer, pqke_total,
-                   run_handshake, send_secured_payload)
+                   Phase, Role, UnsupportedScheme, derive_session_key, lookup_scheme,
+                   plan_transfer, pqke_total, run_handshake, send_secured_payload)
 from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
@@ -154,6 +155,70 @@ def test_to_jsonl_formats_any_float_like_json(time_s):
         TraceRecord(time_s, Role.CENTRAL, 0, 10, True, 'op "quoted" \u00e9'),))
     assert trace.to_jsonl() == reference_jsonl(trace)
     assert FrameTrace(records=()).to_jsonl() == reference_jsonl(FrameTrace(records=()))
+    # A payload sent on a session whose clock stands at time_s.
+    session = run_handshake("ml-kem-512", CFG_DLE, seed=19)
+    session = dataclasses.replace(session, trace=FrameTrace(records=(), clock=time_s))
+    delta, _ = send_secured_payload(session, bytes(10))
+    assert delta.to_jsonl() == reference_jsonl(delta)
+
+
+@pytest.fixture
+def built_records(monkeypatch):
+    """A list that grows by one for each TraceRecord the simulator builds."""
+    built = []
+
+    class Counted(TraceRecord):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pqpan.sim, "TraceRecord", Counted)
+    return built
+
+
+def test_trace_outputs_build_no_records_until_read(built_records):
+    r = run_handshake("ml-kem-1024", LinkConfig(att_mtu=23, ll_pdu=27), seed=17)
+    delta, _ = send_secured_payload(r, bytes(5000))
+    for trace in (r.trace, delta, r.trace + delta):
+        trace.to_jsonl()
+        trace.data_frame_count()
+        trace.ack_count("Write_CT")
+    assert built_records == []
+    assert len(delta.records) == len(built_records) > 0
+    assert delta.records is delta.records and len(built_records) == len(delta.records)
+
+
+def test_simulate_command_builds_no_records(built_records, tmp_path):
+    from pqpan.cli import main
+    argv = ["simulate", "--scheme", "ml-kem-768", "--att-mtu", "65", "--ll-pdu", "27",
+            "--payload", "1000", "--trace", str(tmp_path / "t.jsonl"),
+            "--ledger", str(tmp_path / "l.json")]
+    assert main(argv) == 0
+    assert built_records == []
+
+
+def test_joined_trace_is_the_concatenation():
+    r = run_handshake("ml-kem-512", CFG_DEFAULT, seed=18)
+    delta, _ = send_secured_payload(r, bytes(300))
+    joined = r.trace + delta
+    assert joined.records == r.trace.records + delta.records
+    assert joined.clock == delta.clock
+    assert joined.to_jsonl() == r.trace.to_jsonl() + delta.to_jsonl()
+    assert joined.data_frame_count() == r.trace.data_frame_count() + delta.data_frame_count()
+    assert joined.ack_count(OP_PAYLOAD) == delta.ack_count()
+    # The compact trace equals one built from its records, and hashes alike.
+    rebuilt = FrameTrace(records=joined.records, clock=joined.clock)
+    assert rebuilt == joined and hash(rebuilt) == hash(joined)
+    assert rebuilt.to_jsonl() == joined.to_jsonl()
+
+
+def test_traces_of_different_links_compare_unequal():
+    a = run_handshake("ml-kem-768", CFG_DEFAULT, seed=7).trace
+    # Same frames under one-slot accounting, so only the times differ.
+    b = run_handshake("ml-kem-768", LinkConfig(att_mtu=65, ll_pdu=27, ifs_slots=1), seed=7).trace
+    c = run_handshake("ml-kem-768", CFG_DLE, seed=7).trace
+    assert a != b and a != c and b != c
+    assert FrameTrace(records=a.records, clock=a.clock + 1e-6) != a
 
 
 def test_send_secured_payload_energy_and_frames():
@@ -241,11 +306,11 @@ def test_reassembler_short_artifact_is_handshake_failure():
 
 
 def test_backend_substitutability_frame_counts():
-    from pqpan import get_backend, lookup_scheme
-    if not get_backend("real").supports(lookup_scheme("ml-kem-768")):
+    try:
+        real = run_handshake("ml-kem-768", CFG_DEFAULT, seed=14, backend="real")
+    except UnsupportedScheme:
         pytest.skip("real backend unavailable")
     stub = run_handshake("ml-kem-768", CFG_DEFAULT, seed=14, backend="stub")
-    real = run_handshake("ml-kem-768", CFG_DEFAULT, seed=14, backend="real")
     assert stub.trace.data_frame_count() == real.trace.data_frame_count()
     assert stub.ledger.peripheral == real.ledger.peripheral
     assert real.peripheral.session_key.key == real.central.session_key.key
