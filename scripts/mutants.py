@@ -73,6 +73,15 @@ MUTANTS = {
     "comm_share unrounded": (
         "cli.py", 'body["comm_share"] = round(breakdown.comm_share, 4)',
         'body["comm_share"] = breakdown.comm_share'),
+    "value equality across classes": (
+        "errors.py", "if other.__class__ is self.__class__:", "if isinstance(other, Value):"),
+    "replace bypasses the constructor's checks": (
+        "errors.py", "return type(self)(*values)",
+        "new = object.__new__(type(self)); "
+        "[set_field(new, n, v) for n, v in zip(self._fields, values)]; return new"),
+    "value fields assignable": (
+        "errors.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+        "set_field(self, name, value)"),
 }
 
 

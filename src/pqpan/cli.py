@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 
 from .config import BACKENDS, ModelConfig, resolve_config
 from .energy import AEAD_OVERHEAD_BYTES, comm_energy, fit_radio_currents, pqke_total
@@ -91,7 +90,7 @@ def _round_tree(obj, ndigits=2):
 
 def cmd_estimate(args) -> int:
     cfg = _model_config(args)
-    link = replace(cfg.link, att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
+    link = cfg.link.replace(att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
     breakdown = pqke_total(args.scheme, link, cfg.profile, cfg.cycles, cfg.gamma,
                            include_encap=args.include_encap)
     out = {"scheme": lookup_scheme(args.scheme).name,
@@ -108,7 +107,7 @@ def _sweep_rows(cfg: ModelConfig, cells):
     rows = []
     for scheme_name, att, ll in cells:
         scheme = lookup_scheme(scheme_name)
-        link = replace(cfg.link, att_mtu=att, ll_pdu=ll)
+        link = cfg.link.replace(att_mtu=att, ll_pdu=ll)
         for op, artifact, as_receiver in scheme.transfers():
             budget = airtime(plan_transfer(artifact, link), link)
             e = comm_energy(budget, cfg.profile, as_receiver=as_receiver)
@@ -189,7 +188,7 @@ def cmd_simulate(args) -> int:
     from .sim import run_handshake, send_secured_payload  # only simulate loads sim and kem
 
     cfg = _model_config(args)
-    link = replace(cfg.link, att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
+    link = cfg.link.replace(att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
     backend = args.backend or cfg.kem_backend
     result = run_handshake(args.scheme, link, cfg.profile, cfg.gamma, cfg.cycles,
                            seed=args.seed, backend=backend)

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
 from pathlib import Path
 
 from .energy import CycleCounts, FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
-from .errors import InvalidConfig, _shown
+from .errors import InvalidConfig, Value, _shown, set_field
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig
 from .reference import CalibrationFactors, default_calibration, read_text
 
@@ -53,15 +53,18 @@ _REPORT_KEYS = ("profile", "provenance", "residuals", "max_abs_rel_err",
                 "mean_abs_rel_err", "candidates_max_abs_rel_err")
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Value):
     """Resolved modeling defaults for the CLI; each command sets ``link``'s att_mtu and ll_pdu."""
 
-    profile: RadioProfile
-    gamma: CalibrationFactors
-    cycles: dict[str, CycleCounts]
-    link: LinkConfig
-    kem_backend: str = "stub"
+    __slots__ = ("profile", "gamma", "cycles", "link", "kem_backend")
+
+    def __init__(self, profile: RadioProfile, gamma: CalibrationFactors,
+                 cycles: Mapping[str, CycleCounts], link: LinkConfig, kem_backend: str = "stub"):
+        set_field(self, "profile", profile)
+        set_field(self, "gamma", gamma)
+        set_field(self, "cycles", cycles)
+        set_field(self, "link", link)
+        set_field(self, "kem_backend", kem_backend)
 
 
 def _level(key: str, level) -> int:
@@ -103,7 +106,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if unknown:
         raise InvalidConfig(f"{path or 'config'}: unknown config keys {sorted(unknown)}")
 
-    profile = replace(FITTED_RADIO_PROFILE, **{k: data[k] for k in _PROFILE_KEYS if k in data})
+    profile = FITTED_RADIO_PROFILE.replace(**{k: data[k] for k in _PROFILE_KEYS if k in data})
     base = default_calibration()
     gamma = CalibrationFactors(
         gamma_keygen=_gamma_table(data, "gamma_keygen", base.gamma_keygen),
@@ -120,7 +123,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         # Relative to the config file; an absolute path replaces the prefix.
         cycles = load_cycle_counts(str((path.parent if path else Path()) / data["cycles_file"]))
 
-    kem_backend = data.get("kem_backend", ModelConfig.kem_backend)
+    kem_backend = data.get("kem_backend", "stub")
     if kem_backend not in BACKENDS:
         raise InvalidConfig(f"kem_backend must be one of {BACKENDS}, got {_shown(kem_backend)}")
     return ModelConfig(profile=profile, gamma=gamma, cycles=cycles, link=link,

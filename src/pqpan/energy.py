@@ -19,12 +19,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
-from .errors import (InvalidProfile, ParseError, SingularSystem, UnsupportedScheme,
-                     int_in_range, real_in_range)
+from .errors import (InvalidProfile, ParseError, SingularSystem, UnsupportedScheme, Value,
+                     int_in_range, real_in_range, set_field)
 from .link import LinkConfig, TimeBudget, airtime, plan_transfer
 from .reference import (CalibrationFactors, KemParamSet, default_calibration,
                         lookup_scheme, read_text)
@@ -48,22 +49,24 @@ F_MCU_MIN, F_MCU_MAX = 1e3, 1e10
 CYCLES_MAX = 10**12
 
 
-@dataclass(frozen=True)
-class RadioProfile:
-    """Supply voltage, radio-state currents (amperes), and MCU parameters."""
+class RadioProfile(Value):
+    """Supply voltage, radio-state currents (amperes), and MCU parameters.
+    Each is checked as a number in its range and kept as given."""
 
-    voltage: float
-    i_tx: float
-    i_rx: float
-    i_ifs: float
-    i_mcu: float
-    f_mcu: float = 64e6
+    __slots__ = ("voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu")
 
-    def __post_init__(self):
-        bounds = [("voltage", VOLTAGE_MIN, VOLTAGE_MAX), ("f_mcu", F_MCU_MIN, F_MCU_MAX)]
-        bounds += [(name, CURRENT_MIN, CURRENT_MAX) for name in ("i_tx", "i_rx", "i_ifs", "i_mcu")]
-        for name, lo, hi in bounds:
-            real_in_range(name, getattr(self, name), lo, hi, InvalidProfile)
+    def __init__(self, voltage: float, i_tx: float, i_rx: float, i_ifs: float, i_mcu: float,
+                 f_mcu: float = 64e6):
+        real_in_range("voltage", voltage, VOLTAGE_MIN, VOLTAGE_MAX, InvalidProfile)
+        real_in_range("f_mcu", f_mcu, F_MCU_MIN, F_MCU_MAX, InvalidProfile)
+        for name, current in (("i_tx", i_tx), ("i_rx", i_rx), ("i_ifs", i_ifs), ("i_mcu", i_mcu)):
+            real_in_range(name, current, CURRENT_MIN, CURRENT_MAX, InvalidProfile)
+        set_field(self, "voltage", voltage)
+        set_field(self, "i_tx", i_tx)
+        set_field(self, "i_rx", i_rx)
+        set_field(self, "i_ifs", i_ifs)
+        set_field(self, "i_mcu", i_mcu)
+        set_field(self, "f_mcu", f_mcu)
 
 
 # Recovered from the bundled reference table by fit_radio_currents with
@@ -78,22 +81,24 @@ FITTED_RADIO_PROFILE = RadioProfile(
 )
 
 
-@dataclass(frozen=True)
-class CycleCounts:
+class CycleCounts(Value):
     """MCU cycle counts for one scheme's KEM operations, integers in [0, CYCLES_MAX]."""
 
-    keygen: int
-    encap: int
-    decap: int
+    __slots__ = ("keygen", "encap", "decap")
 
-    def __post_init__(self):
-        for name in ("keygen", "encap", "decap"):
-            int_in_range(name, getattr(self, name), 0, CYCLES_MAX, InvalidProfile)
+    def __init__(self, keygen: int, encap: int, decap: int):
+        int_in_range("keygen", keygen, 0, CYCLES_MAX, InvalidProfile)
+        int_in_range("encap", encap, 0, CYCLES_MAX, InvalidProfile)
+        int_in_range("decap", decap, 0, CYCLES_MAX, InvalidProfile)
+        set_field(self, "keygen", keygen)
+        set_field(self, "encap", encap)
+        set_field(self, "decap", decap)
 
 
 @lru_cache(maxsize=8)
-def load_cycle_counts(path: str | None = None) -> dict[str, CycleCounts]:
-    """Load the cycle-count snapshot (bundled file by default).
+def load_cycle_counts(path: str | None = None) -> MappingProxyType[str, CycleCounts]:
+    """Load the cycle-count snapshot (bundled file by default), keyed by
+    upper-cased scheme name; the table is read-only, as every caller shares it.
 
     Lines starting with ``#`` are comments. Counts must increase strictly
     with security level within each operation.
@@ -124,11 +129,10 @@ def load_cycle_counts(path: str | None = None) -> dict[str, CycleCounts]:
         if not (lo.keygen < hi.keygen and lo.encap < hi.encap and lo.decap < hi.decap):
             raise ParseError("cycle counts must increase strictly with security level",
                              path=label)
-    return counts
+    return MappingProxyType(counts)
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(Value):
     """Per-phase handshake energies in microjoules, raw and calibrated.
 
     ``e_total`` sums the adjusted components (including encapsulation when
@@ -136,18 +140,26 @@ class EnergyBreakdown:
     total.
     """
 
-    e_keygen: float
-    e_decap: float
-    e_notify_pk: float
-    e_write_ct: float
-    adj_keygen: float
-    adj_decap: float
-    adj_notify_pk: float
-    adj_write_ct: float
-    e_total: float
-    comm_share: float
-    e_encap: float | None = None
-    adj_encap: float | None = None
+    __slots__ = ("e_keygen", "e_decap", "e_notify_pk", "e_write_ct", "adj_keygen", "adj_decap",
+                 "adj_notify_pk", "adj_write_ct", "e_total", "comm_share", "e_encap",
+                 "adj_encap")
+
+    def __init__(self, e_keygen: float, e_decap: float, e_notify_pk: float, e_write_ct: float,
+                 adj_keygen: float, adj_decap: float, adj_notify_pk: float, adj_write_ct: float,
+                 e_total: float, comm_share: float, e_encap: float | None = None,
+                 adj_encap: float | None = None):
+        set_field(self, "e_keygen", e_keygen)
+        set_field(self, "e_decap", e_decap)
+        set_field(self, "e_notify_pk", e_notify_pk)
+        set_field(self, "e_write_ct", e_write_ct)
+        set_field(self, "adj_keygen", adj_keygen)
+        set_field(self, "adj_decap", adj_decap)
+        set_field(self, "adj_notify_pk", adj_notify_pk)
+        set_field(self, "adj_write_ct", adj_write_ct)
+        set_field(self, "e_total", e_total)
+        set_field(self, "comm_share", comm_share)
+        set_field(self, "e_encap", e_encap)
+        set_field(self, "adj_encap", adj_encap)
 
     def as_dict(self) -> dict:
         d = {
@@ -197,7 +209,7 @@ def transfer_energy(budget: TimeBudget, profile: RadioProfile, gamma: Calibratio
 
 
 def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
-                     gamma: CalibrationFactors | None, cycles: dict[str, CycleCounts] | None):
+                     gamma: CalibrationFactors | None, cycles: Mapping[str, CycleCounts] | None):
     """(scheme, profile, gamma, the scheme's cycle counts), with defaults filled
     in. Raises UnsupportedScheme for a scheme without a handshake energy model."""
     if isinstance(scheme, str):
@@ -239,7 +251,7 @@ def handshake_breakdown(counts: CycleCounts, pk_budget: TimeBudget, ct_budget: T
 
 def pqke_total(scheme: KemParamSet | str, cfg: LinkConfig,
                profile: RadioProfile | None = None,
-               cycles: dict[str, CycleCounts] | None = None,
+               cycles: Mapping[str, CycleCounts] | None = None,
                gamma: CalibrationFactors | None = None,
                include_encap: bool = False) -> EnergyBreakdown:
     """Total handshake energy breakdown for one scheme and link config.
@@ -258,7 +270,7 @@ def pqke_total(scheme: KemParamSet | str, cfg: LinkConfig,
 def session_energy(security: str, payload: int, cfg: LinkConfig,
                    profile: RadioProfile | None = None,
                    gamma: CalibrationFactors | None = None,
-                   cycles: dict[str, CycleCounts] | None = None) -> float:
+                   cycles: Mapping[str, CycleCounts] | None = None) -> float:
     """Energy to establish a session and notify one payload, in microjoules.
 
     ``security`` selects the pairing mechanism: ``"none"`` (no pairing, raw
@@ -285,26 +297,35 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     return pairing + transfer
 
 
-@dataclass(frozen=True)
-class FitRowResidual:
-    scheme: str
-    att_mtu: int
-    ll_pdu: int
-    op: str
-    reference_uj: float
-    modeled_uj: float
-    rel_err: float
+class FitRowResidual(Value):
+    """One reference row against the fitted model."""
+
+    __slots__ = ("scheme", "att_mtu", "ll_pdu", "op", "reference_uj", "modeled_uj", "rel_err")
+
+    def __init__(self, scheme: str, att_mtu: int, ll_pdu: int, op: str, reference_uj: float,
+                 modeled_uj: float, rel_err: float):
+        set_field(self, "scheme", scheme)
+        set_field(self, "att_mtu", att_mtu)
+        set_field(self, "ll_pdu", ll_pdu)
+        set_field(self, "op", op)
+        set_field(self, "reference_uj", reference_uj)
+        set_field(self, "modeled_uj", modeled_uj)
+        set_field(self, "rel_err", rel_err)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Value):
     """Recovered radio currents plus the per-row residual report."""
 
-    profile: RadioProfile
-    ifs_slots: int
-    residuals: tuple[FitRowResidual, ...]
-    max_abs_rel_err: float
-    mean_abs_rel_err: float
+    __slots__ = ("profile", "ifs_slots", "residuals", "max_abs_rel_err", "mean_abs_rel_err")
+
+    def __init__(self, profile: RadioProfile, ifs_slots: int,
+                 residuals: tuple[FitRowResidual, ...], max_abs_rel_err: float,
+                 mean_abs_rel_err: float):
+        set_field(self, "profile", profile)
+        set_field(self, "ifs_slots", ifs_slots)
+        set_field(self, "residuals", residuals)
+        set_field(self, "max_abs_rel_err", max_abs_rel_err)
+        set_field(self, "mean_abs_rel_err", mean_abs_rel_err)
 
     def as_dict(self) -> dict:
         return {
@@ -446,8 +467,8 @@ def fit_radio_currents(rows, ifs_slots: int = 2) -> FitResult:
     errors = abs_rel(current)
     # RadioProfile requires currents of at least CURRENT_MIN; a table whose
     # gaps cost nothing fits i_ifs to zero.
-    profile = replace(FITTED_RADIO_PROFILE, i_tx=current[0], i_rx=current[1],
-                      i_ifs=max(current[2], CURRENT_MIN))
+    profile = FITTED_RADIO_PROFILE.replace(i_tx=current[0], i_rx=current[1],
+                                           i_ifs=max(current[2], CURRENT_MIN))
     return FitResult(profile=profile, ifs_slots=ifs_slots, residuals=residuals,
                      max_abs_rel_err=max(errors),
                      mean_abs_rel_err=math.fsum(errors) / len(errors))

@@ -1,10 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy, the range checks, and the base of the value types.
 
 Everything raised on purpose by this package derives from PqpanError so the
 CLI can map model/domain failures to a single exit code.
 """
 
 import operator
+
+#: How a value type's ``__init__`` stores a field past its refusing ``__setattr__``.
+set_field = object.__setattr__
 
 
 class PqpanError(Exception):
@@ -87,3 +90,56 @@ def real_in_range(name: str, value, lo: float, hi: float, error=InvalidConfig) -
     if (isinstance(value, float) or type(value) is int) and lo <= value <= hi:
         return float(value)
     raise error(f"{name} must be a finite number in [{lo}, {hi}], got {_shown(value)}")
+
+
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields, in order, as ``__slots__`` (plus ``"__dict__"``
+    if it caches properties), and its ``__init__`` takes them in that order,
+    checks them and stores each with :data:`set_field`. Instances compare
+    equal when their class and field values are, hash their field tuple, print
+    as ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
+    and copy through ``__init__``. A mutable subclass puts back
+    ``object.__setattr__`` and ``object.__delattr__`` and sets ``__hash__`` to None.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" in vars(cls):
+            cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A new instance with the named fields changed, checked by ``__init__``
+        as any new instance is."""
+        values = [changes.pop(name, value) for name, value in zip(self._fields, self._values())]
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {', '.join(changes)}")
+        return type(self)(*values)

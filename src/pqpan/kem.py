@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 
-from .errors import SizeMismatch, UnsupportedScheme, _shown
+from .errors import SizeMismatch, UnsupportedScheme, Value, _shown, set_field
 from .reference import KemParamSet, lookup_scheme
 
 SEED_BYTES = 32
@@ -29,22 +28,28 @@ SHARED_SECRET_BYTES = 32
 SESSION_KEY_CONTEXT = b"pqke-ble-v1"
 
 
-@dataclass(frozen=True)
-class KemKeyPair:
-    pk: bytes
-    sk: bytes
-    scheme: KemParamSet
+class KemKeyPair(Value):
+    __slots__ = ("pk", "sk", "scheme")
+
+    def __init__(self, pk: bytes, sk: bytes, scheme: KemParamSet):
+        set_field(self, "pk", pk)
+        set_field(self, "sk", sk)
+        set_field(self, "scheme", scheme)
 
 
-@dataclass(frozen=True)
-class Encapsulation:
-    ct: bytes
-    ss: bytes
+class Encapsulation(Value):
+    __slots__ = ("ct", "ss")
+
+    def __init__(self, ct: bytes, ss: bytes):
+        set_field(self, "ct", ct)
+        set_field(self, "ss", ss)
 
 
-@dataclass(frozen=True)
-class SessionKey:
-    key: bytes
+class SessionKey(Value):
+    __slots__ = ("key",)
+
+    def __init__(self, key: bytes):
+        set_field(self, "key", key)
 
 
 def _shake(label: bytes, data: bytes, n: int) -> bytes:

@@ -14,9 +14,7 @@ pure and operate on value types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import InvalidConfig, int_in_range, real_in_range
+from .errors import InvalidConfig, Value, int_in_range, real_in_range, set_field
 
 ATT_HEADER = 3
 L2CAP_HEADER = 4
@@ -33,8 +31,7 @@ IFS_MAX = 10e-3
 ARTIFACT_MAX = 1 << 20
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(Value):
     """Link parameters for one transfer, each within its modeled range;
     ``att_mtu``, ``ll_pdu`` and ``ifs_slots`` are integers.
 
@@ -43,19 +40,16 @@ class LinkConfig:
     gaps charged per data/ack exchange (2 = data, gap, ack, gap).
     """
 
-    att_mtu: int
-    ll_pdu: int
-    phy_rate: float = 1_000_000.0
-    ifs: float = 150e-6
-    ifs_slots: int = 2
+    __slots__ = ("att_mtu", "ll_pdu", "phy_rate", "ifs", "ifs_slots")
 
-    def __post_init__(self):
-        for check, name, lo, hi in (
-                (int_in_range, "att_mtu", ATT_MTU_MIN, ATT_MTU_MAX),
-                (int_in_range, "ll_pdu", LL_PDU_MIN, LL_PDU_MAX),
-                (real_in_range, "phy_rate", PHY_RATE_MIN, PHY_RATE_MAX),
-                (real_in_range, "ifs", 0.0, IFS_MAX), (int_in_range, "ifs_slots", 1, 2)):
-            object.__setattr__(self, name, check(name, getattr(self, name), lo, hi))
+    def __init__(self, att_mtu: int, ll_pdu: int, phy_rate: float = 1_000_000.0,
+                 ifs: float = 150e-6, ifs_slots: int = 2):
+        set_field(self, "att_mtu", int_in_range("att_mtu", att_mtu, ATT_MTU_MIN, ATT_MTU_MAX))
+        set_field(self, "ll_pdu", int_in_range("ll_pdu", ll_pdu, LL_PDU_MIN, LL_PDU_MAX))
+        set_field(self, "phy_rate",
+                  real_in_range("phy_rate", phy_rate, PHY_RATE_MIN, PHY_RATE_MAX))
+        set_field(self, "ifs", real_in_range("ifs", ifs, 0.0, IFS_MAX))
+        set_field(self, "ifs_slots", int_in_range("ifs_slots", ifs_slots, 1, 2))
 
     @property
     def att_chunk(self) -> int:
@@ -63,37 +57,41 @@ class LinkConfig:
         return self.att_mtu - ATT_HEADER
 
 
-@dataclass(frozen=True)
-class LinkFrame:
+class LinkFrame(Value):
     """A link-layer frame: data comes from the transfer's sender, acks from its receiver."""
 
-    payload_bytes: int
-    overhead_bytes: int = LL_OVERHEAD
-    is_ack: bool = False
+    __slots__ = ("payload_bytes", "overhead_bytes", "is_ack")
 
-    def __post_init__(self):
-        if self.is_ack and self.payload_bytes != 0:
+    def __init__(self, payload_bytes: int, overhead_bytes: int = LL_OVERHEAD,
+                 is_ack: bool = False):
+        if is_ack and payload_bytes != 0:
             raise InvalidConfig("ack frames carry no payload")
-        if self.payload_bytes < 0:
+        if payload_bytes < 0:
             raise InvalidConfig("payload_bytes must be non-negative")
+        set_field(self, "payload_bytes", payload_bytes)
+        set_field(self, "overhead_bytes", overhead_bytes)
+        set_field(self, "is_ack", is_ack)
 
     @property
     def on_air_bytes(self) -> int:
         return self.payload_bytes + self.overhead_bytes
 
 
-@dataclass(frozen=True)
-class FragmentationPlan:
+class FragmentationPlan(Value):
     """Ordered frame sequence for one artifact transfer.
 
     ``att_chunks`` records the value bytes carried by each ATT PDU, in order,
     so the artifact can be reconstructed chunk by chunk.
     """
 
-    frames: tuple[LinkFrame, ...]
-    att_pdu_count: int
-    ll_data_pdu_count: int
-    att_chunks: tuple[int, ...] = field(default=())
+    __slots__ = ("frames", "att_pdu_count", "ll_data_pdu_count", "att_chunks")
+
+    def __init__(self, frames: tuple[LinkFrame, ...], att_pdu_count: int,
+                 ll_data_pdu_count: int, att_chunks: tuple[int, ...] = ()):
+        set_field(self, "frames", frames)
+        set_field(self, "att_pdu_count", att_pdu_count)
+        set_field(self, "ll_data_pdu_count", ll_data_pdu_count)
+        set_field(self, "att_chunks", att_chunks)
 
     @property
     def ack_count(self) -> int:
@@ -103,17 +101,19 @@ class FragmentationPlan:
         return tuple(f for f in self.frames if not f.is_ack)
 
 
-@dataclass(frozen=True)
-class TimeBudget:
+class TimeBudget(Value):
     """Sender-side radio-on times for one plan, in seconds.
 
     ``t_tx`` covers data frames, ``t_rx`` the returning acks, ``t_ifs`` the
     cumulative inter-frame spacing.
     """
 
-    t_tx: float
-    t_rx: float
-    t_ifs: float
+    __slots__ = ("t_tx", "t_rx", "t_ifs")
+
+    def __init__(self, t_tx: float, t_rx: float, t_ifs: float):
+        set_field(self, "t_tx", t_tx)
+        set_field(self, "t_rx", t_rx)
+        set_field(self, "t_ifs", t_ifs)
 
 
 def plan_counts(artifact_size: int, cfg: LinkConfig) -> tuple[int, int]:

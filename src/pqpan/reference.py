@@ -9,8 +9,9 @@ Three data sets ship with the package:
   across ATT MTU / LL PDU configurations and ML-KEM parameter sets).
 * default calibration factors aligning analytical energy with measurement.
 
-All loaders return immutable values; loaded tables are safe to share
-read-only across threads.
+All loaders return immutable values: rows are tuples and keyed tables are
+read-only mappings, so the cached ones are safe to share across callers and
+threads.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
-from .errors import ConsistencyError, ParseError, UnknownScheme, real_in_range
+from .errors import ConsistencyError, ParseError, UnknownScheme, Value, real_in_range, set_field
 
 OP_NOTIFY_PK = "Notify_PK"
 OP_WRITE_CT = "Write_CT"
@@ -42,46 +43,50 @@ GAMMA_MAX = 10.0
 DELTA_TOLERANCE = 1e-3
 
 
-@dataclass(frozen=True)
-class KemParamSet:
+class KemParamSet(Value):
     """Named key-encapsulation scheme with its artifact byte sizes."""
 
-    name: str
-    pk_size: int
-    sk_size: int
-    ct_size: int
-    nist_level: int | None = None
+    __slots__ = ("name", "pk_size", "sk_size", "ct_size", "nist_level")
 
-    def __post_init__(self):
-        for field in ("pk_size", "sk_size", "ct_size"):
-            if getattr(self, field) <= 0:
-                raise ConsistencyError(f"{self.name}: {field} must be positive")
-        if self.nist_level is not None and self.nist_level not in SECURITY_LEVELS:
-            raise ConsistencyError(f"{self.name}: level must be 1, 3, or 5")
+    def __init__(self, name: str, pk_size: int, sk_size: int, ct_size: int,
+                 nist_level: int | None = None):
+        for field, size in (("pk_size", pk_size), ("sk_size", sk_size), ("ct_size", ct_size)):
+            if size <= 0:
+                raise ConsistencyError(f"{name}: {field} must be positive")
+        if nist_level is not None and nist_level not in SECURITY_LEVELS:
+            raise ConsistencyError(f"{name}: level must be 1, 3, or 5")
+        set_field(self, "name", name)
+        set_field(self, "pk_size", pk_size)
+        set_field(self, "sk_size", sk_size)
+        set_field(self, "ct_size", ct_size)
+        set_field(self, "nist_level", nist_level)
 
     def transfers(self) -> tuple[tuple[str, int, bool], ...]:
         """The handshake's transfers in order: (op, artifact size, peripheral receives)."""
         return ((OP_NOTIFY_PK, self.pk_size, False), (OP_WRITE_CT, self.ct_size, True))
 
 
-@dataclass(frozen=True)
-class ReferenceEnergyRow:
-    """One cell of the communication-energy reference table."""
+class ReferenceEnergyRow(Value):
+    """One cell of the communication-energy reference table; ``delta`` is
+    (e_emp - e_theor) / e_emp, as a fraction."""
 
-    scheme: str
-    att_mtu: int
-    ll_pdu: int
-    op: str
-    e_theor_uj: float
-    e_emp_uj: float
-    delta: float  # (e_emp - e_theor) / e_emp, as a fraction
+    __slots__ = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uj", "e_emp_uj", "delta")
+
+    def __init__(self, scheme: str, att_mtu: int, ll_pdu: int, op: str, e_theor_uj: float,
+                 e_emp_uj: float, delta: float):
+        set_field(self, "scheme", scheme)
+        set_field(self, "att_mtu", att_mtu)
+        set_field(self, "ll_pdu", ll_pdu)
+        set_field(self, "op", op)
+        set_field(self, "e_theor_uj", e_theor_uj)
+        set_field(self, "e_emp_uj", e_emp_uj)
+        set_field(self, "delta", delta)
 
     def derived_delta(self) -> float:
         return (self.e_emp_uj - self.e_theor_uj) / self.e_emp_uj
 
 
-@dataclass(frozen=True)
-class CalibrationFactors:
+class CalibrationFactors(Value):
     """Multiplicative corrections applied to theoretical energies.
 
     ``gamma_keygen``/``gamma_decap`` map a NIST security level to the factor
@@ -90,18 +95,19 @@ class CalibrationFactors:
     each table is a dict that covers every security level.
     """
 
-    gamma_keygen: dict[int, float]
-    gamma_decap: dict[int, float]
-    gamma_comm: float
+    __slots__ = ("gamma_keygen", "gamma_decap", "gamma_comm")
 
-    def __post_init__(self):
-        for name in ("gamma_keygen", "gamma_decap"):
-            table = getattr(self, name)
+    def __init__(self, gamma_keygen: dict[int, float], gamma_decap: dict[int, float],
+                 gamma_comm: float):
+        for name, table in (("gamma_keygen", gamma_keygen), ("gamma_decap", gamma_decap)):
             if not (isinstance(table, dict) and set(SECURITY_LEVELS) <= set(table)):
                 raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
             for factor in table.values():
                 real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
-        real_in_range("gamma_comm", self.gamma_comm, 1.0, GAMMA_MAX, ConsistencyError)
+        real_in_range("gamma_comm", gamma_comm, 1.0, GAMMA_MAX, ConsistencyError)
+        set_field(self, "gamma_keygen", gamma_keygen)
+        set_field(self, "gamma_decap", gamma_decap)
+        set_field(self, "gamma_comm", gamma_comm)
 
 
 def default_calibration() -> CalibrationFactors:
@@ -154,8 +160,9 @@ def _float_field(raw: str, *, path: str, row: int, column: str) -> float:
 
 
 @lru_cache(maxsize=1)
-def load_schemes() -> dict[str, KemParamSet]:
-    """Parse the bundled scheme-size table, keyed by upper-cased name."""
+def load_schemes() -> MappingProxyType[str, KemParamSet]:
+    """Parse the bundled scheme-size table, keyed by upper-cased name; the
+    table is read-only, as every caller shares it."""
     path = "schemes.csv"
     text = _bundled(path).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
@@ -171,7 +178,7 @@ def load_schemes() -> dict[str, KemParamSet]:
             if level_raw else None,
         )
         schemes[scheme.name.upper()] = scheme
-    return schemes
+    return MappingProxyType(schemes)
 
 
 def lookup_scheme(name: str) -> KemParamSet:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain
 from math import isfinite
@@ -34,7 +34,7 @@ from math import isfinite
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
-from .errors import HandshakeFailure, NotEstablished, int_in_range
+from .errors import HandshakeFailure, NotEstablished, Value, int_in_range, set_field
 from .link import LinkConfig, airtime, plan_transfer
 from .reference import CalibrationFactors, KemParamSet
 
@@ -52,26 +52,39 @@ class Phase(enum.Enum):
     ESTABLISHED = "Established"
 
 
-@dataclass
-class PartyState:
-    role: Role
-    scheme: KemParamSet
-    phase: Phase = Phase.IDLE
-    keypair: kem.KemKeyPair | None = None
-    peer_pk: bytes | None = None
-    session_key: kem.SessionKey | None = None
+class PartyState(Value):
+    """One party's protocol state, which the simulator fills in as the
+    handshake runs, so it is mutable and unhashable."""
+
+    __slots__ = ("role", "scheme", "phase", "keypair", "peer_pk", "session_key")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, role: Role, scheme: KemParamSet, phase: Phase = Phase.IDLE,
+                 keypair: kem.KemKeyPair | None = None, peer_pk: bytes | None = None,
+                 session_key: kem.SessionKey | None = None):
+        self.role = role
+        self.scheme = scheme
+        self.phase = phase
+        self.keypair = keypair
+        self.peer_pk = peer_pk
+        self.session_key = session_key
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Value):
     """One frame on the air: start time, sender, link frame, carried op."""
 
-    time_s: float
-    sender: Role
-    payload_bytes: int
-    overhead_bytes: int
-    is_ack: bool
-    op: str
+    __slots__ = ("time_s", "sender", "payload_bytes", "overhead_bytes", "is_ack", "op")
+
+    def __init__(self, time_s: float, sender: Role, payload_bytes: int, overhead_bytes: int,
+                 is_ack: bool, op: str):
+        set_field(self, "time_s", time_s)
+        set_field(self, "sender", sender)
+        set_field(self, "payload_bytes", payload_bytes)
+        set_field(self, "overhead_bytes", overhead_bytes)
+        set_field(self, "is_ack", is_ack)
+        set_field(self, "op", op)
 
     def as_dict(self) -> dict:
         return {"time_us": self.time_s * 1e6,
@@ -80,22 +93,25 @@ class TraceRecord:
                 "op": self.op, "is_ack": self.is_ack}
 
 
-@dataclass(frozen=True)
-class _Transfer:
+class _Transfer(Value):
     """One transfer's frames, held compactly: ``frames`` has one step per frame,
     (sender, payload B, overhead B, is_ack, airtime, gap), and frames that are
     alike share one step tuple. The first frame starts at ``start``, and
     ``clock`` is the time after the last frame and its gap."""
 
-    op: str
-    start: float
-    frames: tuple[tuple[Role, int, int, bool, float, float], ...]
-    clock: float = field(init=False)
+    __slots__ = ("op", "start", "frames", "clock")
 
-    def __post_init__(self):
+    def __init__(self, op: str, start: float,
+                 frames: tuple[tuple[Role, int, int, bool, float, float], ...]):
+        set_field(self, "op", op)
+        set_field(self, "start", start)
+        set_field(self, "frames", frames)
         for clock in self.times():
             pass
-        object.__setattr__(self, "clock", clock)
+        set_field(self, "clock", clock)
+
+    def __reduce__(self):  # clock is not an argument: __init__ computes it
+        return _Transfer, (self.op, self.start, self.frames)
 
     def times(self):
         """Each frame's start time, then the clock after the last frame: each
@@ -115,8 +131,7 @@ class _Transfer:
         return [TraceRecord(t, *step[:4], self.op) for t, step in zip(self.times(), self.frames)]
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class FrameTrace:
+class FrameTrace(Value):
     """Timestamped frames; ``clock`` is the virtual time after the last
     frame and its trailing gap, where the next transfer starts.
 
@@ -126,12 +141,11 @@ class FrameTrace:
     then ``b``'s, ending at ``b``'s clock.
     """
 
-    _parts: tuple[TraceRecord | _Transfer, ...]
-    clock: float
+    __slots__ = ("_parts", "clock", "__dict__")  # the dict holds the cached records
 
     def __init__(self, records=(), clock: float = 0.0):
-        object.__setattr__(self, "_parts", tuple(records))
-        object.__setattr__(self, "clock", clock)
+        set_field(self, "_parts", tuple(records))
+        set_field(self, "clock", clock)
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
@@ -199,14 +213,21 @@ class FrameTrace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class EnergyLedger:
+class EnergyLedger(Value):
     """Calibrated per-phase microjoules of each party. The peripheral's terms
     come from :func:`~pqpan.energy.handshake_breakdown`; the central's are the
-    mirrored transfers and its uncalibrated encapsulation."""
+    mirrored transfers and its uncalibrated encapsulation. Mutable and
+    unhashable, as its tables are."""
 
-    peripheral: dict[str, float] = field(default_factory=dict)
-    central: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("peripheral", "central")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, peripheral: dict[str, float] | None = None,
+                 central: dict[str, float] | None = None):
+        self.peripheral = {} if peripheral is None else peripheral
+        self.central = {} if central is None else central
 
     def peripheral_pqke_total(self) -> float:
         return (self.peripheral["keygen"] + self.peripheral["decap"]
@@ -218,15 +239,19 @@ class EnergyLedger:
                 "peripheral_pqke_total_uJ": self.peripheral_pqke_total()}
 
 
-@dataclass(frozen=True)
-class HandshakeResult:
-    peripheral: PartyState
-    central: PartyState
-    trace: FrameTrace
-    ledger: EnergyLedger
-    cfg: LinkConfig
-    profile: RadioProfile
-    gamma: CalibrationFactors
+class HandshakeResult(Value):
+    __slots__ = ("peripheral", "central", "trace", "ledger", "cfg", "profile", "gamma")
+
+    def __init__(self, peripheral: PartyState, central: PartyState, trace: FrameTrace,
+                 ledger: EnergyLedger, cfg: LinkConfig, profile: RadioProfile,
+                 gamma: CalibrationFactors):
+        set_field(self, "peripheral", peripheral)
+        set_field(self, "central", central)
+        set_field(self, "trace", trace)
+        set_field(self, "ledger", ledger)
+        set_field(self, "cfg", cfg)
+        set_field(self, "profile", profile)
+        set_field(self, "gamma", gamma)
 
 
 class Reassembler:
@@ -290,7 +315,7 @@ def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig,
 def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
                   profile: RadioProfile | None = None,
                   gamma: CalibrationFactors | None = None,
-                  cycles: dict[str, CycleCounts] | None = None,
+                  cycles: Mapping[str, CycleCounts] | None = None,
                   seed: int | bytes = 0, backend: str = "stub") -> HandshakeResult:
     """Run the full handshake; all randomness is fixed by ``seed``: ``bytes``,
     or an integer in [SEED_MIN, SEED_MAX].

@@ -10,7 +10,6 @@ path must agree with the table and refuse a value only with a PqpanError.
 import contextlib
 import io
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -90,13 +89,13 @@ def _params(cases):
 def _through_type(key, value):
     """The value as stored by the value type that ``key`` sets."""
     if key in PROFILE:
-        return getattr(replace(FITTED_RADIO_PROFILE, **{key: value}), key)
+        return getattr(FITTED_RADIO_PROFILE.replace(**{key: value}), key)
     if key in LINK:
         return getattr(LinkConfig(**{"att_mtu": 65, "ll_pdu": 27, key: value}), key)
     if key == "gamma_comm":
-        return replace(default_calibration(), gamma_comm=value).gamma_comm
+        return default_calibration().replace(gamma_comm=value).gamma_comm
     if key in GAMMA:
-        return getattr(replace(default_calibration(), **{key: dict.fromkeys((1, 3, 5), value)}),
+        return getattr(default_calibration().replace(**{key: dict.fromkeys((1, 3, 5), value)}),
                        key)[3]
     if key in COUNTS:
         return getattr(CycleCounts(**{**dict.fromkeys(COUNTS, 1), key: value}), key)

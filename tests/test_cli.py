@@ -410,8 +410,8 @@ def _loaded_after(argv):
     probe = (
         "import json, sys, pqpan.cli\n"
         "assert pqpan.cli.main(json.loads(sys.argv[1])) == 0\n"
-        "print(json.dumps(sorted(m for m in ('numpy', 'scipy', 'pqpan.sim', 'pqpan.kem')\n"
-        "                        if m in sys.modules)))\n")
+        "print(json.dumps(sorted(m for m in ('numpy', 'scipy', 'pqpan.sim', 'pqpan.kem',\n"
+        "                                    'dataclasses') if m in sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -421,7 +421,8 @@ def _loaded_after(argv):
 def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
     # pqpan has no runtime dependencies: no command loads numpy or scipy,
     # the fit included. Each command loads only the layers it runs, so only
-    # simulate loads the simulator and the KEM code.
+    # simulate loads the simulator and the KEM code. The value types are
+    # plain classes, so no command loads dataclasses either.
     out = str(tmp_path) + "/"
     link = ["--scheme", "ml-kem-768", "--att-mtu", "65", "--ll-pdu", "27"]
     assert _loaded_after(["estimate", *link]) == []

@@ -1,15 +1,13 @@
-import dataclasses
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqpan import (CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
-                   InvalidProfile, LinkConfig, ParseError, RadioProfile, SingularSystem,
-                   TimeBudget, UnknownScheme, UnsupportedScheme, airtime,
+                   InvalidProfile, KemParamSet, LinkConfig, ParseError, RadioProfile,
+                   SingularSystem, TimeBudget, UnknownScheme, UnsupportedScheme, airtime,
                    comm_energy, comp_energy, default_calibration,
                    fit_radio_currents, identity_calibration, load_cycle_counts,
-                   lookup_scheme, plan_transfer, pqke_total, session_energy)
+                   load_schemes, lookup_scheme, plan_transfer, pqke_total, session_energy)
 from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _design_matrix, _dot,
                           _least_squares)
 from pqpan.link import ARTIFACT_MAX
@@ -164,8 +162,7 @@ def test_argmin_invariant_under_voltage_scaling():
         return min(totals, key=totals.get), totals
 
     base_best, base_totals = best_config(FITTED_RADIO_PROFILE)
-    scaled_profile = dataclasses.replace(FITTED_RADIO_PROFILE,
-                                         voltage=FITTED_RADIO_PROFILE.voltage * 2.5)
+    scaled_profile = FITTED_RADIO_PROFILE.replace(voltage=FITTED_RADIO_PROFILE.voltage * 2.5)
     scaled_best, scaled_totals = best_config(scaled_profile)
     assert scaled_best == base_best
     for key in base_totals:
@@ -179,6 +176,20 @@ def test_cycle_counts_increase_with_level():
         assert lo.keygen < hi.keygen
         assert lo.encap < hi.encap
         assert lo.decap < hi.decap
+
+
+def test_cached_tables_are_read_only():
+    # Both loaders are cached, so a write to one caller's table would reach
+    # every later caller.
+    cfg = LinkConfig(att_mtu=65, ll_pdu=27)
+    before = pqke_total("ml-kem-512", cfg)
+    with pytest.raises(TypeError):
+        load_cycle_counts()["ML-KEM-512"] = CycleCounts(1, 1, 1)
+    with pytest.raises(TypeError):
+        load_schemes()["ML-KEM-512"] = KemParamSet("ML-KEM-512", 1, 1, 1, 1)
+    with pytest.raises(TypeError):
+        del load_schemes()["ML-KEM-512"]
+    assert pqke_total("ml-kem-512", cfg) == before
 
 
 @pytest.mark.parametrize("column", [1, 2, 3], ids=["keygen", "encaps", "decaps"])

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter, defaultdict
 
@@ -157,7 +156,7 @@ def test_to_jsonl_formats_any_float_like_json(time_s):
     assert FrameTrace(records=()).to_jsonl() == reference_jsonl(FrameTrace(records=()))
     # A payload sent on a session whose clock stands at time_s.
     session = run_handshake("ml-kem-512", CFG_DLE, seed=19)
-    session = dataclasses.replace(session, trace=FrameTrace(records=(), clock=time_s))
+    session = session.replace(trace=FrameTrace(records=(), clock=time_s))
     delta, _ = send_secured_payload(session, bytes(10))
     assert delta.to_jsonl() == reference_jsonl(delta)
 

@@ -1,0 +1,289 @@
+"""The contract every value type keeps: its ``repr``, equality and hash by
+field values within one class, immutability (``PartyState`` and
+``EnergyLedger`` are the mutable exceptions), ``pickle``/``copy``/
+``deepcopy`` round trips, and ``replace``, which checks the new values as
+the constructor does.
+
+Each expected ``repr`` below is the string the types printed when they were
+frozen dataclasses, so the wide-grid digests of ``EnergyBreakdown`` and any
+caller that logs a value keep the same text.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from pqpan import (CalibrationFactors, ConsistencyError, CycleCounts, Encapsulation,
+                   EnergyBreakdown, EnergyLedger, FitResult, FragmentationPlan, FrameTrace,
+                   HandshakeResult, InvalidConfig, InvalidProfile, KemKeyPair, KemParamSet,
+                   LinkConfig, LinkFrame, ModelConfig, PartyState, Phase, RadioProfile,
+                   ReferenceEnergyRow, Role, SessionKey, TimeBudget, run_handshake,
+                   send_secured_payload)
+from pqpan.energy import FitRowResidual
+from pqpan.sim import TraceRecord
+
+
+def _scheme():
+    return KemParamSet(name="ML-KEM-512", pk_size=800, sk_size=1632, ct_size=768, nist_level=1)
+
+
+def _profile():
+    return RadioProfile(voltage=3.0, i_tx=6e-3, i_rx=5e-3, i_ifs=3e-3, i_mcu=3e-3, f_mcu=64e6)
+
+
+def _gamma():
+    return CalibrationFactors(gamma_keygen={1: 1.27, 3: 1.38, 5: 1.62},
+                              gamma_decap={1: 1.12, 3: 1.19, 5: 1.32}, gamma_comm=1.15)
+
+
+def _residual():
+    return FitRowResidual(scheme="ML-KEM-512", att_mtu=65, ll_pdu=27, op="Notify_PK",
+                          reference_uj=100.0, modeled_uj=101.0, rel_err=0.01)
+
+
+def _record():
+    return TraceRecord(time_s=1e-3, sender=Role.CENTRAL, payload_bytes=0, overhead_bytes=10,
+                       is_ack=True, op="Payload")
+
+
+#: type -> keyword arguments of one instance, built afresh on each call.
+KWARGS = {
+    LinkConfig: lambda: dict(att_mtu=65, ll_pdu=27, phy_rate=2_000_000, ifs=150e-6,
+                             ifs_slots=1),
+    LinkFrame: lambda: dict(payload_bytes=27, overhead_bytes=10, is_ack=False),
+    FragmentationPlan: lambda: dict(frames=(LinkFrame(27), LinkFrame(0, is_ack=True)),
+                                    att_pdu_count=1, ll_data_pdu_count=1, att_chunks=(20,)),
+    TimeBudget: lambda: dict(t_tx=1e-3, t_rx=2.5e-4, t_ifs=3e-4),
+    KemParamSet: lambda: dict(name="ML-KEM-512", pk_size=800, sk_size=1632, ct_size=768,
+                              nist_level=1),
+    ReferenceEnergyRow: lambda: dict(scheme="ML-KEM-512", att_mtu=65, ll_pdu=27, op="Write_CT",
+                                     e_theor_uj=100.0, e_emp_uj=110.0, delta=0.0909),
+    CalibrationFactors: lambda: dict(gamma_keygen={1: 1.27, 3: 1.38, 5: 1.62},
+                                     gamma_decap={1: 1.12, 3: 1.19, 5: 1.32}, gamma_comm=1.15),
+    KemKeyPair: lambda: dict(pk=b"pk", sk=b"sk", scheme=_scheme()),
+    Encapsulation: lambda: dict(ct=b"ct", ss=b"ss"),
+    SessionKey: lambda: dict(key=b"key"),
+    RadioProfile: lambda: dict(voltage=3, i_tx=6e-3, i_rx=5e-3, i_ifs=3e-3, i_mcu=3e-3,
+                               f_mcu=64e6),
+    CycleCounts: lambda: dict(keygen=1, encap=2, decap=3),
+    EnergyBreakdown: lambda: dict(e_keygen=1.0, e_decap=2.0, e_notify_pk=3.0, e_write_ct=4.0,
+                                  adj_keygen=1.5, adj_decap=2.5, adj_notify_pk=3.5,
+                                  adj_write_ct=4.5, e_total=12.5, comm_share=0.64,
+                                  e_encap=0.5, adj_encap=0.5),
+    FitRowResidual: lambda: dict(scheme="ML-KEM-512", att_mtu=65, ll_pdu=27, op="Notify_PK",
+                                 reference_uj=100.0, modeled_uj=101.0, rel_err=0.01),
+    FitResult: lambda: dict(profile=_profile(), ifs_slots=2, residuals=(_residual(),),
+                            max_abs_rel_err=0.01, mean_abs_rel_err=0.01),
+    TraceRecord: lambda: dict(time_s=1e-3, sender=Role.CENTRAL, payload_bytes=0,
+                              overhead_bytes=10, is_ack=True, op="Payload"),
+    FrameTrace: lambda: dict(records=(_record(),), clock=2e-3),
+    PartyState: lambda: dict(role=Role.PERIPHERAL, scheme=_scheme(), phase=Phase.ESTABLISHED,
+                             keypair=KemKeyPair(b"pk", b"sk", _scheme()), peer_pk=None,
+                             session_key=SessionKey(b"key")),
+    EnergyLedger: lambda: dict(peripheral={"keygen": 1.0}, central={"encap": 2.0}),
+    HandshakeResult: lambda: dict(peripheral=PartyState(Role.PERIPHERAL, _scheme()),
+                                  central=PartyState(Role.CENTRAL, _scheme()),
+                                  trace=FrameTrace(records=(), clock=0.0),
+                                  ledger=EnergyLedger(), cfg=LinkConfig(65, 27),
+                                  profile=_profile(), gamma=_gamma()),
+    ModelConfig: lambda: dict(profile=_profile(), gamma=_gamma(),
+                              cycles={"ML-KEM-512": CycleCounts(1, 2, 3)},
+                              link=LinkConfig(23, 27), kem_backend="real"),
+}
+
+_SCHEME_REPR = ("KemParamSet(name='ML-KEM-512', pk_size=800, sk_size=1632, ct_size=768, "
+                "nist_level=1)")
+_PROFILE_REPR = ("RadioProfile(voltage=3.0, i_tx=0.006, i_rx=0.005, i_ifs=0.003, i_mcu=0.003, "
+                 "f_mcu=64000000.0)")
+_GAMMA_REPR = ("CalibrationFactors(gamma_keygen={1: 1.27, 3: 1.38, 5: 1.62}, "
+               "gamma_decap={1: 1.12, 3: 1.19, 5: 1.32}, gamma_comm=1.15)")
+_RECORD_REPR = ("TraceRecord(time_s=0.001, sender=<Role.CENTRAL: 'central'>, payload_bytes=0, "
+                "overhead_bytes=10, is_ack=True, op='Payload')")
+
+_LINK_REPR = "LinkConfig(att_mtu={}, ll_pdu=27, phy_rate=1000000.0, ifs=0.00015, ifs_slots=2)"
+_RESIDUAL_REPR = ("FitRowResidual(scheme='ML-KEM-512', att_mtu=65, ll_pdu=27, op='Notify_PK', "
+                  "reference_uj=100.0, modeled_uj=101.0, rel_err=0.01)")
+_PARTY_REPR = ("PartyState(role=<Role.{}: '{}'>, scheme=" + _SCHEME_REPR
+               + ", phase=<Phase.IDLE: 'Idle'>, keypair=None, peer_pk=None, session_key=None)")
+
+REPRS = {
+    # An int phy_rate is stored as a float; an int voltage is kept as given.
+    LinkConfig: ("LinkConfig(att_mtu=65, ll_pdu=27, phy_rate=2000000.0, ifs=0.00015, "
+                 "ifs_slots=1)"),
+    LinkFrame: "LinkFrame(payload_bytes=27, overhead_bytes=10, is_ack=False)",
+    FragmentationPlan: (
+        "FragmentationPlan(frames=(LinkFrame(payload_bytes=27, overhead_bytes=10, is_ack=False), "
+        "LinkFrame(payload_bytes=0, overhead_bytes=10, is_ack=True)), att_pdu_count=1, "
+        "ll_data_pdu_count=1, att_chunks=(20,))"),
+    TimeBudget: "TimeBudget(t_tx=0.001, t_rx=0.00025, t_ifs=0.0003)",
+    KemParamSet: _SCHEME_REPR,
+    ReferenceEnergyRow: ("ReferenceEnergyRow(scheme='ML-KEM-512', att_mtu=65, ll_pdu=27, "
+                         "op='Write_CT', e_theor_uj=100.0, e_emp_uj=110.0, delta=0.0909)"),
+    CalibrationFactors: _GAMMA_REPR,
+    KemKeyPair: f"KemKeyPair(pk=b'pk', sk=b'sk', scheme={_SCHEME_REPR})",
+    Encapsulation: "Encapsulation(ct=b'ct', ss=b'ss')",
+    SessionKey: "SessionKey(key=b'key')",
+    RadioProfile: ("RadioProfile(voltage=3, i_tx=0.006, i_rx=0.005, i_ifs=0.003, i_mcu=0.003, "
+                   "f_mcu=64000000.0)"),
+    CycleCounts: "CycleCounts(keygen=1, encap=2, decap=3)",
+    EnergyBreakdown: (
+        "EnergyBreakdown(e_keygen=1.0, e_decap=2.0, e_notify_pk=3.0, e_write_ct=4.0, "
+        "adj_keygen=1.5, adj_decap=2.5, adj_notify_pk=3.5, adj_write_ct=4.5, e_total=12.5, "
+        "comm_share=0.64, e_encap=0.5, adj_encap=0.5)"),
+    FitRowResidual: _RESIDUAL_REPR,
+    FitResult: (f"FitResult(profile={_PROFILE_REPR}, ifs_slots=2, residuals=({_RESIDUAL_REPR},), "
+                "max_abs_rel_err=0.01, mean_abs_rel_err=0.01)"),
+    TraceRecord: _RECORD_REPR,
+    FrameTrace: f"FrameTrace(_parts=({_RECORD_REPR},), clock=0.002)",
+    PartyState: (
+        f"PartyState(role=<Role.PERIPHERAL: 'peripheral'>, scheme={_SCHEME_REPR}, "
+        f"phase=<Phase.ESTABLISHED: 'Established'>, keypair=KemKeyPair(pk=b'pk', sk=b'sk', "
+        f"scheme={_SCHEME_REPR}), peer_pk=None, session_key=SessionKey(key=b'key'))"),
+    EnergyLedger: "EnergyLedger(peripheral={'keygen': 1.0}, central={'encap': 2.0})",
+    HandshakeResult: (
+        f"HandshakeResult(peripheral={_PARTY_REPR.format('PERIPHERAL', 'peripheral')}, "
+        f"central={_PARTY_REPR.format('CENTRAL', 'central')}, "
+        "trace=FrameTrace(_parts=(), clock=0.0), ledger=EnergyLedger(peripheral={}, central={}), "
+        f"cfg={_LINK_REPR.format(65)}, profile={_PROFILE_REPR}, gamma={_GAMMA_REPR})"),
+    ModelConfig: (
+        f"ModelConfig(profile={_PROFILE_REPR}, gamma={_GAMMA_REPR}, "
+        "cycles={'ML-KEM-512': CycleCounts(keygen=1, encap=2, decap=3)}, "
+        f"link={_LINK_REPR.format(23)}, kem_backend='real')"),
+}
+
+#: A payload trace as the simulator stores it: one transfer, four frames.
+PAYLOAD_TRACE_REPR = (
+    "FrameTrace(_parts=(_Transfer(op='Payload', start=0.04941999999999978, frames=("
+    "(<Role.PERIPHERAL: 'peripheral'>, 27, 10, False, 0.000296, 0.00015), "
+    "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015), "
+    "(<Role.PERIPHERAL: 'peripheral'>, 8, 10, False, 0.000144, 0.00015), "
+    "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015)), "
+    "clock=0.050619999999999755),), clock=0.050619999999999755)")
+
+MUTABLE = (PartyState, EnergyLedger)
+#: Types whose hash fails, as a frozen dataclass's did, because a field is a
+#: dict or a mutable value.
+UNHASHABLE = (CalibrationFactors, PartyState, EnergyLedger, HandshakeResult, ModelConfig)
+
+TYPES = pytest.mark.parametrize("cls", list(KWARGS), ids=lambda cls: cls.__name__)
+CLONES = pytest.mark.parametrize(
+    "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"])
+
+
+def _new(cls):
+    """An instance of ``cls``; each call builds its fields afresh."""
+    return cls(**KWARGS[cls]())
+
+
+def _payload_trace():
+    session = run_handshake("ml-kem-512", LinkConfig(65, 27), seed=3)
+    return send_secured_payload(session, b"")[0]
+
+
+@TYPES
+def test_repr_is_the_dataclass_repr(cls):
+    assert repr(_new(cls)) == REPRS[cls]
+
+
+def test_simulated_trace_repr_is_the_dataclass_repr():
+    assert repr(_payload_trace()) == PAYLOAD_TRACE_REPR
+
+
+@TYPES
+def test_equal_values_compare_equal_and_hash_alike(cls):
+    a, b = _new(cls), _new(cls)
+    assert a == b and not a != b and a is not b
+    assert a != object() and (a == object()) is False
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("cls", [cls for cls in KWARGS if cls is not FrameTrace],
+                         ids=lambda cls: cls.__name__)
+def test_other_class_with_the_same_fields_compares_unequal(cls):
+    # FrameTrace is left out: two traces are equal when their frames and
+    # clocks are, whatever class or compact form holds them.
+    twin_cls = type(cls.__name__, (cls,), {})
+    a, twin = _new(cls), twin_cls(**KWARGS[cls]())
+    assert repr(a) == repr(twin)
+    assert a != twin and twin != a
+    assert not a == twin and not twin == a
+
+
+@TYPES
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    a = _new(cls)
+    field, value = next(iter(KWARGS[cls]().items()))
+    if cls in MUTABLE:  # the simulator fills these two in as the handshake runs
+        setattr(a, field, value)
+        assert getattr(a, field) is value
+        return
+    before = repr(a)
+    for name in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert repr(a) == before
+
+
+@TYPES
+@CLONES
+def test_pickle_copy_and_deepcopy_round_trip(cls, clone):
+    a = _new(cls)
+    b = clone(a)
+    assert type(b) is cls and b == a and repr(b) == repr(a)
+
+
+@CLONES
+def test_simulated_trace_round_trips(clone):
+    trace = _payload_trace()
+    other = clone(trace)
+    assert repr(other) == PAYLOAD_TRACE_REPR
+    assert other == trace and hash(other) == hash(trace)
+    assert other.clock == trace.clock and other.to_jsonl() == trace.to_jsonl()
+
+
+#: type -> (field, a value its constructor refuses, the error it raises)
+REFUSED = {
+    LinkConfig: ("att_mtu", 518, InvalidConfig),
+    LinkFrame: ("payload_bytes", -1, InvalidConfig),
+    KemParamSet: ("pk_size", 0, ConsistencyError),
+    CalibrationFactors: ("gamma_comm", 0.5, ConsistencyError),
+    RadioProfile: ("voltage", 0.0, InvalidProfile),
+    CycleCounts: ("keygen", -1, InvalidProfile),
+}
+
+
+@TYPES
+def test_replace_without_changes_is_an_equal_copy(cls):
+    a = _new(cls)
+    b = a.replace()
+    assert type(b) is cls and b == a and repr(b) == repr(a)
+    with pytest.raises(TypeError, match="no_such_field"):
+        a.replace(no_such_field=1)
+
+
+@pytest.mark.parametrize("cls", list(REFUSED), ids=lambda cls: cls.__name__)
+def test_replace_checks_the_new_value_as_the_constructor_does(cls):
+    field, value, error = REFUSED[cls]
+    with pytest.raises(error, match=field):
+        cls(**{**KWARGS[cls](), field: value})
+    with pytest.raises(error, match=field):
+        _new(cls).replace(**{field: value})
+
+
+def test_replace_stores_what_the_constructor_stores():
+    cfg = LinkConfig(65, 27).replace(ll_pdu=251, phy_rate=2_000_000)
+    assert cfg == LinkConfig(65, 251, 2e6)
+    assert type(cfg.phy_rate) is float
+    with pytest.raises(InvalidConfig, match="att_mtu"):
+        LinkConfig(65, 27).replace(att_mtu=518)
+    trace = _payload_trace()
+    later = trace.replace(clock=1.0)
+    assert later.clock == 1.0 and later.to_jsonl() == trace.to_jsonl()
