@@ -28,8 +28,8 @@ RUN_TIMEOUT_S = 900
 #: exactly once in src/.
 MUTANTS = {
     "peripheral key from the central's secret": (
-        "sim.py", "peripheral.session_key = kem.derive_session_key(ss)",
-        "peripheral.session_key = kem.derive_session_key(enc.ss)"),
+        "sim.py", "session_key=kem.derive_session_key(ss))",
+        "session_key=kem.derive_session_key(enc.ss))"),
     "session key context": (
         "kem.py", 'SESSION_KEY_CONTEXT = b"pqke-ble-v1"', 'SESSION_KEY_CONTEXT = b"pqke-ble-v2"'),
     "cycle counts only non-decreasing": (
@@ -68,8 +68,9 @@ MUTANTS = {
     "JSONL tail shared across sender roles": (
         "sim.py", "tails = {key: tail(*step[:4], part.op) for key, step in steps.items()}",
         "tails = {key: tail(part.frames[0][0], *step[1:4], part.op) for key, step in steps.items()}"),
-    "trace equality ignores the frames": (
-        "sim.py", "return (self.records, self.clock) == (other.records, other.clock)", "return True"),
+    "trace frame counts ignore the op": (
+        "sim.py", "for part in self._parts if op is None or part.op == op)",
+        "for part in self._parts)"),
     "comm_share unrounded": (
         "cli.py", 'body["comm_share"] = round(breakdown.comm_share, 4)',
         'body["comm_share"] = breakdown.comm_share'),
@@ -82,6 +83,9 @@ MUTANTS = {
     "value fields assignable": (
         "errors.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
         "set_field(self, name, value)"),
+    "caller's calibration table stored uncopied": (
+        "reference.py", "table = dict(table) if isinstance(table, Mapping) else {}",
+        "table = table if isinstance(table, Mapping) else {}"),
 }
 
 

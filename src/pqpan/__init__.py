@@ -16,8 +16,8 @@ _LAYERS = {
                "NotEstablished", "ParseError", "PqpanError", "SingularSystem",
                "SizeMismatch", "UnknownScheme", "UnsupportedScheme"),
     "reference": ("CalibrationFactors", "KemParamSet", "ReferenceEnergyRow",
-                  "default_calibration", "identity_calibration", "load_reference_table",
-                  "load_schemes", "lookup_scheme"),
+                  "default_calibration", "load_reference_table", "load_schemes",
+                  "lookup_scheme"),
     "link": ("FragmentationPlan", "LinkConfig", "LinkFrame", "TimeBudget", "airtime",
              "bytes_on_air", "plan_counts", "plan_transfer"),
     "kem": ("Encapsulation", "KemKeyPair", "SessionKey", "decapsulate",

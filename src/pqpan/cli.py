@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 
 from .config import BACKENDS, ModelConfig, resolve_config
@@ -30,6 +32,19 @@ from .reference import SECURITY_LEVELS, load_reference_table, lookup_scheme
 DEFAULT_SWEEP_SCHEMES = "ML-KEM-512,ML-KEM-768,ML-KEM-1024"
 DEFAULT_SWEEP_ATT = "65,104,204,404"
 DEFAULT_SWEEP_LL = "27,69,108,208,251"
+
+
+class _StdoutClosed(Exception):
+    """The reader of stdout has gone, as ``head`` does after its lines."""
+
+
+def _print(text: str, end: str = "\n") -> None:
+    """``print`` to stdout, flushed, so that a reader that has gone shows here
+    and not in the flush at interpreter exit."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def _checked(parse, ok, expected: str):
@@ -61,6 +76,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="override the key-generation calibration factor (all levels)")
     p.add_argument("--gamma-decap", type=every_level, metavar="G",
                    help="override the decapsulation calibration factor (all levels)")
+    p.add_argument("--ifs-slots", type=int, metavar="N",
+                   help="inter-frame gaps charged per data/ack exchange (1 or 2)")
 
 
 def _add_link_flags(p: argparse.ArgumentParser, require: bool,
@@ -69,8 +86,6 @@ def _add_link_flags(p: argparse.ArgumentParser, require: bool,
                    help="ATT MTU in bytes (23..517)")
     p.add_argument("--ll-pdu", type=int, required=require, default=default_ll,
                    help="link-layer PDU payload cap in bytes (27..251)")
-    p.add_argument("--ifs-slots", type=int, default=None,
-                   help="inter-frame gaps charged per data/ack exchange (1 or 2)")
 
 
 def _model_config(args) -> ModelConfig:
@@ -99,7 +114,7 @@ def cmd_estimate(args) -> int:
     body = _round_tree(breakdown.as_dict())
     body["comm_share"] = round(breakdown.comm_share, 4)
     out.update(body)
-    print(json.dumps(out, indent=2))
+    _print(json.dumps(out, indent=2))
     return 0
 
 
@@ -145,25 +160,26 @@ def cmd_sweep(args) -> int:
                 row["e_ref_uJ"] = None
                 row["rel_err_pct"] = None
 
-    sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        if args.format == "json":
-            json.dump([_round_tree(r, 3) for r in rows], sink, indent=2)
-            sink.write("\n")
-        else:
-            writer = csv.DictWriter(sink, fieldnames=fields)
-            writer.writeheader()
-            for row in rows:
-                rec = dict(row)
-                rec["e_theor_uJ"] = f"{rec['e_theor_uJ']:.2f}"
-                if args.compare:
-                    rec["e_ref_uJ"] = "" if rec["e_ref_uJ"] is None else f"{rec['e_ref_uJ']:.2f}"
-                    rec["rel_err_pct"] = ("" if rec["rel_err_pct"] is None
-                                          else f"{rec['rel_err_pct']:.3f}")
-                writer.writerow(rec)
-    finally:
-        if args.out:
-            sink.close()
+    if args.format == "json":
+        text = json.dumps([_round_tree(r, 3) for r in rows], indent=2) + "\n"
+    else:
+        sink = io.StringIO()
+        writer = csv.DictWriter(sink, fieldnames=fields)
+        writer.writeheader()
+        for row in rows:
+            rec = dict(row)
+            rec["e_theor_uJ"] = f"{rec['e_theor_uJ']:.2f}"
+            if args.compare:
+                rec["e_ref_uJ"] = "" if rec["e_ref_uJ"] is None else f"{rec['e_ref_uJ']:.2f}"
+                rec["rel_err_pct"] = ("" if rec["rel_err_pct"] is None
+                                      else f"{rec['rel_err_pct']:.3f}")
+            writer.writerow(rec)
+        text = sink.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        _print(text, end="")
     return 0
 
 
@@ -177,10 +193,10 @@ def cmd_fit(args) -> int:
             fh.write("\n")
         summary = {k: report[k] for k in ("ifs_slots", "max_abs_rel_err",
                                           "mean_abs_rel_err", "profile")}
-        print(json.dumps(summary, indent=2))
+        _print(json.dumps(summary, indent=2))
         print(f"report written to {args.out}", file=sys.stderr)
     else:
-        print(json.dumps(report, indent=2))
+        _print(json.dumps(report, indent=2))
     return 0
 
 
@@ -219,7 +235,7 @@ def cmd_simulate(args) -> int:
     with open(args.ledger, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    print(json.dumps(_round_tree(summary), indent=2))
+    _print(json.dumps(_round_tree(summary), indent=2))
     return 0
 
 
@@ -255,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (defaults to stdout)")
-    p.add_argument("--ifs-slots", type=int, default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -303,6 +318,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pqpan: i/o error: {exc}", file=sys.stderr)
         return 4
+    except _StdoutClosed:
+        # Nobody reads what is left, so end quietly; the flush at exit then
+        # writes what is still buffered to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 def run() -> None:

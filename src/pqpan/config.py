@@ -31,6 +31,7 @@ import json
 import os
 from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 from .energy import CycleCounts, FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
 from .errors import InvalidConfig, Value, _shown, set_field
@@ -54,7 +55,8 @@ _REPORT_KEYS = ("profile", "provenance", "residuals", "max_abs_rel_err",
 
 
 class ModelConfig(Value):
-    """Resolved modeling defaults for the CLI; each command sets ``link``'s att_mtu and ll_pdu."""
+    """Resolved modeling defaults for the CLI; each command sets ``link``'s att_mtu
+    and ll_pdu. ``cycles`` is stored as a read-only copy."""
 
     __slots__ = ("profile", "gamma", "cycles", "link", "kem_backend")
 
@@ -62,7 +64,7 @@ class ModelConfig(Value):
                  cycles: Mapping[str, CycleCounts], link: LinkConfig, kem_backend: str = "stub"):
         set_field(self, "profile", profile)
         set_field(self, "gamma", gamma)
-        set_field(self, "cycles", cycles)
+        set_field(self, "cycles", MappingProxyType(dict(cycles)))
         set_field(self, "link", link)
         set_field(self, "kem_backend", kem_backend)
 
@@ -77,7 +79,7 @@ def _level(key: str, level) -> int:
     raise InvalidConfig(f"{key} has a level that is not an integer")
 
 
-def _gamma_table(data: dict, key: str, default: dict[int, float]):
+def _gamma_table(data: dict, key: str, default: Mapping[int, float]):
     raw = data.get(key, default)
     return {_level(key, level): g for level, g in raw.items()} if isinstance(raw, dict) else raw
 

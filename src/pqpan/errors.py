@@ -5,6 +5,7 @@ CLI can map model/domain failures to a single exit code.
 """
 
 import operator
+from types import MappingProxyType
 
 #: How a value type's ``__init__`` stores a field past its refusing ``__setattr__``.
 set_field = object.__setattr__
@@ -97,11 +98,11 @@ class Value:
 
     A subclass lists its fields, in order, as ``__slots__`` (plus ``"__dict__"``
     if it caches properties), and its ``__init__`` takes them in that order,
-    checks them and stores each with :data:`set_field`. Instances compare
-    equal when their class and field values are, hash their field tuple, print
-    as ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
-    and copy through ``__init__``. A mutable subclass puts back
-    ``object.__setattr__`` and ``object.__delattr__`` and sets ``__hash__`` to None.
+    checks them and stores each with :data:`set_field`; a table is stored as a
+    read-only copy, a ``MappingProxyType``. Instances compare equal when their
+    class and field values are, hash their field tuple, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion, and pickle and
+    copy through ``__init__``, which gets each read-only table as a plain dict.
     """
 
     __slots__ = ()
@@ -134,7 +135,8 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(dict(value) if type(value) is MappingProxyType else value
+                                 for value in self._values())
 
     def replace(self, **changes):
         """A new instance with the named fields changed, checked by ``__init__``

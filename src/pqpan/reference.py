@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -92,39 +93,33 @@ class CalibrationFactors(Value):
     ``gamma_keygen``/``gamma_decap`` map a NIST security level to the factor
     for that computation phase; ``gamma_comm`` applies to both transfer
     phases regardless of level. Every factor is a number in [1, GAMMA_MAX], and
-    each table is a dict that covers every security level.
+    each table is a mapping that covers every security level, stored as a
+    read-only copy.
     """
 
     __slots__ = ("gamma_keygen", "gamma_decap", "gamma_comm")
 
-    def __init__(self, gamma_keygen: dict[int, float], gamma_decap: dict[int, float],
+    def __init__(self, gamma_keygen: Mapping[int, float], gamma_decap: Mapping[int, float],
                  gamma_comm: float):
         for name, table in (("gamma_keygen", gamma_keygen), ("gamma_decap", gamma_decap)):
-            if not (isinstance(table, dict) and set(SECURITY_LEVELS) <= set(table)):
+            table = dict(table) if isinstance(table, Mapping) else {}  # the copy is checked
+            if not set(SECURITY_LEVELS) <= set(table):
                 raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
             for factor in table.values():
                 real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
+            set_field(self, name, MappingProxyType(table))
         real_in_range("gamma_comm", gamma_comm, 1.0, GAMMA_MAX, ConsistencyError)
-        set_field(self, "gamma_keygen", gamma_keygen)
-        set_field(self, "gamma_decap", gamma_decap)
         set_field(self, "gamma_comm", gamma_comm)
 
 
+@lru_cache(maxsize=1)
 def default_calibration() -> CalibrationFactors:
-    """Calibration defaults for the nRF52-class reference platform."""
+    """Calibration defaults for the nRF52-class reference platform; one shared
+    value, as it cannot change."""
     return CalibrationFactors(
         gamma_keygen={1: 1.27, 3: 1.38, 5: 1.62},
         gamma_decap={1: 1.12, 3: 1.19, 5: 1.32},
         gamma_comm=1.15,
-    )
-
-
-def identity_calibration() -> CalibrationFactors:
-    """All-ones factors; adjusted energies equal raw energies."""
-    return CalibrationFactors(
-        gamma_keygen={1: 1.0, 3: 1.0, 5: 1.0},
-        gamma_decap={1: 1.0, 3: 1.0, 5: 1.0},
-        gamma_comm=1.0,
     )
 
 

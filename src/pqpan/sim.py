@@ -30,6 +30,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain
 from math import isfinite
+from types import MappingProxyType
 
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
@@ -53,23 +54,20 @@ class Phase(enum.Enum):
 
 
 class PartyState(Value):
-    """One party's protocol state, which the simulator fills in as the
-    handshake runs, so it is mutable and unhashable."""
+    """One party's protocol state; the simulator builds it once the handshake
+    has derived every field."""
 
     __slots__ = ("role", "scheme", "phase", "keypair", "peer_pk", "session_key")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, role: Role, scheme: KemParamSet, phase: Phase = Phase.IDLE,
                  keypair: kem.KemKeyPair | None = None, peer_pk: bytes | None = None,
                  session_key: kem.SessionKey | None = None):
-        self.role = role
-        self.scheme = scheme
-        self.phase = phase
-        self.keypair = keypair
-        self.peer_pk = peer_pk
-        self.session_key = session_key
+        set_field(self, "role", role)
+        set_field(self, "scheme", scheme)
+        set_field(self, "phase", phase)
+        set_field(self, "keypair", keypair)
+        set_field(self, "peer_pk", peer_pk)
+        set_field(self, "session_key", session_key)
 
 
 class TraceRecord(Value):
@@ -135,41 +133,27 @@ class FrameTrace(Value):
     """Timestamped frames; ``clock`` is the virtual time after the last
     frame and its trailing gap, where the next transfer starts.
 
-    ``records`` passed in are kept as they are. The simulator passes its
-    transfers there instead, each stored once and compactly, so no per-frame
-    object exists until :attr:`records` is read. ``a + b`` is ``a``'s frames
-    then ``b``'s, ending at ``b``'s clock.
+    The simulator builds each trace from its transfers, each stored once and
+    compactly, so no per-frame object exists until :attr:`records` is read.
+    ``a + b`` is ``a``'s frames then ``b``'s, ending at ``b``'s clock.
     """
 
     __slots__ = ("_parts", "clock", "__dict__")  # the dict holds the cached records
 
-    def __init__(self, records=(), clock: float = 0.0):
-        set_field(self, "_parts", tuple(records))
+    def __init__(self, parts: tuple[_Transfer, ...] = (), clock: float = 0.0):
+        set_field(self, "_parts", parts)
         set_field(self, "clock", clock)
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """Every frame as a :class:`TraceRecord`, built on the first read."""
-        return tuple(chain.from_iterable(
-            part.records() if isinstance(part, _Transfer) else (part,) for part in self._parts))
+        return tuple(chain.from_iterable(part.records() for part in self._parts))
 
     def __add__(self, other: FrameTrace) -> FrameTrace:
         return FrameTrace(self._parts + other._parts, other.clock)
 
-    def __eq__(self, other):
-        if not isinstance(other, FrameTrace):
-            return NotImplemented
-        return (self.records, self.clock) == (other.records, other.clock)
-
-    def __hash__(self):
-        return hash((self.records, self.clock))
-
     def _count(self, is_ack: bool, op: str | None) -> int:
-        n = 0
-        for part in self._parts:
-            if op is None or part.op == op:
-                n += part.count(is_ack) if isinstance(part, _Transfer) else part.is_ack == is_ack
-        return n
+        return sum(part.count(is_ack) for part in self._parts if op is None or part.op == op)
 
     def data_frame_count(self, op: str | None = None) -> int:
         return self._count(False, op)
@@ -196,38 +180,27 @@ class FrameTrace(Value):
                     f'"overhead_B": {overhead_bytes}, "op": {op_json}, '
                     f'"is_ack": {"true" if is_ack else "false"}}}')
 
-        def timed_tails(part):
-            """(time, line tail) of each frame of ``part``."""
-            if isinstance(part, _Transfer):
-                steps = dict(zip(map(id, part.frames), part.frames))
-                tails = {key: tail(*step[:4], part.op) for key, step in steps.items()}
-                return zip(part.times(), map(tails.__getitem__, map(id, part.frames)))
-            return [(part.time_s, tail(part.sender, part.payload_bytes, part.overhead_bytes,
-                                       part.is_ack, part.op))]
-
         lines = []
         for part in self._parts:
-            for t, line in timed_tails(part):
+            steps = dict(zip(map(id, part.frames), part.frames))
+            tails = {key: tail(*step[:4], part.op) for key, step in steps.items()}
+            for t, line in zip(part.times(), map(tails.__getitem__, map(id, part.frames))):
                 u = t * 1e6
                 lines.append(f'{{"time_us": {repr(u) if isfinite(u) else json.dumps(u)}{line}')
         return "\n".join(lines) + "\n"
 
 
 class EnergyLedger(Value):
-    """Calibrated per-phase microjoules of each party. The peripheral's terms
-    come from :func:`~pqpan.energy.handshake_breakdown`; the central's are the
-    mirrored transfers and its uncalibrated encapsulation. Mutable and
-    unhashable, as its tables are."""
+    """Calibrated per-phase microjoules of each party, each table stored as a
+    read-only copy. The peripheral's terms come from
+    :func:`~pqpan.energy.handshake_breakdown`; the central's are the mirrored
+    transfers and its uncalibrated encapsulation."""
 
     __slots__ = ("peripheral", "central")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, peripheral: dict[str, float] | None = None,
-                 central: dict[str, float] | None = None):
-        self.peripheral = {} if peripheral is None else peripheral
-        self.central = {} if central is None else central
+    def __init__(self, peripheral: Mapping[str, float], central: Mapping[str, float]):
+        set_field(self, "peripheral", MappingProxyType(dict(peripheral)))
+        set_field(self, "central", MappingProxyType(dict(central)))
 
     def peripheral_pqke_total(self) -> float:
         return (self.peripheral["keygen"] + self.peripheral["decap"]
@@ -331,25 +304,21 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
     kem_backend = kem.get_backend(backend)
     pk_transfer, ct_transfer = scheme.transfers()
 
-    peripheral = PartyState(role=Role.PERIPHERAL, scheme=scheme)
-    central = PartyState(role=Role.CENTRAL, scheme=scheme)
-
     # Step 1: peripheral generates its key pair and notifies the public key.
-    peripheral.keypair = kem.keygen(scheme, _seed32(seed, b"keygen"), kem_backend)
-    pk_frames, pk_budget, central.peer_pk = _transfer(0.0, pk_transfer, cfg,
-                                                      peripheral.keypair.pk)
+    keypair = kem.keygen(scheme, _seed32(seed, b"keygen"), kem_backend)
+    pk_frames, pk_budget, peer_pk = _transfer(0.0, pk_transfer, cfg, keypair.pk)
 
     # Step 2: central encapsulates against the received key and writes the
     # ciphertext back.
-    enc = kem.encapsulate(central.peer_pk, scheme, _seed32(seed, b"encap"), kem_backend)
+    enc = kem.encapsulate(peer_pk, scheme, _seed32(seed, b"encap"), kem_backend)
     ct_frames, ct_budget, ct = _transfer(pk_frames.clock, ct_transfer, cfg, enc.ct)
 
     # Step 3: peripheral decapsulates; both sides derive the session key.
-    ss = kem.decapsulate(peripheral.keypair.sk, ct, scheme, kem_backend)
-    peripheral.session_key = kem.derive_session_key(ss)
-    central.session_key = kem.derive_session_key(enc.ss)
-    peripheral.phase = Phase.ESTABLISHED
-    central.phase = Phase.ESTABLISHED
+    ss = kem.decapsulate(keypair.sk, ct, scheme, kem_backend)
+    peripheral = PartyState(Role.PERIPHERAL, scheme, Phase.ESTABLISHED, keypair=keypair,
+                            session_key=kem.derive_session_key(ss))
+    central = PartyState(Role.CENTRAL, scheme, Phase.ESTABLISHED, peer_pk=peer_pk,
+                         session_key=kem.derive_session_key(enc.ss))
 
     phases = handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma,
                                  scheme.nist_level, include_encap=True)

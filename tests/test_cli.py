@@ -1,9 +1,12 @@
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pqpan.cli
 from pqpan.cli import main
 from pqpan.config import load_config
 from pqpan.energy import AEAD_OVERHEAD_BYTES
@@ -383,13 +386,67 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["scheme"] == "ML-KEM-768"
 
 
+#: Subcommand -> argv; ``{tmp}`` is a directory for the output files.
+STDOUT_WRITERS = {
+    "estimate": ["estimate", "--scheme", "ml-kem-512", "--att-mtu", "65", "--ll-pdu", "27"],
+    "sweep": ["sweep", "--reference-grid", "--compare"],
+    "fit": ["fit"],
+    "simulate": ["simulate", "--scheme", "ml-kem-512", "--payload", "100",
+                 "--trace", "{tmp}/t.jsonl", "--ledger", "{tmp}/l.json"],
+}
+
+
+def _with_closed_stdout(argv, unbuffered: bool):
+    """(exit status, stderr) of ``python -m pqpan`` on ``argv`` whose stdout is
+    a pipe that nobody reads any more."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pqpan", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", list(STDOUT_WRITERS))
+def test_closed_stdout_ends_quietly(tmp_path, command, unbuffered):
+    # As `pqpan sweep --reference-grid --compare | head -1` leaves it once
+    # head has its line: exit 0, with nothing on stderr, not even from the
+    # flush at interpreter exit.
+    argv = [arg.format(tmp=tmp_path) for arg in STDOUT_WRITERS[command]]
+    assert _with_closed_stdout(argv, unbuffered) == (0, "")
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--ledger"])
+def test_output_file_error_with_stdout_closed_exits_4(tmp_path, flag):
+    argv = [arg.format(tmp=tmp_path) for arg in STDOUT_WRITERS["simulate"]] + [flag, str(tmp_path)]
+    code, err = _with_closed_stdout(argv, unbuffered=True)
+    assert code == 4 and err.startswith("pqpan: i/o error:")
+
+
+def test_broken_pipe_on_the_out_file_exits_4(capsys, tmp_path, monkeypatch):
+    # A FIFO whose reader has gone: only a closed stdout ends quietly.
+    class Gone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(pqpan.cli, "open", lambda *args, **kwargs: Gone(), raising=False)
+    code, out, err = run_cli(capsys, "sweep", "--out", str(tmp_path / "fifo"))
+    assert (code, out) == (4, "") and err == "pqpan: i/o error: [Errno 32] Broken pipe\n"
+
+
 #: The names ``pqpan`` exports, by defining module.
 EXPORTS = {
     "errors": "ConsistencyError HandshakeFailure InvalidConfig InvalidProfile NotEstablished "
               "ParseError PqpanError SingularSystem SizeMismatch UnknownScheme "
               "UnsupportedScheme",
     "reference": "CalibrationFactors KemParamSet ReferenceEnergyRow default_calibration "
-                 "identity_calibration load_reference_table load_schemes lookup_scheme",
+                 "load_reference_table load_schemes lookup_scheme",
     "link": "FragmentationPlan LinkConfig LinkFrame TimeBudget airtime bytes_on_air "
             "plan_counts plan_transfer",
     "kem": "Encapsulation KemKeyPair SessionKey decapsulate derive_session_key encapsulate "

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pqpan import (CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE, InvalidConfig,
-                   InvalidProfile, KemParamSet, LinkConfig, ParseError, RadioProfile,
-                   SingularSystem, TimeBudget, UnknownScheme, UnsupportedScheme, airtime,
-                   comm_energy, comp_energy, default_calibration,
-                   fit_radio_currents, identity_calibration, load_cycle_counts,
-                   load_schemes, lookup_scheme, plan_transfer, pqke_total, session_energy)
+from pqpan import (CalibrationFactors, CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE,
+                   InvalidConfig, InvalidProfile, KemParamSet, LinkConfig, ParseError,
+                   RadioProfile, SingularSystem, TimeBudget, UnknownScheme, UnsupportedScheme,
+                   airtime, comm_energy, comp_energy, default_calibration,
+                   fit_radio_currents, load_cycle_counts, load_schemes, lookup_scheme,
+                   plan_transfer, pqke_total, session_energy)
 from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _design_matrix, _dot,
                           _least_squares)
 from pqpan.link import ARTIFACT_MAX
@@ -16,6 +16,8 @@ from pqpan.reference import ReferenceEnergyRow
 REFERENCE_GRID = [(65, 27), (65, 69), (104, 27), (104, 108),
               (204, 27), (204, 208), (404, 27), (404, 251)]
 MLKEM = ["ML-KEM-512", "ML-KEM-768", "ML-KEM-1024"]
+#: All-ones factors: adjusted energies equal raw energies.
+IDENTITY = CalibrationFactors(dict.fromkeys((1, 3, 5), 1.0), dict.fromkeys((1, 3, 5), 1.0), 1.0)
 
 
 def make_profile(**kw):
@@ -91,8 +93,7 @@ def test_comm_energy_homogeneous_in_time(k):
 
 
 def test_apply_calibration_identity():
-    raw = pqke_total("ml-kem-512", LinkConfig(att_mtu=65, ll_pdu=27),
-                     gamma=identity_calibration())
+    raw = pqke_total("ml-kem-512", LinkConfig(att_mtu=65, ll_pdu=27), gamma=IDENTITY)
     assert raw.adj_keygen == raw.e_keygen
     assert raw.adj_notify_pk == raw.e_notify_pk
     assert raw.e_total == pytest.approx(raw.e_keygen + raw.e_decap
@@ -101,7 +102,7 @@ def test_apply_calibration_identity():
 
 def test_apply_calibration_level1_keygen():
     cfg = LinkConfig(att_mtu=65, ll_pdu=27)
-    raw = pqke_total("ml-kem-512", cfg, gamma=identity_calibration())
+    raw = pqke_total("ml-kem-512", cfg, gamma=IDENTITY)
     adjusted = pqke_total("ml-kem-512", cfg, gamma=default_calibration())
     assert adjusted.adj_keygen == pytest.approx(1.27 * raw.e_keygen)
     assert adjusted.adj_decap == pytest.approx(1.12 * raw.e_decap)
@@ -110,7 +111,7 @@ def test_apply_calibration_level1_keygen():
 
 def test_calibration_monotone():
     cfg = LinkConfig(att_mtu=104, ll_pdu=108)
-    raw = pqke_total("ml-kem-768", cfg, gamma=identity_calibration())
+    raw = pqke_total("ml-kem-768", cfg, gamma=IDENTITY)
     adj = pqke_total("ml-kem-768", cfg)
     for field in ("keygen", "decap", "notify_pk", "write_ct"):
         assert getattr(adj, f"adj_{field}") >= getattr(raw, f"e_{field}")
@@ -147,8 +148,7 @@ def test_modeled_comm_matches_reference_spot_cell(fit_result):
     # ML-KEM-768 at ATT 404 / LL 251: both transfer phases within the fit
     # tolerance of the reference energies 217.81 and 199.06.
     cfg = LinkConfig(att_mtu=404, ll_pdu=251)
-    bd = pqke_total("ml-kem-768", cfg, profile=fit_result.profile,
-                    gamma=identity_calibration())
+    bd = pqke_total("ml-kem-768", cfg, profile=fit_result.profile, gamma=IDENTITY)
     assert bd.e_notify_pk == pytest.approx(217.81, rel=0.02)
     assert bd.e_write_ct == pytest.approx(199.06, rel=0.02)
 

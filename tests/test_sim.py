@@ -12,7 +12,7 @@ import pqpan.sim
 from pqpan import (FrameTrace, HandshakeFailure, InvalidConfig, LinkConfig, NotEstablished,
                    Phase, Role, UnsupportedScheme, derive_session_key, lookup_scheme,
                    plan_transfer, pqke_total, run_handshake, send_secured_payload)
-from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord
+from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord, _Transfer
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
 CFG_DLE = LinkConfig(att_mtu=404, ll_pdu=251)
@@ -150,13 +150,14 @@ def test_to_jsonl_equals_json_dumps_of_records(scheme, att, ll, slots, payload):
 
 @pytest.mark.parametrize("time_s", [0.0, 1e-300, 1e300, float("inf"), float("nan")])
 def test_to_jsonl_formats_any_float_like_json(time_s):
-    trace = FrameTrace(records=(
-        TraceRecord(time_s, Role.CENTRAL, 0, 10, True, 'op "quoted" \u00e9'),))
+    ack = (Role.CENTRAL, 0, 10, True, 80e-6, 150e-6)
+    transfer = _Transfer('op "quoted" \u00e9', time_s, (ack,))
+    trace = FrameTrace((transfer,), transfer.clock)
     assert trace.to_jsonl() == reference_jsonl(trace)
-    assert FrameTrace(records=()).to_jsonl() == reference_jsonl(FrameTrace(records=()))
+    assert FrameTrace().to_jsonl() == reference_jsonl(FrameTrace())
     # A payload sent on a session whose clock stands at time_s.
     session = run_handshake("ml-kem-512", CFG_DLE, seed=19)
-    session = session.replace(trace=FrameTrace(records=(), clock=time_s))
+    session = session.replace(trace=FrameTrace((), time_s))
     delta, _ = send_secured_payload(session, bytes(10))
     assert delta.to_jsonl() == reference_jsonl(delta)
 
@@ -205,10 +206,11 @@ def test_joined_trace_is_the_concatenation():
     assert joined.to_jsonl() == r.trace.to_jsonl() + delta.to_jsonl()
     assert joined.data_frame_count() == r.trace.data_frame_count() + delta.data_frame_count()
     assert joined.ack_count(OP_PAYLOAD) == delta.ack_count()
-    # The compact trace equals one built from its records, and hashes alike.
-    rebuilt = FrameTrace(records=joined.records, clock=joined.clock)
+    # The same run joins to an equal trace, which hashes alike.
+    again = run_handshake("ml-kem-512", CFG_DEFAULT, seed=18)
+    rebuilt = again.trace + send_secured_payload(again, bytes(300))[0]
     assert rebuilt == joined and hash(rebuilt) == hash(joined)
-    assert rebuilt.to_jsonl() == joined.to_jsonl()
+    assert rebuilt != r.trace + send_secured_payload(r, bytes(301))[0]
 
 
 def test_traces_of_different_links_compare_unequal():
@@ -217,7 +219,7 @@ def test_traces_of_different_links_compare_unequal():
     b = run_handshake("ml-kem-768", LinkConfig(att_mtu=65, ll_pdu=27, ifs_slots=1), seed=7).trace
     c = run_handshake("ml-kem-768", CFG_DLE, seed=7).trace
     assert a != b and a != c and b != c
-    assert FrameTrace(records=a.records, clock=a.clock + 1e-6) != a
+    assert a.replace(clock=a.clock + 1e-6) != a
 
 
 def test_send_secured_payload_energy_and_frames():
@@ -264,9 +266,10 @@ def test_send_secured_payload_dle_strictly_cheaper():
 
 def test_send_before_established_rejected():
     r = run_handshake("ml-kem-512", CFG_DLE, seed=13)
-    r.peripheral.phase = Phase.IDLE
-    with pytest.raises(NotEstablished):
-        send_secured_payload(r, b"hello")
+    for party in ("peripheral", "central"):
+        idle = r.replace(**{party: getattr(r, party).replace(phase=Phase.IDLE)})
+        with pytest.raises(NotEstablished):
+            send_secured_payload(idle, b"hello")
 
 
 def test_send_secured_payload_plans_once(monkeypatch):
