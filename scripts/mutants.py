@@ -41,8 +41,7 @@ MUTANTS = {
     "ecdh-p256 alias dropped": (
         "energy.py", 'elif kind in (SECURITY_ECDH, "ecdh-p256"):', "elif kind == SECURITY_ECDH:"),
     "one-slot gap rule dropped": (
-        "sim.py", "gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0",
-        "gap = cfg.ifs"),
+        "sim.py", "cfg.ifs if cfg.ifs_slots == 2 else 0.0)", "cfg.ifs)"),
     "AEAD envelope on an unsecured payload": (
         "energy.py",
         "artifact = payload if kind == SECURITY_NONE else payload + AEAD_OVERHEAD_BYTES",
@@ -66,8 +65,8 @@ MUTANTS = {
     "trace clock additions fused": (
         "sim.py", "t += air\n            t += gap", "t += air + gap"),
     "JSONL tail shared across sender roles": (
-        "sim.py", "tails = {key: tail(*step[:4], part.op) for key, step in steps.items()}",
-        "tails = {key: tail(part.frames[0][0], *step[1:4], part.op) for key, step in steps.items()}"),
+        "sim.py", "[tail(*step[:4], part.op) for step in steps]",
+        "[tail(part.last[0][0], *step[1:4], part.op) for step in steps]"),
     "trace frame counts ignore the op": (
         "sim.py", "for part in self._parts if op is None or part.op == op)",
         "for part in self._parts)"),
@@ -83,6 +82,11 @@ MUTANTS = {
     "value fields assignable": (
         "errors.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
         "set_field(self, name, value)"),
+    "ATT header left out of each SDU": (
+        "link.py", "divmod(value + SDU_HEADERS, cfg.ll_pdu)",
+        "divmod(value + L2CAP_HEADER, cfg.ll_pdu)"),
+    "last SDU framed one byte short": (
+        "link.py", "(last + 1, frames(last + 1))", "(last + 1, frames(last))"),
     "caller's calibration table stored uncopied": (
         "reference.py", "table = dict(table) if isinstance(table, Mapping) else {}",
         "table = table if isinstance(table, Mapping) else {}"),

@@ -135,8 +135,8 @@ def _sweep_rows(cfg: ModelConfig, cells):
 
 def cmd_sweep(args) -> int:
     cfg = _model_config(args)
+    ref_rows = load_reference_table(args.table) if args.reference_grid else None
     if args.reference_grid:
-        ref_rows = load_reference_table(args.table)
         cells = sorted({(r.scheme, r.att_mtu, r.ll_pdu) for r in ref_rows})
     else:
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
@@ -147,8 +147,10 @@ def cmd_sweep(args) -> int:
 
     fields = ["scheme", "att_mtu", "ll_pdu", "op", "e_theor_uJ"]
     if args.compare:
+        if ref_rows is None:
+            ref_rows = load_reference_table(args.table)
         reference = {(r.scheme.upper(), r.att_mtu, r.ll_pdu, r.op): r.e_theor_uj
-                     for r in load_reference_table(args.table)}
+                     for r in ref_rows}
         fields += ["e_ref_uJ", "rel_err_pct"]
         for row in rows:
             key = (row["scheme"].upper(), row["att_mtu"], row["ll_pdu"], row["op"])
@@ -307,10 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+            _print("", end="")  # flushes what argparse printed, such as the help
+            return int(exc.code or 0)
         return args.func(args)
     except PqpanError as exc:
         print(f"pqpan: error: {exc}", file=sys.stderr)

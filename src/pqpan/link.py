@@ -7,6 +7,12 @@ payload bytes. Every data PDU costs a fixed 10 B of link-layer overhead on
 air and is answered by an empty (overhead-only) acknowledgement frame;
 consecutive frames are separated by the inter-frame spacing.
 
+:func:`sdu_layout` is the only code that applies this rule. Chunking is
+greedy, so a transfer is some number of identical full SDUs followed by one
+last SDU; the layout gives the value bytes and data-frame payload sizes of
+each, and the frame counts, the frame sequence, the simulator's steps and
+its reassembly all derive from it.
+
 The model is analytical: frames are never lost, reordered, or retransmitted,
 and connection-event scheduling is not represented. All functions here are
 pure and operate on value types.
@@ -30,6 +36,9 @@ IFS_MAX = 10e-3
 #: Largest artifact one transfer carries (1 MiB), so its frames fit in memory.
 ARTIFACT_MAX = 1 << 20
 
+#: One SDU of a layout: (value bytes, payload sizes of its data frames).
+Sdu = tuple[int, tuple[int, ...]]
+
 
 class LinkConfig(Value):
     """Link parameters for one transfer, each within its modeled range;
@@ -50,11 +59,6 @@ class LinkConfig(Value):
                   real_in_range("phy_rate", phy_rate, PHY_RATE_MIN, PHY_RATE_MAX))
         set_field(self, "ifs", real_in_range("ifs", ifs, 0.0, IFS_MAX))
         set_field(self, "ifs_slots", int_in_range("ifs_slots", ifs_slots, 1, 2))
-
-    @property
-    def att_chunk(self) -> int:
-        """Value bytes carried per ATT PDU."""
-        return self.att_mtu - ATT_HEADER
 
 
 class LinkFrame(Value):
@@ -78,27 +82,13 @@ class LinkFrame(Value):
 
 
 class FragmentationPlan(Value):
-    """Ordered frame sequence for one artifact transfer.
+    """Ordered frame sequence for one artifact transfer."""
 
-    ``att_chunks`` records the value bytes carried by each ATT PDU, in order,
-    so the artifact can be reconstructed chunk by chunk.
-    """
+    __slots__ = ("frames", "ll_data_pdu_count")
 
-    __slots__ = ("frames", "att_pdu_count", "ll_data_pdu_count", "att_chunks")
-
-    def __init__(self, frames: tuple[LinkFrame, ...], att_pdu_count: int,
-                 ll_data_pdu_count: int, att_chunks: tuple[int, ...] = ()):
+    def __init__(self, frames: tuple[LinkFrame, ...], ll_data_pdu_count: int):
         set_field(self, "frames", frames)
-        set_field(self, "att_pdu_count", att_pdu_count)
         set_field(self, "ll_data_pdu_count", ll_data_pdu_count)
-        set_field(self, "att_chunks", att_chunks)
-
-    @property
-    def ack_count(self) -> int:
-        return sum(1 for f in self.frames if f.is_ack)
-
-    def data_frames(self) -> tuple[LinkFrame, ...]:
-        return tuple(f for f in self.frames if not f.is_ack)
 
 
 class TimeBudget(Value):
@@ -116,49 +106,43 @@ class TimeBudget(Value):
         set_field(self, "t_ifs", t_ifs)
 
 
-def plan_counts(artifact_size: int, cfg: LinkConfig) -> tuple[int, int]:
-    """Closed-form (att_pdu_count, ll_data_pdu_count) for an artifact.
+def sdu_layout(artifact_size: int, cfg: LinkConfig) -> tuple[Sdu, int, Sdu]:
+    """The SDUs of one artifact: ``((value B, frame payload sizes) of a full
+    SDU, number of full SDUs, (value B, frame payload sizes) of the last SDU)``.
 
-    Chunking is greedy: every ATT PDU but the last carries the full
-    ``att_mtu - 3`` value bytes, and each 7-byte-headed SDU splits into
-    ceil(sdu / ll_pdu) maximal link-layer frames.
+    Every SDU but the last carries the full ``att_mtu - 3`` value bytes; each
+    gains the 7 B ATT + L2CAP headers and is split into maximal ``ll_pdu``
+    frames, then its tail frame.
     """
     artifact_size = int_in_range("artifact_size", artifact_size, 1, ARTIFACT_MAX)
-    chunk = cfg.att_chunk
-    n_att = -(-artifact_size // chunk)
-    last_chunk = artifact_size - (n_att - 1) * chunk
-    frames_full = -(-(chunk + SDU_HEADERS) // cfg.ll_pdu)
-    frames_last = -(-(last_chunk + SDU_HEADERS) // cfg.ll_pdu)
-    return n_att, (n_att - 1) * frames_full + frames_last
+    chunk = cfg.att_mtu - ATT_HEADER
+    n_full, last = divmod(artifact_size - 1, chunk)
+
+    def frames(value: int) -> tuple[int, ...]:
+        n, tail = divmod(value + SDU_HEADERS, cfg.ll_pdu)
+        return (cfg.ll_pdu,) * n + (tail,) * (tail > 0)
+
+    return (chunk, frames(chunk)), n_full, (last + 1, frames(last + 1))
+
+
+def plan_counts(artifact_size: int, cfg: LinkConfig) -> tuple[int, int]:
+    """(ATT PDUs, link-layer data PDUs) of an artifact, counted from its layout."""
+    (_, full), n_full, (_, last) = sdu_layout(artifact_size, cfg)
+    return n_full + 1, n_full * len(full) + len(last)
 
 
 def plan_transfer(artifact_size: int, cfg: LinkConfig) -> FragmentationPlan:
-    """Build the full frame sequence for transferring one artifact.
-
-    Each data frame is followed by an empty ack. Frames are immutable, so the
-    plan shares one object per distinct frame: the ack and at most three data
-    frames (a full ``ll_pdu`` frame, the tail of a full SDU, the tail of the
-    last SDU).
-    """
-    artifact_size = int_in_range("artifact_size", artifact_size, 1, ARTIFACT_MAX)
+    """The full frame sequence of one transfer: each data frame of the layout,
+    in order, followed by an empty ack."""
+    (_, full), n_full, (_, last) = sdu_layout(artifact_size, cfg)
     ack = LinkFrame(0, is_ack=True)
-    data: dict[int, LinkFrame] = {}
+    data = {size: LinkFrame(size) for size in {*full, *last}}
 
-    def sdu_frames(chunk: int) -> tuple[LinkFrame, ...]:
-        n_full, tail = divmod(chunk + SDU_HEADERS, cfg.ll_pdu)
-        sizes = [cfg.ll_pdu] * n_full + [tail] * (tail > 0)
-        for size in sizes:
-            if size not in data:
-                data[size] = LinkFrame(size)
+    def sdu(sizes: tuple[int, ...]) -> tuple[LinkFrame, ...]:
         return tuple(f for size in sizes for f in (data[size], ack))
 
-    chunk = cfg.att_chunk
-    n_att = -(-artifact_size // chunk)
-    last = artifact_size - (n_att - 1) * chunk
-    frames = sdu_frames(chunk) * (n_att - 1) + sdu_frames(last)
-    return FragmentationPlan(frames=frames, att_pdu_count=n_att,
-                             ll_data_pdu_count=len(frames) // 2,
-                             att_chunks=(chunk,) * (n_att - 1) + (last,))
+    frames = sdu(full) * n_full + sdu(last)
+    return FragmentationPlan(frames=frames, ll_data_pdu_count=len(frames) // 2)
 
 
 def bytes_on_air(plan: FragmentationPlan) -> tuple[int, int]:

@@ -12,13 +12,13 @@ exactly with the analytical model (it introduces no cost terms of its own).
 Virtual time advances by frame airtime plus inter-frame spacing only;
 connection-interval idle gaps are outside the analytical model's scope.
 
-The trace stores each transfer once, compactly: its start time and one
-shared step per distinct frame, referenced once per frame. Frame times are
-recomputed from the transfer's start whenever they are read, with the same
-two additions per frame, so they are bit-identical on every read. The JSONL
-export and the frame counts read this form; per-frame :class:`TraceRecord`
-objects are built on the first read of :attr:`FrameTrace.records` and kept.
-``a + b`` joins two traces without building records.
+The trace stores each transfer run-length encoded from its link layout: its
+start time, the steps of a full SDU and how often they repeat, then the steps
+of the last SDU; a transfer has at most four distinct steps. Frame times are
+recomputed from the start on every read, with the same two additions per
+frame, so they are bit-identical. The JSONL export and the frame counts read
+this form; per-frame :class:`TraceRecord` objects are built on the first read
+of :attr:`FrameTrace.records` and kept. ``a + b`` joins two traces as they are.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import isfinite
 from types import MappingProxyType
 
@@ -36,7 +36,7 @@ from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
 from .errors import HandshakeFailure, NotEstablished, Value, int_in_range, set_field
-from .link import LinkConfig, airtime, plan_transfer
+from .link import LL_OVERHEAD, LinkConfig, airtime, plan_transfer, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
 OP_PAYLOAD = "Payload"
@@ -91,42 +91,52 @@ class TraceRecord(Value):
                 "op": self.op, "is_ack": self.is_ack}
 
 
+def _expand(full, n_full: int, last):
+    """The items of ``full`` ``n_full`` times over, then those of ``last``."""
+    return chain(chain.from_iterable(repeat(full, n_full)), last)
+
+
 class _Transfer(Value):
-    """One transfer's frames, held compactly: ``frames`` has one step per frame,
+    """One transfer's frames, run-length encoded: the steps of ``full`` repeat
+    ``n_full`` times, then the steps of ``last`` follow. A step is one frame,
     (sender, payload B, overhead B, is_ack, airtime, gap), and frames that are
     alike share one step tuple. The first frame starts at ``start``, and
     ``clock`` is the time after the last frame and its gap."""
 
-    __slots__ = ("op", "start", "frames", "clock")
+    __slots__ = ("op", "start", "full", "n_full", "last", "clock")
 
-    def __init__(self, op: str, start: float,
-                 frames: tuple[tuple[Role, int, int, bool, float, float], ...]):
+    def __init__(self, op: str, start: float, full: tuple[tuple, ...], n_full: int,
+                 last: tuple[tuple, ...]):
         set_field(self, "op", op)
         set_field(self, "start", start)
-        set_field(self, "frames", frames)
+        set_field(self, "full", full)
+        set_field(self, "n_full", n_full)
+        set_field(self, "last", last)
         for clock in self.times():
             pass
         set_field(self, "clock", clock)
 
     def __reduce__(self):  # clock is not an argument: __init__ computes it
-        return _Transfer, (self.op, self.start, self.frames)
+        return _Transfer, (self.op, self.start, self.full, self.n_full, self.last)
+
+    def steps(self):
+        return _expand(self.full, self.n_full, self.last)
 
     def times(self):
         """Each frame's start time, then the clock after the last frame: each
         frame advances the clock by its airtime, then by its gap."""
         t = self.start
-        for _, _, _, _, air, gap in self.frames:
+        for _, _, _, _, air, gap in self.steps():
             yield t
             t += air
             t += gap
         yield t
 
     def count(self, is_ack: bool) -> int:
-        acks = sum(step[3] for step in self.frames)
-        return acks if is_ack else len(self.frames) - acks
+        return sum(step[3] == is_ack for step in self.steps())
 
     def records(self) -> list[TraceRecord]:
-        return [TraceRecord(t, *step[:4], self.op) for t, step in zip(self.times(), self.frames)]
+        return [TraceRecord(t, *step[:4], self.op) for t, step in zip(self.times(), self.steps())]
 
 
 class FrameTrace(Value):
@@ -167,7 +177,7 @@ class FrameTrace(Value):
         Lines are formatted directly, byte for byte as ``json.dumps`` would:
         finite floats with ``repr``, ints as they are, and each distinct op
         string through ``json.dumps`` once. All of a line but its time is
-        formatted once per step of a transfer.
+        formatted once per step of a block.
         """
         ops: dict[str, str] = {}
 
@@ -182,9 +192,9 @@ class FrameTrace(Value):
 
         lines = []
         for part in self._parts:
-            steps = dict(zip(map(id, part.frames), part.frames))
-            tails = {key: tail(*step[:4], part.op) for key, step in steps.items()}
-            for t, line in zip(part.times(), map(tails.__getitem__, map(id, part.frames))):
+            full, last = ([tail(*step[:4], part.op) for step in steps]
+                          for steps in (part.full, part.last))
+            for t, line in zip(part.times(), _expand(full, part.n_full, last)):
                 u = t * 1e6
                 lines.append(f'{{"time_us": {repr(u) if isfinite(u) else json.dumps(u)}{line}')
         return "\n".join(lines) + "\n"
@@ -259,30 +269,31 @@ def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig,
     """Send one (op, size, peripheral receives) row of :meth:`KemParamSet.transfers`
     from clock ``t``; the sender sends the data frames and the other party the
     acks. Returns the transfer's frames, the plan's time budget and ``artifact``
-    reassembled from the ATT chunks (None without one)."""
+    reassembled from the ATT chunks of the layout (None without one)."""
     op, size, peripheral_receives = transfer
-    plan = plan_transfer(size, cfg)
+    (chunk, full), n_full, (last_chunk, last) = sdu_layout(size, cfg)
     received = None
     if artifact is not None:
         rx = Reassembler(size, op)
-        offset = 0
-        for chunk in plan.att_chunks:
+        for offset in range(0, n_full * chunk, chunk):
             rx.feed(artifact[offset:offset + chunk])
-            offset += chunk
+        rx.feed(artifact[n_full * chunk:n_full * chunk + last_chunk])
         received = rx.finish()
     sender, receiver = ((Role.CENTRAL, Role.PERIPHERAL) if peripheral_receives
                         else (Role.PERIPHERAL, Role.CENTRAL))
-    # The plan shares one object per distinct frame, so each becomes one step.
-    step_of = {}
-    for key, frame in dict(zip(map(id, plan.frames), plan.frames)).items():
-        party = receiver if frame.is_ack else sender
-        # One gap always follows a data frame; the second gap after the ack is
-        # charged only under two-slot accounting.
-        gap = cfg.ifs if (not frame.is_ack or cfg.ifs_slots == 2) else 0.0
-        step_of[key] = (party, frame.payload_bytes, frame.overhead_bytes, frame.is_ack,
-                        8.0 * frame.on_air_bytes / cfg.phy_rate, gap)
-    frames = tuple(map(step_of.__getitem__, map(id, plan.frames)))
-    return _Transfer(op, t, frames), airtime(plan, cfg), received
+    # One gap always follows a data frame; the second gap after the ack is
+    # charged only under two-slot accounting.
+    ack = (receiver, 0, LL_OVERHEAD, True, 8.0 * LL_OVERHEAD / cfg.phy_rate,
+           cfg.ifs if cfg.ifs_slots == 2 else 0.0)
+    data = {payload: (sender, payload, LL_OVERHEAD, False,
+                      8.0 * (payload + LL_OVERHEAD) / cfg.phy_rate, cfg.ifs)
+            for payload in {*full, *last}}
+
+    def steps(sizes: tuple[int, ...]) -> tuple[tuple, ...]:
+        return tuple(step for payload in sizes for step in (data[payload], ack))
+
+    frames = _Transfer(op, t, steps(full) if n_full else (), n_full, steps(last))
+    return frames, airtime(plan_transfer(size, cfg), cfg), received
 
 
 def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,

@@ -12,6 +12,7 @@ from pqpan.config import load_config
 from pqpan.energy import AEAD_OVERHEAD_BYTES
 from pqpan.errors import InvalidConfig
 from pqpan.link import ARTIFACT_MAX
+from pqpan.reference import load_reference_table
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,24 @@ def test_non_finite_reference_energy_exits_3(capsys, tmp_path, argv, column, val
     assert code == 3
     assert out == ""
     assert f"row 5:{column}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--reference-grid", "--compare"], ["--compare"],
+                                  ["--reference-grid"]])
+def test_sweep_reads_the_table_once(capsys, monkeypatch, tmp_path, argv):
+    from importlib import resources
+    table = tmp_path / "table.csv"
+    table.write_text(resources.files("pqpan").joinpath("data/table2.csv").read_text())
+    calls = []
+
+    def counted(path=None):
+        calls.append(path)
+        return load_reference_table(path)
+
+    code, want, _ = run_cli(capsys, "sweep", *argv)
+    monkeypatch.setattr(pqpan.cli, "load_reference_table", counted)
+    code, out, _ = run_cli(capsys, "sweep", *argv, "--table", str(table))
+    assert code == 0 and out == want and calls == [str(table)]
 
 
 def test_fit_missing_table_exits_4(capsys):
@@ -390,6 +409,7 @@ def test_module_entry_point():
 STDOUT_WRITERS = {
     "estimate": ["estimate", "--scheme", "ml-kem-512", "--att-mtu", "65", "--ll-pdu", "27"],
     "sweep": ["sweep", "--reference-grid", "--compare"],
+    "sweep --help": ["sweep", "--help"],
     "fit": ["fit"],
     "simulate": ["simulate", "--scheme", "ml-kem-512", "--payload", "100",
                  "--trace", "{tmp}/t.jsonl", "--ledger", "{tmp}/l.json"],

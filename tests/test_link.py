@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from pqpan import (FragmentationPlan, InvalidConfig, LinkConfig, LinkFrame, airtime,
                    bytes_on_air, plan_counts, plan_transfer)
-from pqpan.link import ARTIFACT_MAX
-from chunking_oracle import byte_stream_counts
+from pqpan.link import ARTIFACT_MAX, sdu_layout
+from chunking_oracle import byte_stream_counts, byte_stream_frames
 
 ATT_GRID = [23, 65, 104, 204, 404, 512]
 LL_GRID = [27, 69, 108, 208, 251]
@@ -19,25 +19,28 @@ def cfg(att, ll, **kw):
     return LinkConfig(att_mtu=att, ll_pdu=ll, **kw)
 
 
+def frame_sizes(artifact, c):
+    """The layout expanded: the payload bytes of each data frame, in order."""
+    (_, full), n_full, (_, last) = sdu_layout(artifact, c)
+    return list(full * n_full + last)
+
+
 def test_mlkem512_pk_default_pdu():
-    plan = plan_transfer(800, cfg(65, 27))
-    assert plan.att_pdu_count == 13
-    assert plan.ll_data_pdu_count == 39
-    assert plan.ack_count == 39
+    # Twelve full 62 B chunks, each a 69 B SDU in 27+27+15 B frames, then 56 B.
+    assert sdu_layout(800, cfg(65, 27)) == ((62, (27, 27, 15)), 12, (56, (27, 27, 9)))
+    assert plan_counts(800, cfg(65, 27)) == (13, 39)
+    assert [f.is_ack for f in plan_transfer(800, cfg(65, 27)).frames] == [False, True] * 39
 
 
 def test_mlkem512_pk_with_dle():
-    plan = plan_transfer(800, cfg(65, 69))
-    assert plan.att_pdu_count == 13
-    assert plan.ll_data_pdu_count == 13  # each 69 B SDU fits one frame
+    assert plan_counts(800, cfg(65, 69)) == (13, 13)  # each 69 B SDU fits one frame
 
 
 def test_single_byte_artifact():
-    plan = plan_transfer(1, cfg(65, 27))
-    assert plan.att_pdu_count == 1
-    assert plan.ll_data_pdu_count == 1
-    assert plan.ack_count == 1
-    assert plan.data_frames()[0].payload_bytes == 8  # 1 value byte + 7 header
+    assert sdu_layout(1, cfg(65, 27)) == ((62, (27, 27, 15)), 0, (1, (8,)))  # 1 B + 7 B headers
+    assert plan_counts(1, cfg(65, 27)) == (1, 1)
+    assert [(f.payload_bytes, f.is_ack) for f in plan_transfer(1, cfg(65, 27)).frames] \
+        == [(8, False), (0, True)]
 
 
 def test_bytes_on_air_mlkem512_pk():
@@ -71,7 +74,7 @@ def test_airtime_single_frame_one_slot():
 
 
 def test_airtime_empty_plan():
-    empty = FragmentationPlan(frames=(), att_pdu_count=0, ll_data_pdu_count=0)
+    empty = FragmentationPlan(frames=(), ll_data_pdu_count=0)
     budget = airtime(empty, cfg(65, 27))
     assert (budget.t_tx, budget.t_rx, budget.t_ifs) == (0.0, 0.0, 0.0)
 
@@ -94,20 +97,47 @@ def test_counts_match_oracle(artifact, att, ll):
     assert plan_counts(artifact, cfg(att, ll)) == byte_stream_counts(artifact, att, ll)
 
 
+def assert_layout_and_airtime_match_oracle(artifact, c):
+    """The expanded layout is the oracle's frame sequence, and the time budget
+    is the oracle's frames summed: data plus overhead, acks, gaps."""
+    frames = byte_stream_frames(artifact, c.att_mtu, c.ll_pdu)
+    assert frame_sizes(artifact, c) == frames
+    budget = airtime(plan_transfer(artifact, c), c)
+    assert budget.t_tx == 8.0 * sum(size + 10 for size in frames) / c.phy_rate
+    assert budget.t_rx == 8.0 * 10 * len(frames) / c.phy_rate
+    assert budget.t_ifs == c.ifs_slots * len(frames) * c.ifs
+
+
+@given(artifacts, st.integers(min_value=23, max_value=517),
+       st.integers(min_value=27, max_value=251), st.sampled_from([1, 2]),
+       st.sampled_from([1e6, 2e6, 125e3]), st.sampled_from([150e-6, 0.0, 1e-3]))
+def test_layout_matches_oracle_frames(artifact, att, ll, slots, rate, ifs):
+    assert_layout_and_airtime_match_oracle(
+        artifact, cfg(att, ll, phy_rate=rate, ifs=ifs, ifs_slots=slots))
+
+
+@pytest.mark.parametrize("artifact,att,ll,slots", [
+    (ARTIFACT_MAX, 23, 27, 2), (ARTIFACT_MAX - 1, 65, 69, 1), (ARTIFACT_MAX, 517, 251, 2)])
+def test_layout_matches_oracle_frames_up_to_artifact_max(artifact, att, ll, slots):
+    assert_layout_and_airtime_match_oracle(artifact, cfg(att, ll, ifs_slots=slots))
+
+
 @given(artifacts, atts, lls)
 def test_plan_agrees_with_counts(artifact, att, ll):
     plan = plan_transfer(artifact, cfg(att, ll))
-    assert (plan.att_pdu_count, plan.ll_data_pdu_count) == plan_counts(artifact, cfg(att, ll))
+    assert plan.ll_data_pdu_count == plan_counts(artifact, cfg(att, ll))[1]
+    assert [f.payload_bytes for f in plan.frames[::2]] == frame_sizes(artifact, cfg(att, ll))
 
 
 @given(artifacts, atts, lls)
 def test_conservation(artifact, att, ll):
+    (chunk, _), n_full, (last, _) = sdu_layout(artifact, cfg(att, ll))
+    assert chunk * n_full + last == artifact and 0 < last <= chunk
+    sizes = frame_sizes(artifact, cfg(att, ll))
+    assert sum(sizes) == artifact + 7 * plan_counts(artifact, cfg(att, ll))[0]
+    assert all(0 < size <= ll for size in sizes)
     plan = plan_transfer(artifact, cfg(att, ll))
-    assert sum(plan.att_chunks) == artifact
-    data_payload = sum(f.payload_bytes for f in plan.data_frames())
-    assert data_payload == artifact + 7 * plan.att_pdu_count
-    assert plan.ack_count == plan.ll_data_pdu_count
-    assert all(f.payload_bytes <= ll for f in plan.data_frames())
+    assert [f.is_ack for f in plan.frames] == [False, True] * plan.ll_data_pdu_count
 
 
 @given(artifacts, st.lists(atts, min_size=2, max_size=2, unique=True), lls)
@@ -143,21 +173,18 @@ def test_dle_time_dominance(artifact, att):
 
 def naive_plan(artifact_size, c):
     """Reference plan: one fresh LinkFrame per frame, chunk by chunk."""
-    frames, chunks = [], []
+    frames = []
     remaining = artifact_size
     while remaining > 0:
         chunk = min(c.att_mtu - 3, remaining)
         remaining -= chunk
-        chunks.append(chunk)
         sdu = chunk + 7
         while sdu > 0:
             payload = min(c.ll_pdu, sdu)
             sdu -= payload
             frames.append(LinkFrame(payload))
             frames.append(LinkFrame(0, is_ack=True))
-    return FragmentationPlan(frames=tuple(frames), att_pdu_count=len(chunks),
-                             ll_data_pdu_count=len(frames) // 2,
-                             att_chunks=tuple(chunks))
+    return FragmentationPlan(frames=tuple(frames), ll_data_pdu_count=len(frames) // 2)
 
 
 @given(artifacts, st.integers(min_value=23, max_value=517),

@@ -9,10 +9,12 @@ import pqpan.energy
 import pqpan.kem
 import pqpan.link
 import pqpan.sim
-from pqpan import (FrameTrace, HandshakeFailure, InvalidConfig, LinkConfig, NotEstablished,
-                   Phase, Role, UnsupportedScheme, derive_session_key, lookup_scheme,
-                   plan_transfer, pqke_total, run_handshake, send_secured_payload)
+from pqpan import (AEAD_OVERHEAD_BYTES, FrameTrace, HandshakeFailure, InvalidConfig,
+                   LinkConfig, NotEstablished, Phase, Role, UnsupportedScheme,
+                   derive_session_key, lookup_scheme, plan_transfer, pqke_total,
+                   run_handshake, send_secured_payload)
 from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord, _Transfer
+from chunking_oracle import byte_stream_frames
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
 CFG_DLE = LinkConfig(att_mtu=404, ll_pdu=251)
@@ -49,6 +51,26 @@ def test_trace_equals_plan_union(scheme):
                    for f in plan_transfer(size, CFG_DEFAULT).frames]
     trace_frames = [(rec.payload_bytes, rec.is_ack) for rec in r.trace.records]
     assert sorted(trace_frames) == sorted(plan_frames)
+
+
+@given(st.sampled_from(["ml-kem-512", "ml-kem-768", "ml-kem-1024"]),
+       st.integers(min_value=23, max_value=517), st.integers(min_value=27, max_value=251),
+       st.integers(min_value=0, max_value=4096))
+@settings(max_examples=40, deadline=None)
+def test_trace_records_follow_the_oracle_frames(scheme, att, ll, payload):
+    # Each transfer's records are the oracle's data frames in order, every
+    # one answered by an empty ack from the other party.
+    r = run_handshake(scheme, LinkConfig(att_mtu=att, ll_pdu=ll))
+    delta, _ = send_secured_payload(r, bytes(payload))
+    sizes = {op: size for op, size, _ in lookup_scheme(scheme).transfers()}
+    sizes[OP_PAYLOAD] = payload + AEAD_OVERHEAD_BYTES
+    for op, size in sizes.items():
+        records = [rec for rec in r.trace.records + delta.records if rec.op == op]
+        data, acks = records[::2], records[1::2]
+        assert [rec.payload_bytes for rec in data] == byte_stream_frames(size, att, ll)
+        assert len(acks) == len(data) and len({rec.sender for rec in data}) == 1
+        assert all(not d.is_ack and a.is_ack and a.payload_bytes == 0 and a.sender is not d.sender
+                   for d, a in zip(data, acks))
 
 
 def test_replay_determinism():
@@ -151,7 +173,7 @@ def test_to_jsonl_equals_json_dumps_of_records(scheme, att, ll, slots, payload):
 @pytest.mark.parametrize("time_s", [0.0, 1e-300, 1e300, float("inf"), float("nan")])
 def test_to_jsonl_formats_any_float_like_json(time_s):
     ack = (Role.CENTRAL, 0, 10, True, 80e-6, 150e-6)
-    transfer = _Transfer('op "quoted" \u00e9', time_s, (ack,))
+    transfer = _Transfer('op "quoted" \u00e9', time_s, (ack,), 2, (ack,))
     trace = FrameTrace((transfer,), transfer.clock)
     assert trace.to_jsonl() == reference_jsonl(trace)
     assert FrameTrace().to_jsonl() == reference_jsonl(FrameTrace())

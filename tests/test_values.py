@@ -44,8 +44,8 @@ def _residual():
 
 
 def _transfer():
-    return _Transfer(op="Payload", start=1e-3,
-                     frames=((Role.CENTRAL, 0, 10, True, 8e-05, 0.00015),))
+    ack = (Role.CENTRAL, 0, 10, True, 8e-05, 0.00015)
+    return _Transfer(op="Payload", start=1e-3, full=(ack,), n_full=2, last=(ack,))
 
 
 #: type -> keyword arguments of one instance, built afresh on each call.
@@ -54,7 +54,7 @@ KWARGS = {
                              ifs_slots=1),
     LinkFrame: lambda: dict(payload_bytes=27, overhead_bytes=10, is_ack=False),
     FragmentationPlan: lambda: dict(frames=(LinkFrame(27), LinkFrame(0, is_ack=True)),
-                                    att_pdu_count=1, ll_data_pdu_count=1, att_chunks=(20,)),
+                                    ll_data_pdu_count=1),
     TimeBudget: lambda: dict(t_tx=1e-3, t_rx=2.5e-4, t_ifs=3e-4),
     KemParamSet: lambda: dict(name="ML-KEM-512", pk_size=800, sk_size=1632, ct_size=768,
                               nist_level=1),
@@ -113,8 +113,7 @@ REPRS = {
     LinkFrame: "LinkFrame(payload_bytes=27, overhead_bytes=10, is_ack=False)",
     FragmentationPlan: (
         "FragmentationPlan(frames=(LinkFrame(payload_bytes=27, overhead_bytes=10, is_ack=False), "
-        "LinkFrame(payload_bytes=0, overhead_bytes=10, is_ack=True)), att_pdu_count=1, "
-        "ll_data_pdu_count=1, att_chunks=(20,))"),
+        "LinkFrame(payload_bytes=0, overhead_bytes=10, is_ack=True)), ll_data_pdu_count=1)"),
     TimeBudget: "TimeBudget(t_tx=0.001, t_rx=0.00025, t_ifs=0.0003)",
     KemParamSet: _SCHEME_REPR,
     ReferenceEnergyRow: ("ReferenceEnergyRow(scheme='ML-KEM-512', att_mtu=65, ll_pdu=27, "
@@ -135,9 +134,10 @@ REPRS = {
                 "max_abs_rel_err=0.01, mean_abs_rel_err=0.01)"),
     TraceRecord: ("TraceRecord(time_s=0.001, sender=<Role.CENTRAL: 'central'>, payload_bytes=0, "
                   "overhead_bytes=10, is_ack=True, op='Payload')"),
-    FrameTrace: ("FrameTrace(_parts=(_Transfer(op='Payload', start=0.001, frames=("
-                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015),), clock=0.00123),), "
-                 "clock=0.00123)"),
+    FrameTrace: ("FrameTrace(_parts=(_Transfer(op='Payload', start=0.001, full=("
+                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015),), n_full=2, last=("
+                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015),), "
+                 "clock=0.0016899999999999999),), clock=0.00123)"),
     PartyState: (
         f"PartyState(role=<Role.PERIPHERAL: 'peripheral'>, scheme={_SCHEME_REPR}, "
         f"phase=<Phase.ESTABLISHED: 'Established'>, keypair=KemKeyPair(pk=b'pk', sk=b'sk', "
@@ -156,9 +156,11 @@ REPRS = {
         f"link={_LINK_REPR.format(23)}, kem_backend='real')"),
 }
 
-#: A payload trace as the simulator stores it: one transfer, four frames.
+#: A payload trace as the simulator stores it: one transfer, no full SDU and
+#: a last SDU of four frames.
 PAYLOAD_TRACE_REPR = (
-    "FrameTrace(_parts=(_Transfer(op='Payload', start=0.04941999999999978, frames=("
+    "FrameTrace(_parts=(_Transfer(op='Payload', start=0.04941999999999978, full=(), "
+    "n_full=0, last=("
     "(<Role.PERIPHERAL: 'peripheral'>, 27, 10, False, 0.000296, 0.00015), "
     "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015), "
     "(<Role.PERIPHERAL: 'peripheral'>, 8, 10, False, 0.000144, 0.00015), "
