@@ -41,7 +41,11 @@ MUTANTS = {
     "ecdh-p256 alias dropped": (
         "energy.py", 'elif kind in (SECURITY_ECDH, "ecdh-p256"):', "elif kind == SECURITY_ECDH:"),
     "one-slot gap rule dropped": (
-        "sim.py", "cfg.ifs if cfg.ifs_slots == 2 else 0.0)", "cfg.ifs)"),
+        "link.py", "self.ifs if not is_ack or self.ifs_slots == 2 else 0.0", "self.ifs"),
+    "ack gap left out of t_ifs": (
+        "link.py", "(cfg.gap_after(False) + cfg.gap_after(True))", "cfg.gap_after(False)"),
+    "seconds on air off by one byte": (
+        "link.py", "8.0 * n_bytes / self.phy_rate", "8.0 * (n_bytes + 1) / self.phy_rate"),
     "AEAD envelope on an unsecured payload": (
         "energy.py",
         "artifact = payload if kind == SECURITY_NONE else payload + AEAD_OVERHEAD_BYTES",

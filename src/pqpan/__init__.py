@@ -19,7 +19,7 @@ _LAYERS = {
                   "default_calibration", "load_reference_table", "load_schemes",
                   "lookup_scheme"),
     "link": ("FragmentationPlan", "LinkConfig", "LinkFrame", "TimeBudget", "airtime",
-             "bytes_on_air", "plan_counts", "plan_transfer"),
+             "plan_counts", "plan_transfer"),
     "kem": ("Encapsulation", "KemKeyPair", "SessionKey", "decapsulate",
             "derive_session_key", "encapsulate", "get_backend", "keygen"),
     "energy": ("AEAD_OVERHEAD_BYTES", "CycleCounts", "ECDH_PAIRING_UJ", "EnergyBreakdown",

@@ -26,7 +26,7 @@ import sys
 from .config import BACKENDS, ModelConfig, resolve_config
 from .energy import AEAD_OVERHEAD_BYTES, comm_energy, fit_radio_currents, pqke_total
 from .errors import PqpanError
-from .link import ARTIFACT_MAX, airtime, plan_transfer
+from .link import ARTIFACT_MAX, airtime
 from .reference import SECURITY_LEVELS, load_reference_table, lookup_scheme
 
 DEFAULT_SWEEP_SCHEMES = "ML-KEM-512,ML-KEM-768,ML-KEM-1024"
@@ -124,7 +124,7 @@ def _sweep_rows(cfg: ModelConfig, cells):
         scheme = lookup_scheme(scheme_name)
         link = cfg.link.replace(att_mtu=att, ll_pdu=ll)
         for op, artifact, as_receiver in scheme.transfers():
-            budget = airtime(plan_transfer(artifact, link), link)
+            budget = airtime(artifact, link)
             e = comm_energy(budget, cfg.profile, as_receiver=as_receiver)
             rows.append({"scheme": scheme.name, "att_mtu": att, "ll_pdu": ll,
                          "op": op, "e_theor_uJ": e})

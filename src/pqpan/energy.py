@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .errors import (InvalidProfile, ParseError, SingularSystem, UnsupportedScheme, Value,
                      int_in_range, real_in_range, set_field)
-from .link import LinkConfig, TimeBudget, airtime, plan_transfer
+from .link import LinkConfig, TimeBudget, airtime
 from .reference import (CalibrationFactors, KemParamSet, default_calibration,
                         lookup_scheme, read_text)
 
@@ -261,8 +261,7 @@ def pqke_total(scheme: KemParamSet | str, cfg: LinkConfig,
     is excluded unless ``include_encap`` is set.
     """
     scheme, profile, gamma, counts = handshake_inputs(scheme, profile, gamma, cycles)
-    pk_budget, ct_budget = (airtime(plan_transfer(size, cfg), cfg)
-                            for _, size, _ in scheme.transfers())
+    pk_budget, ct_budget = (airtime(size, cfg) for _, size, _ in scheme.transfers())
     return handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma,
                                scheme.nist_level, include_encap)
 
@@ -293,7 +292,7 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     transfer = 0.0
     if payload > 0:
         artifact = payload if kind == SECURITY_NONE else payload + AEAD_OVERHEAD_BYTES
-        transfer = transfer_energy(airtime(plan_transfer(artifact, cfg), cfg), profile, gamma)
+        transfer = transfer_energy(airtime(artifact, cfg), profile, gamma)
     return pairing + transfer
 
 
@@ -355,7 +354,7 @@ def _design_matrix(rows, ifs_slots: int) -> list[list[float]]:
                                  in lookup_scheme(row.scheme).transfers()}[row.op]
         cfg = LinkConfig(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu, ifs_slots=ifs_slots)
         # Columns multiply (i_tx, i_rx, i_ifs).
-        times = radio_state_times(airtime(plan_transfer(artifact, cfg), cfg), as_receiver)
+        times = radio_state_times(airtime(artifact, cfg), as_receiver)
         design.append([voltage * t for t in times])
     return design
 

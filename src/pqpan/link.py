@@ -13,6 +13,10 @@ last SDU; the layout gives the value bytes and data-frame payload sizes of
 each, and the frame counts, the frame sequence, the simulator's steps and
 its reassembly all derive from it.
 
+The timing rules are :class:`LinkConfig` methods: N bytes are on air for
+``8 * N / phy_rate`` seconds, and the IFS accounting sets the gaps after a
+data frame and its ack. :func:`airtime` and the simulator both use them.
+
 The model is analytical: frames are never lost, reordered, or retransmitted,
 and connection-event scheduling is not represented. All functions here are
 pure and operate on value types.
@@ -60,6 +64,15 @@ class LinkConfig(Value):
         set_field(self, "ifs", real_in_range("ifs", ifs, 0.0, IFS_MAX))
         set_field(self, "ifs_slots", int_in_range("ifs_slots", ifs_slots, 1, 2))
 
+    def seconds_on_air(self, n_bytes: int) -> float:
+        """Seconds that ``n_bytes`` take on air at ``phy_rate``."""
+        return 8.0 * n_bytes / self.phy_rate
+
+    def gap_after(self, is_ack: bool) -> float:
+        """One ``ifs`` follows a data frame; one follows its ack only under
+        two-slot accounting."""
+        return self.ifs if not is_ack or self.ifs_slots == 2 else 0.0
+
 
 class LinkFrame(Value):
     """A link-layer frame: data comes from the transfer's sender, acks from its receiver."""
@@ -92,7 +105,7 @@ class FragmentationPlan(Value):
 
 
 class TimeBudget(Value):
-    """Sender-side radio-on times for one plan, in seconds.
+    """Sender-side radio-on times for one transfer, in seconds.
 
     ``t_tx`` covers data frames, ``t_rx`` the returning acks, ``t_ifs`` the
     cumulative inter-frame spacing.
@@ -145,22 +158,11 @@ def plan_transfer(artifact_size: int, cfg: LinkConfig) -> FragmentationPlan:
     return FragmentationPlan(frames=frames, ll_data_pdu_count=len(frames) // 2)
 
 
-def bytes_on_air(plan: FragmentationPlan) -> tuple[int, int]:
-    """(tx_bytes, rx_bytes) at the PHY layer, from the sender's viewpoint."""
-    tx = sum(f.on_air_bytes for f in plan.frames if not f.is_ack)
-    rx = sum(f.on_air_bytes for f in plan.frames if f.is_ack)
-    return tx, rx
-
-
-def airtime(plan: FragmentationPlan, cfg: LinkConfig) -> TimeBudget:
-    """Convert a plan's PHY bytes into the sender-side time budget.
-
-    On-air time is 8 * bytes / phy_rate per frame; every data/ack exchange
-    additionally costs ``cfg.ifs_slots`` inter-frame gaps.
-    """
-    tx_bytes, rx_bytes = bytes_on_air(plan)
-    return TimeBudget(
-        t_tx=8.0 * tx_bytes / cfg.phy_rate,
-        t_rx=8.0 * rx_bytes / cfg.phy_rate,
-        t_ifs=cfg.ifs_slots * plan.ll_data_pdu_count * cfg.ifs,
-    )
+def airtime(artifact_size: int, cfg: LinkConfig) -> TimeBudget:
+    """The sender-side time budget of one artifact: the data frames' and the
+    acks' bytes on air, and both gaps of every data/ack exchange."""
+    plan = plan_transfer(artifact_size, cfg)
+    tx_bytes = sum(f.on_air_bytes for f in plan.frames if not f.is_ack)
+    rx_bytes = sum(f.on_air_bytes for f in plan.frames if f.is_ack)
+    return TimeBudget(cfg.seconds_on_air(tx_bytes), cfg.seconds_on_air(rx_bytes),
+                      plan.ll_data_pdu_count * (cfg.gap_after(False) + cfg.gap_after(True)))

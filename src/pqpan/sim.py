@@ -5,12 +5,13 @@ in-memory, lossless, in-order link: the peripheral generates a key pair and
 notifies the public key; the central encapsulates and writes the ciphertext
 back; the peripheral decapsulates and both derive the session key, going
 from Idle to Established (or raising). Every transfer, the secured payload
-included, is planned once and yields its frames with virtual timestamps and
-its time budget; the energy ledger prices those budgets, so it reconciles
-exactly with the analytical model (it introduces no cost terms of its own).
+included, yields its timestamped frames and its ``airtime(size, cfg)``
+budget; the energy ledger prices those budgets, so it reconciles exactly
+with the analytical model (it introduces no cost terms of its own).
 
-Virtual time advances by frame airtime plus inter-frame spacing only;
-connection-interval idle gaps are outside the analytical model's scope.
+Virtual time advances by frame airtime plus inter-frame spacing only, by the
+link's timing rules that the budget also sums; connection-interval idle gaps
+are outside the analytical model's scope.
 
 The trace stores each transfer run-length encoded from its link layout: its
 start time, the steps of a full SDU and how often they repeat, then the steps
@@ -36,7 +37,7 @@ from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
 from .errors import HandshakeFailure, NotEstablished, Value, int_in_range, set_field
-from .link import LL_OVERHEAD, LinkConfig, airtime, plan_transfer, sdu_layout
+from .link import LL_OVERHEAD, LinkConfig, airtime, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
 OP_PAYLOAD = "Payload"
@@ -268,7 +269,7 @@ def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig,
               artifact: bytes | None = None):
     """Send one (op, size, peripheral receives) row of :meth:`KemParamSet.transfers`
     from clock ``t``; the sender sends the data frames and the other party the
-    acks. Returns the transfer's frames, the plan's time budget and ``artifact``
+    acks. Returns the transfer's frames, its time budget and ``artifact``
     reassembled from the ATT chunks of the layout (None without one)."""
     op, size, peripheral_receives = transfer
     (chunk, full), n_full, (last_chunk, last) = sdu_layout(size, cfg)
@@ -281,19 +282,16 @@ def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig,
         received = rx.finish()
     sender, receiver = ((Role.CENTRAL, Role.PERIPHERAL) if peripheral_receives
                         else (Role.PERIPHERAL, Role.CENTRAL))
-    # One gap always follows a data frame; the second gap after the ack is
-    # charged only under two-slot accounting.
-    ack = (receiver, 0, LL_OVERHEAD, True, 8.0 * LL_OVERHEAD / cfg.phy_rate,
-           cfg.ifs if cfg.ifs_slots == 2 else 0.0)
+    ack = (receiver, 0, LL_OVERHEAD, True, cfg.seconds_on_air(LL_OVERHEAD), cfg.gap_after(True))
     data = {payload: (sender, payload, LL_OVERHEAD, False,
-                      8.0 * (payload + LL_OVERHEAD) / cfg.phy_rate, cfg.ifs)
+                      cfg.seconds_on_air(payload + LL_OVERHEAD), cfg.gap_after(False))
             for payload in {*full, *last}}
 
     def steps(sizes: tuple[int, ...]) -> tuple[tuple, ...]:
         return tuple(step for payload in sizes for step in (data[payload], ack))
 
     frames = _Transfer(op, t, steps(full) if n_full else (), n_full, steps(last))
-    return frames, airtime(plan_transfer(size, cfg), cfg), received
+    return frames, airtime(size, cfg), received
 
 
 def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,

@@ -467,8 +467,8 @@ EXPORTS = {
               "UnsupportedScheme",
     "reference": "CalibrationFactors KemParamSet ReferenceEnergyRow default_calibration "
                  "load_reference_table load_schemes lookup_scheme",
-    "link": "FragmentationPlan LinkConfig LinkFrame TimeBudget airtime bytes_on_air "
-            "plan_counts plan_transfer",
+    "link": "FragmentationPlan LinkConfig LinkFrame TimeBudget airtime plan_counts "
+            "plan_transfer",
     "kem": "Encapsulation KemKeyPair SessionKey decapsulate derive_session_key encapsulate "
            "get_backend keygen",
     "energy": "AEAD_OVERHEAD_BYTES CycleCounts ECDH_PAIRING_UJ EnergyBreakdown "

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqpan import (FragmentationPlan, InvalidConfig, LinkConfig, LinkFrame, airtime,
-                   bytes_on_air, plan_counts, plan_transfer)
+                   plan_counts, plan_transfer)
 from pqpan.link import ARTIFACT_MAX, sdu_layout
 from chunking_oracle import byte_stream_counts, byte_stream_frames
 
@@ -43,44 +43,42 @@ def test_single_byte_artifact():
         == [(8, False), (0, True)]
 
 
+def bytes_on_air(artifact, c):
+    """(tx, rx) PHY bytes of a transfer, read back from its time budget."""
+    budget = airtime(artifact, c)
+    return budget.t_tx * c.phy_rate / 8, budget.t_rx * c.phy_rate / 8
+
+
 def test_bytes_on_air_mlkem512_pk():
-    assert bytes_on_air(plan_transfer(800, cfg(65, 27))) == (1281, 390)
+    assert bytes_on_air(800, cfg(65, 27)) == (1281, 390)
 
 
 def test_bytes_on_air_single_byte():
-    assert bytes_on_air(plan_transfer(1, cfg(65, 27))) == (18, 10)
+    assert bytes_on_air(1, cfg(65, 27)) == (18, 10)
 
 
 def test_bytes_on_air_mlkem512_ct():
     # 768 B ciphertext: 13 chunks, the last SDU is 31 B and splits into 2
     # frames, so 38 data frames and payload total 768 + 7*13 = 859 B.
-    plan = plan_transfer(768, cfg(65, 27))
-    assert plan.ll_data_pdu_count == 38
-    assert bytes_on_air(plan) == (859 + 38 * 10, 380)
+    assert plan_counts(768, cfg(65, 27)) == (13, 38)
+    assert bytes_on_air(768, cfg(65, 27)) == (859 + 38 * 10, 380)
 
 
 def test_airtime_single_full_frame():
     # 20 value bytes at ATT 30 make one 27 B SDU, one maximal frame.
-    budget = airtime(plan_transfer(20, cfg(30, 27)), cfg(30, 27))
+    budget = airtime(20, cfg(30, 27))
     assert budget.t_tx == pytest.approx(296e-6)
     assert budget.t_rx == pytest.approx(80e-6)
     assert budget.t_ifs == pytest.approx(300e-6)
 
 
 def test_airtime_single_frame_one_slot():
-    c = cfg(30, 27, ifs_slots=1)
-    budget = airtime(plan_transfer(20, c), c)
+    budget = airtime(20, cfg(30, 27, ifs_slots=1))
     assert budget.t_ifs == pytest.approx(150e-6)
 
 
-def test_airtime_empty_plan():
-    empty = FragmentationPlan(frames=(), ll_data_pdu_count=0)
-    budget = airtime(empty, cfg(65, 27))
-    assert (budget.t_tx, budget.t_rx, budget.t_ifs) == (0.0, 0.0, 0.0)
-
-
 def test_airtime_full_mlkem512_pk_plan():
-    budget = airtime(plan_transfer(800, cfg(65, 27)), cfg(65, 27))
+    budget = airtime(800, cfg(65, 27))
     assert budget.t_tx == pytest.approx(8 * 1281 / 1e6)
     assert budget.t_rx == pytest.approx(8 * 390 / 1e6)
 
@@ -102,7 +100,7 @@ def assert_layout_and_airtime_match_oracle(artifact, c):
     is the oracle's frames summed: data plus overhead, acks, gaps."""
     frames = byte_stream_frames(artifact, c.att_mtu, c.ll_pdu)
     assert frame_sizes(artifact, c) == frames
-    budget = airtime(plan_transfer(artifact, c), c)
+    budget = airtime(artifact, c)
     assert budget.t_tx == 8.0 * sum(size + 10 for size in frames) / c.phy_rate
     assert budget.t_rx == 8.0 * 10 * len(frames) / c.phy_rate
     assert budget.t_ifs == c.ifs_slots * len(frames) * c.ifs
@@ -166,8 +164,8 @@ def test_frame_count_monotone_in_ll_pdu(artifact, att, ll_pair):
 @given(artifacts, atts)
 @settings(max_examples=50)
 def test_dle_time_dominance(artifact, att):
-    base = airtime(plan_transfer(artifact, cfg(att, 27)), cfg(att, 27))
-    dle = airtime(plan_transfer(artifact, cfg(att, 251)), cfg(att, 251))
+    base = airtime(artifact, cfg(att, 27))
+    dle = airtime(artifact, cfg(att, 251))
     assert dle.t_tx + dle.t_rx + dle.t_ifs <= base.t_tx + base.t_rx + base.t_ifs
 
 
@@ -224,13 +222,14 @@ def test_invalid_ifs_slots(slots):
 
 
 def test_invalid_artifact_size():
-    with pytest.raises(InvalidConfig):
-        plan_transfer(0, cfg(65, 27))
+    for plan in (plan_transfer, airtime):
+        with pytest.raises(InvalidConfig):
+            plan(0, cfg(65, 27))
 
 
 @pytest.mark.parametrize("plan,size", [
     pytest.param(plan, size, id=plan.__name__ + suffix)
-    for plan in (plan_transfer, plan_counts)
+    for plan in (plan_transfer, plan_counts, airtime)
     for size, suffix in ((ARTIFACT_MAX + 1, ""), (800.5, "-800.5"), (800.0, "-800.0"),
                          (True, "-True"))])
 def test_artifact_size_capped(plan, size):
