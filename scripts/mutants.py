@@ -62,10 +62,15 @@ MUTANTS = {
     "encapsulation left out of the total": (
         "energy.py", "total += e_encap", "total += 0.0"),
     "minimax polish skipped": (
-        "energy.py",
-        "current = min(_chebyshev_polish(design, target, lsq), lsq, "
-        "key=lambda x: max(abs_rel(x)))",
-        "current = lsq"),
+        "energy.py", "if tab[m][j] < -tol), None)", "if False), None)"),
+    "near-zero pivot accepted": (
+        "energy.py", "if tab[i][j] > pivot_min]", "if tab[i][j] > tol]"),
+    "least-total tie-break dropped": (
+        "energy.py", "for rhs in (-2, -1):", "for rhs in (-2,):"),
+    "duplicate reference cell accepted": (
+        "reference.py", "if cell in first_row:", "if False:"),
+    "duplicate cycles row accepted": (
+        "energy.py", "if name in first_row:", "if False:"),
     "trace clock additions fused": (
         "sim.py", "t += air\n            t += gap", "t += air + gap"),
     "JSONL tail shared across sender roles": (

@@ -187,8 +187,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit(args) -> int:
     rows = load_reference_table(args.table)
-    result = fit_radio_currents(rows, ifs_slots=args.ifs_slots)
-    report = result.as_dict()
+    report = fit_radio_currents(rows).as_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -279,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="recover radio currents from a reference table")
     p.add_argument("--table", default=None, metavar="PATH",
                    help="reference table CSV (defaults to the bundled copy)")
-    p.add_argument("--ifs-slots", type=int, choices=(1, 2), default=2,
-                   help="inter-frame gaps charged per data/ack exchange (default 2); "
-                        "scales the fitted i_ifs and cannot change a residual")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the full report JSON here (summary goes to stdout)")
     p.set_defaults(func=cmd_fit)

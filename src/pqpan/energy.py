@@ -24,9 +24,9 @@ from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
-from .errors import (InvalidProfile, ParseError, SingularSystem, UnsupportedScheme, Value,
-                     int_in_range, real_in_range, set_field)
-from .link import LinkConfig, TimeBudget, airtime
+from .errors import (InvalidProfile, ParseError, SingularSystem, UnknownScheme,
+                     UnsupportedScheme, Value, int_in_range, real_in_range, set_field)
+from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig, TimeBudget, airtime
 from .reference import (CalibrationFactors, KemParamSet, default_calibration,
                         lookup_scheme, read_text)
 
@@ -69,8 +69,8 @@ class RadioProfile(Value):
         set_field(self, "f_mcu", f_mcu)
 
 
-# Recovered from the bundled reference table by fit_radio_currents with
-# ifs_slots=2 (fitted values, not datasheet). i_mcu is a modeling default.
+# Recovered from the bundled reference table by fit_radio_currents, under the link's
+# default IFS accounting (fitted values, not datasheet). i_mcu is a modeling default.
 FITTED_RADIO_PROFILE = RadioProfile(
     voltage=3.0,
     i_tx=6.442828134732573e-3,
@@ -100,8 +100,9 @@ def load_cycle_counts(path: str | None = None) -> MappingProxyType[str, CycleCou
     """Load the cycle-count snapshot (bundled file by default), keyed by
     upper-cased scheme name; the table is read-only, as every caller shares it.
 
-    Lines starting with ``#`` are comments. Counts must increase strictly
-    with security level within each operation.
+    Lines starting with ``#`` are comments. Each row names a known scheme,
+    once. Counts must increase strictly with security level within each
+    operation.
     """
     label = path or "cycles.csv"
     if path is None:
@@ -111,16 +112,22 @@ def load_cycle_counts(path: str | None = None) -> MappingProxyType[str, CycleCou
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
     counts: dict[str, CycleCounts] = {}
+    first_row: dict[str, int] = {}
     for i, rec in enumerate(reader, start=2):
         try:
-            counts[rec["scheme"].upper()] = CycleCounts(
+            name = lookup_scheme(rec["scheme"] or "").name.upper()
+            if name in first_row:
+                raise ParseError(f"{rec['scheme']} repeats row {first_row[name]}",
+                                 path=label, row=i)
+            counts[name] = CycleCounts(
                 keygen=int(rec["keygen"]), encap=int(rec["encaps"]),
                 decap=int(rec["decaps"]))
         except (KeyError, TypeError, ValueError):
             raise ParseError("expected scheme,keygen,encaps,decaps",
                              path=label, row=i) from None
-        except InvalidProfile as exc:
+        except (InvalidProfile, UnknownScheme) as exc:
             raise ParseError(str(exc), path=label, row=i) from None
+        first_row[name] = i
     leveled = sorted(
         ((lookup_scheme(name).nist_level, c) for name, c in counts.items()
          if lookup_scheme(name).nist_level is not None),
@@ -315,13 +322,11 @@ class FitRowResidual(Value):
 class FitResult(Value):
     """Recovered radio currents plus the per-row residual report."""
 
-    __slots__ = ("profile", "ifs_slots", "residuals", "max_abs_rel_err", "mean_abs_rel_err")
+    __slots__ = ("profile", "residuals", "max_abs_rel_err", "mean_abs_rel_err")
 
-    def __init__(self, profile: RadioProfile, ifs_slots: int,
-                 residuals: tuple[FitRowResidual, ...], max_abs_rel_err: float,
-                 mean_abs_rel_err: float):
+    def __init__(self, profile: RadioProfile, residuals: tuple[FitRowResidual, ...],
+                 max_abs_rel_err: float, mean_abs_rel_err: float):
         set_field(self, "profile", profile)
-        set_field(self, "ifs_slots", ifs_slots)
         set_field(self, "residuals", residuals)
         set_field(self, "max_abs_rel_err", max_abs_rel_err)
         set_field(self, "mean_abs_rel_err", mean_abs_rel_err)
@@ -329,7 +334,7 @@ class FitResult(Value):
     def as_dict(self) -> dict:
         return {
             "provenance": "fitted from reference table, not datasheet",
-            "ifs_slots": self.ifs_slots,
+            "ifs_slots": _FIT_LINK.ifs_slots,  # binds a report loaded as a config
             "max_abs_rel_err": self.max_abs_rel_err,
             "mean_abs_rel_err": self.mean_abs_rel_err,
             "profile": {
@@ -346,13 +351,19 @@ class FitResult(Value):
         }
 
 
-def _design_matrix(rows, ifs_slots: int) -> list[list[float]]:
+#: The link each reference row is priced on at its att_mtu and ll_pdu: LinkConfig's defaults.
+_FIT_LINK = LinkConfig(att_mtu=ATT_MTU_MIN, ll_pdu=LL_PDU_MIN)
+#: Simplex pivots allowed per tableau column; Bland's rule needs far fewer.
+_PIVOTS_PER_COLUMN = 50
+
+
+def _design_matrix(rows) -> list[list[float]]:
     voltage = FITTED_RADIO_PROFILE.voltage
     design = []
     for row in rows:
         artifact, as_receiver = {op: (size, rx) for op, size, rx
                                  in lookup_scheme(row.scheme).transfers()}[row.op]
-        cfg = LinkConfig(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu, ifs_slots=ifs_slots)
+        cfg = _FIT_LINK.replace(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu)
         # Columns multiply (i_tx, i_rx, i_ifs).
         times = radio_state_times(airtime(artifact, cfg), as_receiver)
         design.append([voltage * t for t in times])
@@ -363,30 +374,28 @@ def _dot(a, b) -> float:
     return math.fsum(x * y for x, y in zip(a, b))
 
 
-def _least_squares(design, target) -> list[float] | None:
-    """Least squares by modified Gram-Schmidt QR; None when some ``|R_jj|`` is
-    at or below ``max column norm * max(n, k) * eps``, the SVD rank tolerance
-    with R's diagonal in place of the singular values."""
+def _require_full_rank(design) -> None:
+    """Raise SingularSystem unless the design's columns are independent: by
+    modified Gram-Schmidt QR, some ``|R_jj|`` at or below ``max column norm *
+    max(n, k) * eps`` (the SVD rank tolerance with R's diagonal in place of
+    the singular values) means rank deficient."""
     n, k = len(design), len(design[0])
-    cols = [list(c) for c in zip(*design)] + [list(target)]  # R's last column is Q^T b
-    tol = max(math.hypot(*c) for c in cols[:k]) * max(n, k) * math.ulp(1.0)
-    q, r = [], [[0.0] * (k + 1) for _ in range(k)]
-    for j, v in enumerate(cols):
-        for i, qi in enumerate(q):
-            r[i][j] = _dot(qi, v)
-            v = [x - r[i][j] * y for x, y in zip(v, qi)]
-        if j < k:
-            r[j][j] = math.hypot(*v)
-            if r[j][j] <= tol:
-                return None
-            q.append([x / r[j][j] for x in v])
-    x = [0.0] * k
-    for j in reversed(range(k)):
-        x[j] = (r[j][k] - _dot(r[j][j + 1:k], x[j + 1:])) / r[j][j]
-    return x
+    cols = list(zip(*design))
+    tol = max(math.hypot(*c) for c in cols) * max(n, k) * math.ulp(1.0)
+    q = []
+    for v in cols:
+        for qi in q:
+            r_ij = _dot(qi, v)
+            v = [x - r_ij * y for x, y in zip(v, qi)]
+        r_jj = math.hypot(*v)
+        if r_jj <= tol:
+            raise SingularSystem(
+                "design matrix is rank deficient; rows do not span independent "
+                "tx/rx/ifs time combinations")
+        q.append([x / r_jj for x in v])
 
 
-def _chebyshev_polish(design, target, start):
+def _chebyshev_polish(design, target) -> list[float]:
     """Minimize the maximum relative residual over non-negative currents.
 
     The optimum need not be unique (on the bundled table it is a segment), so
@@ -395,14 +404,19 @@ def _chebyshev_polish(design, target, start):
     ``rel^T (v - u) <= eps``, ``sum(u + v) <= 1``, ``u, v >= 0``, starts at the
     feasible origin; a tableau simplex under Bland's rule keeps ``eps``
     symbolic, as a second right-hand side that only breaks ratio ties. The
-    currents are the reduced costs of the slack columns. Returns ``start`` if
-    the simplex does not finish.
+    currents are the reduced costs of the slack columns.
+
+    Scaled, every row starts with entries of at most 1. A pivot must exceed
+    ``pivot_min``: rounding can leave an entry that is exactly zero at about
+    1e-11, and a pivot on it sends Bland's rule cycling, while real pivots stay
+    above 1e-4 on designs as spread as the fit's. Raises SingularSystem if the
+    simplex does not finish.
     """
     n, k = len(design), len(design[0])
     rel = [[d / t for d in row] for row, t in zip(design, target)]
     col_max = [max(col) for col in zip(*rel)]
     rel = [[v / c for v, c in zip(row, col_max)] for row in rel]  # every column peaks at 1
-    m, cols, tol = k + 1, 2 * n, 1e-12
+    m, cols, tol, pivot_min = k + 1, 2 * n, 1e-12, 1e-9
     # Rows: one per current, the residual bound, then the objective. Columns:
     # u, v, the m slacks, the right-hand side and its eps coefficient.
     slack = [[float(i == j) for j in range(m)] for i in range(m)]
@@ -410,11 +424,12 @@ def _chebyshev_polish(design, target, start):
            for i, col in enumerate(zip(*rel))]  # sum(x) in the scaled currents
     tab += [[1.0] * cols + slack[k] + [1.0, 0.0], [1.0] * n + [-1.0] * n + [0.0] * (m + 2)]
     basis = list(range(cols, cols + m))
-    for _ in range(50 * (cols + m)):
+    max_pivots = _PIVOTS_PER_COLUMN * (cols + m)
+    for _ in range(max_pivots):
         j = next((j for j in range(cols + m) if tab[m][j] < -tol), None)
         if j is None:
             return [max(tab[m][cols + i], 0.0) / col_max[i] for i in range(k)]
-        rows = [i for i in range(m) if tab[i][j] > tol]
+        rows = [i for i in range(m) if tab[i][j] > pivot_min]
         if not rows:
             break
         for rhs in (-2, -1):
@@ -425,49 +440,39 @@ def _chebyshev_polish(design, target, start):
         tab = [row if i == r else [a - row[j] * b for a, b in zip(row, tab[r])]
                for i, row in enumerate(tab)]
         basis[r] = j
-    return start
+    raise SingularSystem(f"the minimax fit did not finish within {max_pivots} simplex pivots")
 
 
-def fit_radio_currents(rows, ifs_slots: int = 2) -> FitResult:
+def fit_radio_currents(rows) -> FitResult:
     """Recover (i_tx, i_rx, i_ifs) from reference rows.
 
-    Solves the least-squares system ``E = V * (i_tx*t_tx + i_rx*t_rx +
-    i_ifs*t_ifs)`` over all rows, then polishes with a Chebyshev step that
-    minimizes the worst relative residual (least total current among the
-    currents that reach it). ``ifs_slots`` is the IFS accounting: the t_ifs
-    column is proportional to it, so it scales the fitted ``i_ifs`` and
-    leaves every residual as it is.
+    Prices every row on LinkConfig's default link at the row's att_mtu and
+    ll_pdu, checks that the (t_tx, t_rx, t_ifs) columns are independent, and
+    returns the non-negative currents that minimize the worst relative
+    residual of ``E = V * (i_tx*t_tx + i_rx*t_rx + i_ifs*t_ifs)``, with the
+    least total current among those that reach it (:func:`_chebyshev_polish`).
+    The fitted ``i_ifs`` belongs to the link's IFS accounting, which the
+    report records.
 
-    The PHY rate and gap length are ``LinkConfig``'s defaults. The voltage
-    and the MCU fields, which the fit cannot observe, are
+    The voltage and the MCU fields, which the fit cannot observe, are
     ``FITTED_RADIO_PROFILE``'s.
     """
     rows = tuple(rows)
     if len(rows) < 3:
         raise SingularSystem(f"need at least 3 rows, got {len(rows)}")
     target = [r.e_theor_uj * 1e-6 for r in rows]
-    design = _design_matrix(rows, ifs_slots)
-    lsq = _least_squares(design, target)
-    if lsq is None:
-        raise SingularSystem(
-            "design matrix is rank deficient; rows do not span independent "
-            "tx/rx/ifs time combinations")
-
-    def abs_rel(x):
-        return [abs(_dot(d, x) / t - 1.0) for d, t in zip(design, target)]
-
-    # The polished currents win ties (min keeps the first of equals).
-    current = min(_chebyshev_polish(design, target, lsq), lsq, key=lambda x: max(abs_rel(x)))
+    design = _design_matrix(rows)
+    _require_full_rank(design)
+    current = _chebyshev_polish(design, target)
     modeled = [_dot(d, current) for d in design]
     residuals = tuple(
         FitRowResidual(scheme=r.scheme, att_mtu=r.att_mtu, ll_pdu=r.ll_pdu, op=r.op,
                        reference_uj=r.e_theor_uj, modeled_uj=m * 1e6, rel_err=m / t - 1.0)
         for r, m, t in zip(rows, modeled, target))
-    errors = abs_rel(current)
+    errors = [abs(r.rel_err) for r in residuals]
     # RadioProfile requires currents of at least CURRENT_MIN; a table whose
     # gaps cost nothing fits i_ifs to zero.
     profile = FITTED_RADIO_PROFILE.replace(i_tx=current[0], i_rx=current[1],
                                            i_ifs=max(current[2], CURRENT_MIN))
-    return FitResult(profile=profile, ifs_slots=ifs_slots, residuals=residuals,
-                     max_abs_rel_err=max(errors),
+    return FitResult(profile=profile, residuals=residuals, max_abs_rel_err=max(errors),
                      mean_abs_rel_err=math.fsum(errors) / len(errors))

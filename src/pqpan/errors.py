@@ -56,7 +56,7 @@ class InvalidProfile(PqpanError):
 
 
 class SingularSystem(PqpanError):
-    """Current-fit design matrix is rank deficient."""
+    """Current-fit design matrix is rank deficient, or its minimax solve did not finish."""
 
 
 class HandshakeFailure(PqpanError):

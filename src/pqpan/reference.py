@@ -198,6 +198,7 @@ def load_reference_table(path: str | Path | None = None) -> tuple[ReferenceEnerg
     ``path`` defaults to the bundled copy. Each row's stored delta is checked
     against the (theoretical, empirical) pair it was derived from; rows where
     the hardware measurement undercuts the model (negative delta) are valid.
+    Each (scheme, att_mtu, ll_pdu, op) cell occurs once.
     """
     if path is None:
         label = "table2.csv"
@@ -215,6 +216,7 @@ def load_reference_table(path: str | Path | None = None) -> tuple[ReferenceEnerg
         raise ParseError(f"expected header {','.join(_TABLE_COLUMNS)}", path=label, row=1)
 
     rows: list[ReferenceEnergyRow] = []
+    first_row: dict[tuple, int] = {}
     for i, rec in enumerate(reader, start=2):
         if not rec:
             continue
@@ -239,6 +241,12 @@ def load_reference_table(path: str | Path | None = None) -> tuple[ReferenceEnerg
             raise ConsistencyError(
                 f"{label}:row {i}: stored delta {row.delta:.4f} does not match "
                 f"(e_emp - e_theor)/e_emp = {row.derived_delta():.4f}")
+        cell = (row.scheme.upper(), row.att_mtu, row.ll_pdu, row.op)
+        if cell in first_row:
+            raise ConsistencyError(
+                f"{label}:row {i}: cell {row.scheme},{row.att_mtu},{row.ll_pdu},{row.op} "
+                f"repeats row {first_row[cell]}")
+        first_row[cell] = i
         rows.append(row)
 
     if len(rows) != REFERENCE_ROW_COUNT:

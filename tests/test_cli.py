@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -130,15 +131,57 @@ def test_fit_report(capsys, tmp_path):
     assert summary["profile"]["i_tx"] == report["profile"]["i_tx"]
 
 
-def test_fit_slot_pinning_reports_tie(capsys):
-    code1, out1, _ = run_cli(capsys, "fit", "--ifs-slots", "1")
-    code2, out2, _ = run_cli(capsys, "fit", "--ifs-slots", "2")
-    assert code1 == code2 == 0
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["ifs_slots"] == 1 and r2["ifs_slots"] == 2
-    assert r1["max_abs_rel_err"] == pytest.approx(r2["max_abs_rel_err"], rel=1e-9)
-    # Same accounting, halved gap count: the recovered ifs current doubles.
-    assert r1["profile"]["i_ifs"] == pytest.approx(2 * r2["profile"]["i_ifs"], rel=1e-6)
+def test_fit_has_no_ifs_slots_flag(capsys):
+    # The fit prices rows under the link's own IFS accounting; no flag changes it.
+    code, out, err = run_cli(capsys, "fit", "--ifs-slots", "2")
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --ifs-slots" in err
+
+
+def test_one_slot_fit_report_prices_the_same(capsys, tmp_path):
+    # The table identifies only i_ifs * ifs_slots, so a report that halves the
+    # gap count and doubles i_ifs (as one-slot fits were written) loads with
+    # every energy unchanged; only the trace's clock sees the shorter gaps.
+    two = tmp_path / "fit.json"
+    assert run_cli(capsys, "fit", "--out", str(two))[0] == 0
+    report = json.loads(two.read_text())
+    report["ifs_slots"] = 1
+    report["profile"]["i_ifs"] *= 2
+    one = tmp_path / "fit_s1.json"
+    one.write_text(json.dumps(report, indent=2) + "\n")
+
+    def outputs(config):
+        cell = ["--scheme", "ml-kem-768", "--att-mtu", "65", "--ll-pdu", "27",
+                "--config", str(config)]
+        sweep = run_cli(capsys, "sweep", "--reference-grid", "--compare", "--config", str(config))
+        estimate = run_cli(capsys, "estimate", *cell)
+        trace, ledger = tmp_path / f"{config.stem}.jsonl", tmp_path / f"{config.stem}.ledger"
+        simulate = run_cli(capsys, "simulate", *cell, "--payload", "100",
+                           "--trace", str(trace), "--ledger", str(ledger))
+        assert sweep[0] == estimate[0] == simulate[0] == 0
+        return sweep[1], json.loads(estimate[1]), ledger.read_bytes(), trace.read_text()
+
+    sweep_2, estimate_2, ledger_2, trace_2 = outputs(two)
+    sweep_1, estimate_1, ledger_1, trace_1 = outputs(one)
+    assert sweep_1 == sweep_2
+    assert estimate_2.pop("ifs_slots") == 2 and estimate_1.pop("ifs_slots") == 1
+    assert estimate_1 == estimate_2
+    assert ledger_1 == ledger_2
+    assert trace_1 != trace_2
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["sweep", "--reference-grid", "--compare"]],
+                         ids=["fit", "sweep-compare"])
+def test_reference_table_with_a_repeated_cell_exits_3(capsys, tmp_path, argv):
+    # Row 3 copies row 2, so the 48 rows miss the 512/65/27 Write_CT cell.
+    lines = resources.files("pqpan").joinpath("data/table2.csv").read_text().splitlines()
+    lines[2] = lines[1]
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--table", str(table))
+    assert code == 3
+    assert out == ""
+    assert f"{table}:row 3: cell ML-KEM-512,65,27,Notify_PK repeats row 2" in err
 
 
 @pytest.mark.parametrize("argv,column,value", [
@@ -149,7 +192,6 @@ def test_fit_slot_pinning_reports_tie(capsys):
                  id="sweep-compare-nan"),
 ])
 def test_non_finite_reference_energy_exits_3(capsys, tmp_path, argv, column, value):
-    from importlib import resources
     lines = resources.files("pqpan").joinpath("data/table2.csv").read_text().splitlines()
     header = lines[0].split(",")
     fields = lines[4].split(",")
@@ -563,6 +605,22 @@ def test_config_custom_cycles_file(capsys, tmp_path):
     assert code == 0
     # 640k cycles at the default 3 mA / 3 V / 64 MHz: 90 uJ raw keygen.
     assert json.loads(out)["raw_uJ"]["keygen"] == pytest.approx(90.0, abs=0.01)
+
+
+def test_config_cycles_file_with_a_repeated_scheme_exits_3(capsys, tmp_path):
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text("scheme,keygen,encaps,decaps\n"
+                      "ML-KEM-512,1432416,1711893,1575658\n"
+                      "ML-KEM-768,1901587,2264514,2091746\n"
+                      "ML-KEM-1024,2334729,2789406,2568191\n"
+                      "ML-KEM-512,640000,700000,1\n")
+    config = tmp_path / "profile.json"
+    config.write_text(json.dumps({"cycles_file": "cycles.csv"}))
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                             "--att-mtu", "65", "--ll-pdu", "27", "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert f"{cycles}:row 5: ML-KEM-512 repeats row 2" in err and "Traceback" not in err
 
 
 def test_config_cycles_file_over_cap_exits_3(capsys, tmp_path):

@@ -56,7 +56,7 @@ COMMANDS = {
                    "--att-mtus": ["65", "23,404,517"], "--ll-pdus": ["27", "27,251"],
                    "--reference-grid": None, "--compare": None, "--format": ["csv", "json"],
                    **SLOTS, **GAMMA, **CONFIG, **TABLE}),
-    "fit": ({}, {**SLOTS, **TABLE}),
+    "fit": ({}, {**TABLE}),
     "simulate": ({"--scheme": SCHEMES}, {"--seed": ["0", "7"], "--payload": ["0", "64", "600"],
                                          "--backend": ["stub"], **LINK, **GAMMA, **CONFIG}),
 }

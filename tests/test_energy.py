@@ -8,8 +8,9 @@ from pqpan import (CalibrationFactors, CycleCounts, ECDH_PAIRING_UJ, FITTED_RADI
                    airtime, comm_energy, comp_energy, default_calibration,
                    fit_radio_currents, load_cycle_counts, load_schemes, lookup_scheme,
                    pqke_total, session_energy, transfer_energy)
+from pqpan import energy
 from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _design_matrix, _dot,
-                          _least_squares)
+                          _require_full_rank)
 from pqpan.link import ARTIFACT_MAX
 from pqpan.reference import ReferenceEnergyRow
 
@@ -204,12 +205,22 @@ def test_cycles_file_with_a_count_shared_by_two_levels_rejected(tmp_path, column
         load_cycle_counts(str(path))
 
 
+def test_cycles_file_row_for_an_unknown_scheme_is_located(tmp_path):
+    path = tmp_path / "cycles.csv"
+    path.write_text("scheme,keygen,encaps,decaps\n"
+                    "ML-KEM-512,100,200,300\n"
+                    "FOO-KEM,1000,2000,3000\n")
+    with pytest.raises(ParseError, match=f"^{path}:row 3: unknown scheme 'FOO-KEM'"):
+        load_cycle_counts(str(path))
+
+
 # Current fit
 
 def test_fit_on_reference_table(fit_result):
     assert fit_result.max_abs_rel_err <= 0.02
     assert len(fit_result.residuals) == 48
-    assert fit_result.ifs_slots == 2
+    # The report records the link's own IFS accounting, the one i_ifs belongs to.
+    assert fit_result.as_dict()["ifs_slots"] == LinkConfig(att_mtu=65, ll_pdu=27).ifs_slots == 2
 
 
 def test_fit_matches_shipped_defaults(fit_result):
@@ -237,14 +248,13 @@ def test_calibrated_model_against_empirical_column(reference_rows):
     assert 100 * sum(errors) / len(errors) == pytest.approx(5.81, abs=0.01)
 
 
-@pytest.mark.parametrize("ifs_slots", [1, 2])
-def test_fit_reproduces_shipped_profile_exactly(reference_rows, ifs_slots):
+def test_fit_reproduces_shipped_profile_exactly(reference_rows):
     # The minimax optimum on the bundled table is a segment; the least-total-
-    # current end is the shipped profile. One slot per pair doubles i_ifs.
-    p, d = fit_radio_currents(reference_rows, ifs_slots=ifs_slots).profile, FITTED_RADIO_PROFILE
+    # current end is the shipped profile.
+    p, d = fit_radio_currents(reference_rows).profile, FITTED_RADIO_PROFILE
     assert p.i_tx == pytest.approx(d.i_tx, rel=1e-12)
     assert p.i_rx == pytest.approx(d.i_rx, rel=1e-12)
-    assert p.i_ifs == pytest.approx(d.i_ifs * 2 / ifs_slots, rel=1e-12)
+    assert p.i_ifs == pytest.approx(d.i_ifs, rel=1e-12)
 
 
 @pytest.mark.parametrize("design,least", [
@@ -254,8 +264,32 @@ def test_fit_reproduces_shipped_profile_exactly(reference_rows, ifs_slots):
 def test_chebyshev_polish_breaks_ties_to_least_total_current(design, least):
     # Every x >= 0 with x1 + 2*x2 = 2/3 (x2 + 2*x1 in the second case) reaches
     # the minimax residual 1/3; the least total current is one end.
-    x = _chebyshev_polish(design, [1.0] * 3, start=None)
+    x = _chebyshev_polish(design, [1.0] * 3)
     assert x == pytest.approx(least, abs=1e-12)
+
+
+def test_chebyshev_polish_skips_near_zero_pivots():
+    # A degenerate design on which rounding leaves a 9.5e-12 entry where the
+    # tableau holds an exact zero. Pivoting on it blows the row up by 1e11 and
+    # sends Bland's rule cycling; the answer is HiGHS' two-stage optimum.
+    a = 1 / 128
+    design = ([[a, a, 45 / 512]] + [[a, a, a]] * 4
+              + [[a, 1 / 16, a], [a, 1 / 16, 1 / 256], [a, a, a], [1 / 16, a, a], [a, a, a],
+                 [a, a, 46 / 512]]
+              + [[a, a, a]] * 13 + [[a, 3 / 128, a]])
+    target = [1 / 512, 1 / 128] + [1 / 512] * 22 + [1e-4]
+    x = _chebyshev_polish(design, target)
+    assert min(x) >= 0.0
+    worst = max(abs(_dot(d, x) / t - 1.0) for d, t in zip(design, target))
+    assert worst == pytest.approx(0.97472353870458, rel=1e-9)
+    assert sum(x) == pytest.approx(0.0252764612954, rel=1e-9)
+
+
+def test_fit_that_runs_out_of_pivots_is_an_error(reference_rows, monkeypatch):
+    # The simplex never hands back an answer it did not finish.
+    monkeypatch.setattr(energy, "_PIVOTS_PER_COLUMN", 0)
+    with pytest.raises(SingularSystem, match="did not finish within 0 simplex pivots"):
+        fit_radio_currents(reference_rows)
 
 
 def _draw_problem(data, n, k):
@@ -275,9 +309,7 @@ def test_chebyshev_polish_matches_highs(n, k, data):
     # least total current at that residual.
     optimize = pytest.importorskip("scipy.optimize")
     np, design, target = _draw_problem(data, n, k)
-    x = _chebyshev_polish(design.tolist(), target.tolist(), start=None)
-    assert x is not None
-    x = np.asarray(x)
+    x = np.asarray(_chebyshev_polish(design.tolist(), target.tolist()))
     assert (x >= 0).all()
 
     rel = design / target[:, None]
@@ -297,24 +329,31 @@ def test_chebyshev_polish_matches_highs(n, k, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(3, 60), st.integers(2, 3), st.data())
-def test_least_squares_matches_lstsq(n, k, data):
-    # Well-conditioned problems only: the two solvers' answers may drift
-    # apart by about cond(design)**2 * eps, so 1e-9 needs cond below ~1e3.
-    np, design, target = _draw_problem(data, n, k)
-    assume(np.linalg.cond(design) < 1e3)
-    x = _least_squares(design.tolist(), target.tolist())
-    assert x is not None
-    want, *_ = np.linalg.lstsq(design, target, rcond=None)
-    assert np.linalg.norm(np.asarray(x) - want) <= 1e-9 * np.linalg.norm(want)
+@given(st.integers(3, 60), st.integers(2, 3), st.booleans(), st.integers(-3, 3), st.data())
+def test_rank_test_matches_matrix_rank(n, k, deficient, power, data):
+    # A deficient design repeats its first column, scaled by a power of two so
+    # the copy is exact; a full-rank one must keep its smallest singular value
+    # far above numpy's rank tolerance, so that the decision is not a toss-up.
+    np, design, _ = _draw_problem(data, n, k)
+    if deficient:
+        design[:, -1] = design[:, 0] * 2.0 ** power
+    s = np.linalg.svd(design, compute_uv=False)
+    assume(deficient or s[-1] > 1e-6 * s[0])
+    full = np.linalg.matrix_rank(design) == k
+    assert full != deficient
+    if full:
+        _require_full_rank(design.tolist())
+    else:
+        with pytest.raises(SingularSystem, match="rank deficient"):
+            _require_full_rank(design.tolist())
 
 
-def _synthetic_rows(profile: RadioProfile, ifs_slots: int):
+def _synthetic_rows(profile: RadioProfile):
     rows = []
     for name in MLKEM:
         scheme = lookup_scheme(name)
         for att, ll in REFERENCE_GRID:
-            cfg = LinkConfig(att_mtu=att, ll_pdu=ll, ifs_slots=ifs_slots)
+            cfg = LinkConfig(att_mtu=att, ll_pdu=ll)
             for op, artifact, recv in (("Notify_PK", scheme.pk_size, False),
                                        ("Write_CT", scheme.ct_size, True)):
                 e = comm_energy(airtime(artifact, cfg), profile, as_receiver=recv)
@@ -326,8 +365,7 @@ def _synthetic_rows(profile: RadioProfile, ifs_slots: int):
 
 def test_fit_recovers_synthetic_profile_exactly():
     truth = make_profile(i_tx=6.2e-3, i_rx=5.9e-3, i_ifs=2.8e-3)
-    rows = _synthetic_rows(truth, ifs_slots=2)
-    fitted = fit_radio_currents(rows, ifs_slots=2).profile
+    fitted = fit_radio_currents(_synthetic_rows(truth)).profile
     assert fitted.i_tx == pytest.approx(truth.i_tx, rel=1e-6)
     assert fitted.i_rx == pytest.approx(truth.i_rx, rel=1e-6)
     assert fitted.i_ifs == pytest.approx(truth.i_ifs, rel=1e-6)
@@ -339,10 +377,10 @@ def test_fit_without_ifs_term_is_strictly_worse(reference_rows):
     target = [r.e_theor_uj * 1e-6 for r in reference_rows]
 
     def worst(design):
-        x = _chebyshev_polish(design, target, _least_squares(design, target))
+        x = _chebyshev_polish(design, target)
         return max(abs(_dot(d, x) / t - 1.0) for d, t in zip(design, target))
 
-    with_ifs = _design_matrix(reference_rows, 2)
+    with_ifs = _design_matrix(reference_rows)
     without = [row[:2] for row in with_ifs]
     assert worst(with_ifs) == fit_radio_currents(reference_rows).max_abs_rel_err
     assert worst(without) > worst(with_ifs)

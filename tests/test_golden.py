@@ -1,5 +1,5 @@
 """Golden outputs: the CLI's JSON, CSV, trace and ledger on a fixed grid, and
-the full ``fit`` report under each IFS accounting.
+the full ``fit`` report.
 
 Each case runs ``pqpan.cli.main`` in-process and compares every output
 byte for byte with the copy stored under ``tests/golden/``. A refactor that
@@ -38,7 +38,6 @@ def _cell_id(scheme, att, ll, slots):
 def _cases():
     """(case id, argv with ``{out}`` placeholders, {golden file: output file})."""
     yield "fit", ["fit"], {"fit.json": None}
-    yield "fit_s1", ["fit", "--ifs-slots", "1"], {"fit_s1.json": None}
     yield ("sweep_reference_compare",
            ["sweep", "--reference-grid", "--compare", "--out", "{out}/sweep.csv"],
            {"sweep_reference_compare.csv": "sweep.csv"})
@@ -82,7 +81,7 @@ def test_golden_files_are_exactly_the_cases():
     # A stale golden left by a refactor, or a case whose golden is missing,
     # shows up here rather than as a silently unchecked file.
     named = [name for _, _, files in CASES for name in files]
-    assert len(named) == len(set(named)) == 57
+    assert len(named) == len(set(named)) == 56
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(named)
 
 

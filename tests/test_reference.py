@@ -155,6 +155,18 @@ def test_consistency_error_on_wrong_row_count(reference_rows, tmp_path):
         load_reference_table(out)
 
 
+def test_consistency_error_on_a_repeated_cell(reference_rows, tmp_path):
+    # Row 3 copies row 2: the count is still 48, but one cell is missing.
+    out = tmp_path / "repeated.csv"
+    write_table(reference_rows, out)
+    lines = out.read_text().splitlines()
+    lines[2] = lines[1]
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConsistencyError,
+                       match="row 3: cell ML-KEM-512,65,27,Notify_PK repeats row 2"):
+        load_reference_table(out)
+
+
 def test_default_calibration_values():
     g = default_calibration()
     assert g.gamma_keygen == {1: 1.27, 3: 1.38, 5: 1.62}

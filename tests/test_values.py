@@ -74,7 +74,7 @@ KWARGS = {
                                   e_encap=0.5, adj_encap=0.5),
     FitRowResidual: lambda: dict(scheme="ML-KEM-512", att_mtu=65, ll_pdu=27, op="Notify_PK",
                                  reference_uj=100.0, modeled_uj=101.0, rel_err=0.01),
-    FitResult: lambda: dict(profile=_profile(), ifs_slots=2, residuals=(_residual(),),
+    FitResult: lambda: dict(profile=_profile(), residuals=(_residual(),),
                             max_abs_rel_err=0.01, mean_abs_rel_err=0.01),
     TraceRecord: lambda: dict(time_s=1e-3, sender=Role.CENTRAL, payload_bytes=0,
                               overhead_bytes=10, is_ack=True, op="Payload"),
@@ -130,7 +130,7 @@ REPRS = {
         "adj_keygen=1.5, adj_decap=2.5, adj_notify_pk=3.5, adj_write_ct=4.5, e_total=12.5, "
         "comm_share=0.64, e_encap=0.5, adj_encap=0.5)"),
     FitRowResidual: _RESIDUAL_REPR,
-    FitResult: (f"FitResult(profile={_PROFILE_REPR}, ifs_slots=2, residuals=({_RESIDUAL_REPR},), "
+    FitResult: (f"FitResult(profile={_PROFILE_REPR}, residuals=({_RESIDUAL_REPR},), "
                 "max_abs_rel_err=0.01, mean_abs_rel_err=0.01)"),
     TraceRecord: ("TraceRecord(time_s=0.001, sender=<Role.CENTRAL: 'central'>, payload_bytes=0, "
                   "overhead_bytes=10, is_ack=True, op='Payload')"),
