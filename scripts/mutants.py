@@ -53,8 +53,8 @@ MUTANTS = {
     "delta tolerance widened": (
         "reference.py", "DELTA_TOLERANCE = 1e-3", "DELTA_TOLERANCE = 1e-1"),
     "cycles_file relative to the working directory": (
-        "config.py", '(path.parent if path else Path()) / data["cycles_file"]',
-        'Path() / data["cycles_file"]'),
+        "config.py", 'os.path.join(os.path.dirname(path or ""), data["cycles_file"])',
+        'os.path.join("", data["cycles_file"])'),
     "reassembly overflow unchecked": (
         "sim.py", "if len(self._buf) + len(chunk) > self.expected_size:", "if False:"),
     "decapsulation ciphertext size unchecked": (
@@ -88,6 +88,10 @@ MUTANTS = {
         "errors.py", "return type(self)(*values)",
         "new = object.__new__(type(self)); "
         "[set_field(new, n, v) for n, v in zip(self._fields, values)]; return new"),
+    "defaulted field made required": (
+        "errors.py", 'f"{name}=_defaults[{name!r}]" if name in cls._defaults else name', "name"),
+    "generated init skipped": (
+        "errors.py", 'if "__init__" not in vars(cls):', "if False:"),
     "value fields assignable": (
         "errors.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
         "set_field(self, name, value)"),

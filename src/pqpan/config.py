@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Mapping
-from pathlib import Path
 from types import MappingProxyType
 
 from .energy import CycleCounts, FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
@@ -84,12 +83,13 @@ def _gamma_table(data: dict, key: str, default: Mapping[int, float]):
     return {_level(key, level): g for level, g in raw.items()} if isinstance(raw, dict) else raw
 
 
-def load_config(path: str | Path | None = None, overrides: dict | None = None) -> ModelConfig:
+def load_config(path: str | os.PathLike | None = None,
+                overrides: dict | None = None) -> ModelConfig:
     """The package defaults, then the JSON config file at ``path``, then
     ``overrides``: config keys that pass the same checks as the file's."""
     data = {}
     if path is not None:
-        path = Path(path)
+        path = os.fspath(path)
         text = read_text(path)
         try:
             data = json.loads(text)
@@ -123,7 +123,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise InvalidConfig(
                 f"cycles_file must be a path string, got {_shown(data['cycles_file'])}")
         # Relative to the config file; an absolute path replaces the prefix.
-        cycles = load_cycle_counts(str((path.parent if path else Path()) / data["cycles_file"]))
+        cycles = load_cycle_counts(os.path.join(os.path.dirname(path or ""), data["cycles_file"]))
 
     kem_backend = data.get("kem_backend", "stub")
     if kem_backend not in BACKENDS:

@@ -21,13 +21,12 @@ import io
 import math
 from collections.abc import Mapping
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 
-from .errors import (InvalidProfile, ParseError, SingularSystem, UnknownScheme,
-                     UnsupportedScheme, Value, int_in_range, real_in_range, set_field)
+from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem, UnknownScheme,
+                     UnsupportedScheme, Value, _shown, int_in_range, real_in_range, set_field)
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig, TimeBudget, airtime
-from .reference import (CalibrationFactors, KemParamSet, default_calibration,
+from .reference import (CalibrationFactors, KemParamSet, bundled_text, default_calibration,
                         lookup_scheme, read_text)
 
 #: Measured cost of the classical ECDH P-256 pairing baseline, microjoules.
@@ -106,7 +105,7 @@ def load_cycle_counts(path: str | None = None) -> MappingProxyType[str, CycleCou
     """
     label = path or "cycles.csv"
     if path is None:
-        text = resources.files("pqpan").joinpath("data/cycles.csv").read_text(encoding="utf-8")
+        text = bundled_text("cycles.csv")
     else:
         text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
@@ -150,23 +149,7 @@ class EnergyBreakdown(Value):
     __slots__ = ("e_keygen", "e_decap", "e_notify_pk", "e_write_ct", "adj_keygen", "adj_decap",
                  "adj_notify_pk", "adj_write_ct", "e_total", "comm_share", "e_encap",
                  "adj_encap")
-
-    def __init__(self, e_keygen: float, e_decap: float, e_notify_pk: float, e_write_ct: float,
-                 adj_keygen: float, adj_decap: float, adj_notify_pk: float, adj_write_ct: float,
-                 e_total: float, comm_share: float, e_encap: float | None = None,
-                 adj_encap: float | None = None):
-        set_field(self, "e_keygen", e_keygen)
-        set_field(self, "e_decap", e_decap)
-        set_field(self, "e_notify_pk", e_notify_pk)
-        set_field(self, "e_write_ct", e_write_ct)
-        set_field(self, "adj_keygen", adj_keygen)
-        set_field(self, "adj_decap", adj_decap)
-        set_field(self, "adj_notify_pk", adj_notify_pk)
-        set_field(self, "adj_write_ct", adj_write_ct)
-        set_field(self, "e_total", e_total)
-        set_field(self, "comm_share", comm_share)
-        set_field(self, "e_encap", e_encap)
-        set_field(self, "adj_encap", adj_encap)
+    _defaults = {"e_encap": None, "adj_encap": None}
 
     def as_dict(self) -> dict:
         d = {
@@ -218,8 +201,10 @@ def transfer_energy(budget: TimeBudget, profile: RadioProfile, gamma: Calibratio
 def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
                      gamma: CalibrationFactors | None, cycles: Mapping[str, CycleCounts] | None):
     """(scheme, profile, gamma, the scheme's cycle counts), with defaults filled
-    in. Raises UnsupportedScheme for a scheme without a handshake energy model."""
-    if isinstance(scheme, str):
+    in. A scheme that is not a KemParamSet is looked up by name (UnknownScheme
+    unless it is a known one); UnsupportedScheme for a scheme without a
+    handshake energy model."""
+    if not isinstance(scheme, KemParamSet):
         scheme = lookup_scheme(scheme)
     profile = profile or FITTED_RADIO_PROFILE
     gamma = gamma or default_calibration()
@@ -284,6 +269,8 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     KEM scheme name. ``payload`` is an integer byte count. Secured payloads
     grow by the 28-byte AEAD envelope; a zero-byte payload sends nothing.
     """
+    if not isinstance(security, str):
+        raise InvalidConfig(f"security must be a string, got {_shown(security)}")
     payload = int_in_range("payload", payload, 0, math.inf)  # the artifact cap comes later
     profile = profile or FITTED_RADIO_PROFILE
     gamma = gamma or default_calibration()
@@ -308,28 +295,11 @@ class FitRowResidual(Value):
 
     __slots__ = ("scheme", "att_mtu", "ll_pdu", "op", "reference_uj", "modeled_uj", "rel_err")
 
-    def __init__(self, scheme: str, att_mtu: int, ll_pdu: int, op: str, reference_uj: float,
-                 modeled_uj: float, rel_err: float):
-        set_field(self, "scheme", scheme)
-        set_field(self, "att_mtu", att_mtu)
-        set_field(self, "ll_pdu", ll_pdu)
-        set_field(self, "op", op)
-        set_field(self, "reference_uj", reference_uj)
-        set_field(self, "modeled_uj", modeled_uj)
-        set_field(self, "rel_err", rel_err)
-
 
 class FitResult(Value):
     """Recovered radio currents plus the per-row residual report."""
 
     __slots__ = ("profile", "residuals", "max_abs_rel_err", "mean_abs_rel_err")
-
-    def __init__(self, profile: RadioProfile, residuals: tuple[FitRowResidual, ...],
-                 max_abs_rel_err: float, mean_abs_rel_err: float):
-        set_field(self, "profile", profile)
-        set_field(self, "residuals", residuals)
-        set_field(self, "max_abs_rel_err", max_abs_rel_err)
-        set_field(self, "mean_abs_rel_err", mean_abs_rel_err)
 
     def as_dict(self) -> dict:
         return {

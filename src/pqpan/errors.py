@@ -93,25 +93,47 @@ def real_in_range(name: str, value, lo: float, hi: float, error=InvalidConfig) -
     raise error(f"{name} must be a finite number in [{lo}, {hi}], got {_shown(value)}")
 
 
+def _storing_init(cls):
+    """An ``__init__`` that takes ``cls._fields`` in order, each defaulting to
+    its ``cls._defaults`` entry if it has one, and stores each value as given.
+    Built from source, as ``collections.namedtuple`` builds ``__new__``; the
+    source holds only slot names, which are identifiers."""
+    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
+                       for name in cls._fields)
+    body = "".join(f"    _set(self, {name!r}, {name})\n" for name in cls._fields)
+    namespace = {"_defaults": cls._defaults, "_set": set_field}
+    exec(f"def __init__(self, {params}):\n{body or '    pass'}\n", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
+
+
 class Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields, in order, as ``__slots__`` (plus ``"__dict__"``
-    if it caches properties), and its ``__init__`` takes them in that order,
-    checks them and stores each with :data:`set_field`; a table is stored as a
-    read-only copy, a ``MappingProxyType``. Instances compare equal when their
-    class and field values are, hash their field tuple, print as
+    A subclass names its fields once, in order, as ``__slots__`` (plus
+    ``"__dict__"`` if it caches properties), and any defaults in a
+    ``_defaults`` mapping of field name to value. Unless it writes its own,
+    it gets an ``__init__`` that takes the fields in that order and stores each
+    as given. A class writes ``__init__`` only to check, convert, copy or
+    compute its fields; it stores each with :data:`set_field`, and a table as
+    a read-only copy, a ``MappingProxyType``. Instances compare equal when
+    their class and field values are, hash their field tuple, print as
     ``Name(field=value, ...)``, refuse assignment and deletion, and pickle and
     copy through ``__init__``, which gets each read-only table as a plain dict.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "__slots__" in vars(cls):
             cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+            if "__init__" not in vars(cls):
+                cls.__init__ = _storing_init(cls)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

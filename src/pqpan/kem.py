@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from .errors import SizeMismatch, UnsupportedScheme, Value, _shown, set_field
+from .errors import SizeMismatch, UnsupportedScheme, Value, _shown
 from .reference import KemParamSet, lookup_scheme
 
 SEED_BYTES = 32
@@ -31,25 +31,13 @@ SESSION_KEY_CONTEXT = b"pqke-ble-v1"
 class KemKeyPair(Value):
     __slots__ = ("pk", "sk", "scheme")
 
-    def __init__(self, pk: bytes, sk: bytes, scheme: KemParamSet):
-        set_field(self, "pk", pk)
-        set_field(self, "sk", sk)
-        set_field(self, "scheme", scheme)
-
 
 class Encapsulation(Value):
     __slots__ = ("ct", "ss")
 
-    def __init__(self, ct: bytes, ss: bytes):
-        set_field(self, "ct", ct)
-        set_field(self, "ss", ss)
-
 
 class SessionKey(Value):
     __slots__ = ("key",)
-
-    def __init__(self, key: bytes):
-        set_field(self, "key", key)
 
 
 def _shake(label: bytes, data: bytes, n: int) -> bytes:
@@ -63,7 +51,7 @@ def _check_seed(seed: bytes) -> bytes:
 
 
 def _resolve(scheme: KemParamSet | str) -> KemParamSet:
-    return lookup_scheme(scheme) if isinstance(scheme, str) else scheme
+    return scheme if isinstance(scheme, KemParamSet) else lookup_scheme(scheme)
 
 
 class StubBackend:

@@ -99,10 +99,6 @@ class FragmentationPlan(Value):
 
     __slots__ = ("frames", "ll_data_pdu_count")
 
-    def __init__(self, frames: tuple[LinkFrame, ...], ll_data_pdu_count: int):
-        set_field(self, "frames", frames)
-        set_field(self, "ll_data_pdu_count", ll_data_pdu_count)
-
 
 class TimeBudget(Value):
     """Sender-side radio-on times for one transfer, in seconds.
@@ -112,11 +108,6 @@ class TimeBudget(Value):
     """
 
     __slots__ = ("t_tx", "t_rx", "t_ifs")
-
-    def __init__(self, t_tx: float, t_rx: float, t_ifs: float):
-        set_field(self, "t_tx", t_tx)
-        set_field(self, "t_rx", t_rx)
-        set_field(self, "t_ifs", t_ifs)
 
 
 def sdu_layout(artifact_size: int, cfg: LinkConfig) -> tuple[Sdu, int, Sdu]:

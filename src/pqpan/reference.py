@@ -20,12 +20,12 @@ import csv
 import io
 import math
 from collections.abc import Mapping
+import os
 from functools import lru_cache
-from importlib import resources
-from pathlib import Path
 from types import MappingProxyType
 
-from .errors import ConsistencyError, ParseError, UnknownScheme, Value, real_in_range, set_field
+from .errors import (ConsistencyError, ParseError, UnknownScheme, Value, _shown, real_in_range,
+                     set_field)
 
 OP_NOTIFY_PK = "Notify_PK"
 OP_WRITE_CT = "Write_CT"
@@ -73,16 +73,6 @@ class ReferenceEnergyRow(Value):
 
     __slots__ = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uj", "e_emp_uj", "delta")
 
-    def __init__(self, scheme: str, att_mtu: int, ll_pdu: int, op: str, e_theor_uj: float,
-                 e_emp_uj: float, delta: float):
-        set_field(self, "scheme", scheme)
-        set_field(self, "att_mtu", att_mtu)
-        set_field(self, "ll_pdu", ll_pdu)
-        set_field(self, "op", op)
-        set_field(self, "e_theor_uj", e_theor_uj)
-        set_field(self, "e_emp_uj", e_emp_uj)
-        set_field(self, "delta", delta)
-
     def derived_delta(self) -> float:
         return (self.e_emp_uj - self.e_theor_uj) / self.e_emp_uj
 
@@ -123,16 +113,19 @@ def default_calibration() -> CalibrationFactors:
     )
 
 
-def _bundled(name: str):
-    return resources.files("pqpan").joinpath("data").joinpath(name)
+def bundled_text(name: str) -> str:
+    """The text of a data file that ships in the package's ``data`` directory."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return f.read()
 
 
-def read_text(path: str | Path) -> str:
+def read_text(path: str | os.PathLike) -> str:
     """A user-supplied file's text; one that is not UTF-8 is a ParseError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeError as exc:
-        raise ParseError(f"not readable as UTF-8 text ({exc})", path=str(path)) from None
+        raise ParseError(f"not readable as UTF-8 text ({exc})", path=os.fspath(path)) from None
 
 
 def _int_field(raw: str, *, path: str, row: int, column: str) -> int:
@@ -159,7 +152,7 @@ def load_schemes() -> MappingProxyType[str, KemParamSet]:
     """Parse the bundled scheme-size table, keyed by upper-cased name; the
     table is read-only, as every caller shares it."""
     path = "schemes.csv"
-    text = _bundled(path).read_text(encoding="utf-8")
+    text = bundled_text(path)
     reader = csv.DictReader(io.StringIO(text))
     schemes: dict[str, KemParamSet] = {}
     for i, rec in enumerate(reader, start=2):
@@ -179,20 +172,19 @@ def load_schemes() -> MappingProxyType[str, KemParamSet]:
 def lookup_scheme(name: str) -> KemParamSet:
     """Look up a scheme by (case-insensitive) name.
 
-    Raises UnknownScheme for names not in the bundled table.
+    Raises UnknownScheme for a name not in the bundled table, or not a ``str``.
     """
-    try:
-        return load_schemes()[name.strip().upper()]
-    except KeyError:
-        known = ", ".join(sorted(load_schemes()))
-        raise UnknownScheme(f"unknown scheme {name!r} (known: {known})") from None
+    if isinstance(name, str) and (scheme := load_schemes().get(name.strip().upper())):
+        return scheme
+    known = ", ".join(sorted(load_schemes()))
+    raise UnknownScheme(f"unknown scheme {_shown(name)} (known: {known})")
 
 
 _TABLE_COLUMNS = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uJ", "e_emp_uJ",
                   "delta_pct")
 
 
-def load_reference_table(path: str | Path | None = None) -> tuple[ReferenceEnergyRow, ...]:
+def load_reference_table(path: str | os.PathLike | None = None) -> tuple[ReferenceEnergyRow, ...]:
     """Load the 48-row communication-energy reference table.
 
     ``path`` defaults to the bundled copy. Each row's stored delta is checked
@@ -202,9 +194,9 @@ def load_reference_table(path: str | Path | None = None) -> tuple[ReferenceEnerg
     """
     if path is None:
         label = "table2.csv"
-        text = _bundled(label).read_text(encoding="utf-8")
+        text = bundled_text(label)
     else:
-        label = str(path)
+        label = os.fspath(path)
         text = read_text(path)
 
     reader = csv.reader(io.StringIO(text))

@@ -36,7 +36,7 @@ from types import MappingProxyType
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
-from .errors import HandshakeFailure, NotEstablished, Value, int_in_range, set_field
+from .errors import HandshakeFailure, InvalidConfig, NotEstablished, Value, int_in_range, set_field
 from .link import LL_OVERHEAD, LinkConfig, airtime, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
@@ -59,31 +59,13 @@ class PartyState(Value):
     has derived every field."""
 
     __slots__ = ("role", "scheme", "phase", "keypair", "peer_pk", "session_key")
-
-    def __init__(self, role: Role, scheme: KemParamSet, phase: Phase = Phase.IDLE,
-                 keypair: kem.KemKeyPair | None = None, peer_pk: bytes | None = None,
-                 session_key: kem.SessionKey | None = None):
-        set_field(self, "role", role)
-        set_field(self, "scheme", scheme)
-        set_field(self, "phase", phase)
-        set_field(self, "keypair", keypair)
-        set_field(self, "peer_pk", peer_pk)
-        set_field(self, "session_key", session_key)
+    _defaults = {"phase": Phase.IDLE, "keypair": None, "peer_pk": None, "session_key": None}
 
 
 class TraceRecord(Value):
     """One frame on the air: start time, sender, link frame, carried op."""
 
     __slots__ = ("time_s", "sender", "payload_bytes", "overhead_bytes", "is_ack", "op")
-
-    def __init__(self, time_s: float, sender: Role, payload_bytes: int, overhead_bytes: int,
-                 is_ack: bool, op: str):
-        set_field(self, "time_s", time_s)
-        set_field(self, "sender", sender)
-        set_field(self, "payload_bytes", payload_bytes)
-        set_field(self, "overhead_bytes", overhead_bytes)
-        set_field(self, "is_ack", is_ack)
-        set_field(self, "op", op)
 
     def as_dict(self) -> dict:
         return {"time_us": self.time_s * 1e6,
@@ -226,17 +208,6 @@ class EnergyLedger(Value):
 class HandshakeResult(Value):
     __slots__ = ("peripheral", "central", "trace", "ledger", "cfg", "profile", "gamma")
 
-    def __init__(self, peripheral: PartyState, central: PartyState, trace: FrameTrace,
-                 ledger: EnergyLedger, cfg: LinkConfig, profile: RadioProfile,
-                 gamma: CalibrationFactors):
-        set_field(self, "peripheral", peripheral)
-        set_field(self, "central", central)
-        set_field(self, "trace", trace)
-        set_field(self, "ledger", ledger)
-        set_field(self, "cfg", cfg)
-        set_field(self, "profile", profile)
-        set_field(self, "gamma", gamma)
-
 
 class Reassembler:
     """Collects value chunks with a hard size bound."""
@@ -355,10 +326,13 @@ def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[Fram
     delta and its calibrated communication energy in microjoules. The delta
     starts at the handshake's clock, so the gap after the handshake's last
     ack follows the same rule as the gap between two handshake transfers.
+    A payload that is not ``bytes`` or ``bytearray`` is InvalidConfig.
     """
     if (session.peripheral.phase is not Phase.ESTABLISHED
             or session.central.phase is not Phase.ESTABLISHED):
         raise NotEstablished("handshake has not completed")
+    if not isinstance(payload, (bytes, bytearray)):
+        raise InvalidConfig(f"payload must be bytes or bytearray, got {type(payload).__name__}")
     frames, budget, _ = _transfer(
         session.trace.clock, (OP_PAYLOAD, len(payload) + AEAD_OVERHEAD_BYTES, False),
         session.cfg)

@@ -525,14 +525,18 @@ EXPORTS = {
 
 def _loaded_after(argv):
     """The watched modules loaded by a fresh interpreter that runs ``argv``
-    through ``pqpan.cli.main``."""
+    through ``pqpan.cli.main``. It runs without ``site`` (``-S``), so no ``.pth``
+    file of the environment loads a watched module first; ``PYTHONPATH`` names
+    the directory of the ``pqpan`` these tests import."""
     probe = (
         "import json, sys, pqpan.cli\n"
         "assert pqpan.cli.main(json.loads(sys.argv[1])) == 0\n"
         "print(json.dumps(sorted(m for m in ('numpy', 'scipy', 'pqpan.sim', 'pqpan.kem',\n"
-        "                                    'dataclasses') if m in sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
-                          capture_output=True, text=True)
+        "                                    'dataclasses', 'importlib.resources', 'pathlib')\n"
+        "                        if m in sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pqpan.cli.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -541,7 +545,8 @@ def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
     # pqpan has no runtime dependencies: no command loads numpy or scipy,
     # the fit included. Each command loads only the layers it runs, so only
     # simulate loads the simulator and the KEM code. The value types are
-    # plain classes, so no command loads dataclasses either.
+    # plain classes, so no command loads dataclasses either, and the bundled
+    # data is read with open(), so none loads importlib.resources or pathlib.
     out = str(tmp_path) + "/"
     link = ["--scheme", "ml-kem-768", "--att-mtu", "65", "--ll-pdu", "27"]
     assert _loaded_after(["estimate", *link]) == []

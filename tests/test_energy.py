@@ -10,7 +10,7 @@ from pqpan import (CalibrationFactors, CycleCounts, ECDH_PAIRING_UJ, FITTED_RADI
                    pqke_total, session_energy, transfer_energy)
 from pqpan import energy
 from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _design_matrix, _dot,
-                          _require_full_rank)
+                          _require_full_rank, handshake_inputs)
 from pqpan.link import ARTIFACT_MAX
 from pqpan.reference import ReferenceEnergyRow
 
@@ -133,6 +133,16 @@ def test_pqke_total_rejects_schemes_without_model():
         pqke_total("ecdh-p256", cfg)  # KEM but no cycle counts / level
     with pytest.raises(UnknownScheme, match="unknown scheme"):
         pqke_total("ml-dsa-65", cfg)  # signatures are not in the scheme table
+
+
+@pytest.mark.parametrize("scheme", [None, 123, b"ml-kem-512", object()],
+                         ids=["None", "int", "bytes", "object"])
+def test_scheme_that_is_neither_a_name_nor_a_param_set_is_unknown(scheme):
+    cfg = LinkConfig(att_mtu=65, ll_pdu=27)
+    with pytest.raises(UnknownScheme, match="unknown scheme"):
+        pqke_total(scheme, cfg)
+    with pytest.raises(UnknownScheme, match="unknown scheme"):
+        handshake_inputs(scheme, None, None, None)
 
 
 def test_include_encap_adds_uncalibrated_term():
@@ -451,6 +461,13 @@ def test_session_rejects_negative_payload():
 def test_session_rejects_non_integer_payload(security, payload):
     with pytest.raises(InvalidConfig, match="payload"):
         session_energy(security, payload, LinkConfig(att_mtu=404, ll_pdu=251))
+
+
+@pytest.mark.parametrize("security", [None, 1, b"none", lookup_scheme("ml-kem-512")],
+                         ids=["None", "int", "bytes", "param-set"])
+def test_session_rejects_security_that_is_not_a_str(security):
+    with pytest.raises(InvalidConfig, match="security"):
+        session_energy(security, 0, LinkConfig(att_mtu=404, ll_pdu=251))
 
 
 def test_session_rejects_payload_over_artifact_max():

@@ -79,6 +79,11 @@ def test_signature_scheme_rejected():
         keygen("ecdsa-p256", seed(11))
 
 
+def test_scheme_that_is_neither_a_name_nor_a_param_set_is_unknown():
+    with pytest.raises(UnknownScheme, match="unknown scheme"):
+        keygen(512, seed(11))
+
+
 def test_unknown_backend():
     with pytest.raises(UnsupportedScheme):
         get_backend("hardware")

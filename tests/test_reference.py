@@ -39,6 +39,13 @@ def test_unknown_scheme():
         lookup_scheme("ml-kem-2048")
 
 
+@pytest.mark.parametrize("name", [None, 512, b"ml-kem-512", ["ml-kem-512"]],
+                         ids=["None", "int", "bytes", "list"])
+def test_scheme_name_that_is_not_a_str_is_unknown(name):
+    with pytest.raises(UnknownScheme, match="unknown scheme"):
+        lookup_scheme(name)
+
+
 def test_all_sizes_positive():
     for s in load_schemes().values():
         assert s.pk_size > 0 and s.sk_size > 0

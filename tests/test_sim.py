@@ -10,7 +10,7 @@ import pqpan.kem
 import pqpan.link
 import pqpan.sim
 from pqpan import (AEAD_OVERHEAD_BYTES, FrameTrace, HandshakeFailure, InvalidConfig,
-                   LinkConfig, NotEstablished, Phase, Role, UnsupportedScheme,
+                   LinkConfig, NotEstablished, Phase, Role, UnknownScheme, UnsupportedScheme,
                    derive_session_key, lookup_scheme, plan_transfer, pqke_total,
                    run_handshake, send_secured_payload)
 from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord, _Transfer
@@ -312,6 +312,25 @@ def test_send_secured_payload_plans_once(monkeypatch):
 def test_run_handshake_rejects_bad_seed(seed):
     with pytest.raises(InvalidConfig, match="seed"):
         run_handshake("ml-kem-512", CFG_DLE, seed=seed)
+
+
+@pytest.mark.parametrize("payload", [5, "abc", None, [1, 2, 3], memoryview(b"abc")],
+                         ids=["int", "str", "None", "list", "memoryview"])
+def test_send_secured_payload_rejects_a_payload_that_is_not_bytes(payload):
+    session = run_handshake("ml-kem-512", CFG_DLE, seed=1)
+    with pytest.raises(InvalidConfig, match="payload"):
+        send_secured_payload(session, payload)
+
+
+def test_send_secured_payload_takes_bytes_and_bytearray_alike():
+    session = run_handshake("ml-kem-512", CFG_DLE, seed=1)
+    frames, energy = send_secured_payload(session, b"abc")
+    assert send_secured_payload(session, bytearray(b"abc")) == (frames, energy)
+
+
+def test_run_handshake_scheme_that_is_not_a_str_is_unknown():
+    with pytest.raises(UnknownScheme, match="unknown scheme"):
+        run_handshake(123, CFG_DLE)
 
 
 def test_reassembler_overflow_is_handshake_failure():

@@ -11,6 +11,7 @@ prints the transfers the simulator stores.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -329,3 +330,59 @@ def test_callers_tables_are_copied_and_stored_read_only():
             table[key] = table[key]
         with pytest.raises(TypeError):
             del table[key]
+
+
+#: type -> its constructor's signature without annotations: parameter names,
+#: order, kinds and defaults. The types that only store their fields get a
+#: generated ``__init__``; this pins it to the one that was written by hand.
+SIGNATURES = {
+    LinkConfig: "(att_mtu, ll_pdu, phy_rate=1000000.0, ifs=0.00015, ifs_slots=2)",
+    LinkFrame: "(payload_bytes, overhead_bytes=10, is_ack=False)",
+    FragmentationPlan: "(frames, ll_data_pdu_count)",
+    TimeBudget: "(t_tx, t_rx, t_ifs)",
+    KemParamSet: "(name, pk_size, sk_size, ct_size, nist_level=None)",
+    ReferenceEnergyRow: "(scheme, att_mtu, ll_pdu, op, e_theor_uj, e_emp_uj, delta)",
+    CalibrationFactors: "(gamma_keygen, gamma_decap, gamma_comm)",
+    KemKeyPair: "(pk, sk, scheme)",
+    Encapsulation: "(ct, ss)",
+    SessionKey: "(key)",
+    RadioProfile: "(voltage, i_tx, i_rx, i_ifs, i_mcu, f_mcu=64000000.0)",
+    CycleCounts: "(keygen, encap, decap)",
+    EnergyBreakdown: ("(e_keygen, e_decap, e_notify_pk, e_write_ct, adj_keygen, adj_decap, "
+                      "adj_notify_pk, adj_write_ct, e_total, comm_share, e_encap=None, "
+                      "adj_encap=None)"),
+    FitRowResidual: "(scheme, att_mtu, ll_pdu, op, reference_uj, modeled_uj, rel_err)",
+    FitResult: "(profile, residuals, max_abs_rel_err, mean_abs_rel_err)",
+    TraceRecord: "(time_s, sender, payload_bytes, overhead_bytes, is_ack, op)",
+    _Transfer: "(op, start, full, n_full, last)",
+    FrameTrace: "(parts=(), clock=0.0)",
+    PartyState: ("(role, scheme, phase=<Phase.IDLE: 'Idle'>, keypair=None, peer_pk=None, "
+                 "session_key=None)"),
+    EnergyLedger: "(peripheral, central)",
+    HandshakeResult: "(peripheral, central, trace, ledger, cfg, profile, gamma)",
+    ModelConfig: "(profile, gamma, cycles, link, kem_backend='stub')",
+}
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda cls: cls.__name__)
+def test_constructor_signature_is_pinned(cls):
+    signature = inspect.signature(cls)
+    params = [p.replace(annotation=inspect.Parameter.empty)
+              for p in signature.parameters.values()]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    assert str(signature.replace(parameters=params,
+                                 return_annotation=inspect.Signature.empty)) == SIGNATURES[cls]
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+def test_constructor_refuses_a_missing_field_and_an_unknown_keyword():
+    # Python's own errors, as from any function that takes these parameters.
+    with pytest.raises(TypeError, match=r"missing 1 required positional argument: 't_ifs'"):
+        TimeBudget(1e-3, 2.5e-4)
+    with pytest.raises(TypeError, match=r"unexpected keyword argument 't_idle'"):
+        TimeBudget(1e-3, 2.5e-4, 3e-4, t_idle=0.0)
+    with pytest.raises(TypeError, match=r"takes from 3 to 7 positional arguments"):
+        PartyState(Role.CENTRAL, _scheme(), Phase.IDLE, None, None, None, None)
+    assert PartyState(Role.CENTRAL, _scheme()).phase is Phase.IDLE
+    assert EnergyBreakdown(*range(10)).e_encap is None
