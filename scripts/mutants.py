@@ -70,7 +70,21 @@ MUTANTS = {
     "duplicate reference cell accepted": (
         "reference.py", "if cell in first_row:", "if False:"),
     "duplicate cycles row accepted": (
-        "energy.py", "if name in first_row:", "if False:"),
+        "energy.py", "if key in first_row:", "if False:"),
+    "cycles level order compared across families": (
+        "energy.py", "if family == hi_family and not (", "if not ("),
+    "table lines counted after the skip": (
+        "reference.py", 'enumerate(read_text(path).split("\\n"), start=1)',
+        'enumerate([ln for ln in read_text(path).split("\\n") if ln.strip() and '
+        'not ln.lstrip().startswith("#")], start=1)'),
+    "header column named twice accepted": (
+        "reference.py", "if header.count(column) != 1:", "if column not in header:"),
+    "table record width unchecked": (
+        "reference.py", "if len(fields) != len(header):", "if False:"),
+    "repeated config key accepted": (
+        "config.py",
+        'json.loads(text, object_pairs_hook=lambda pairs: _once(pairs, f"{path}: key"))',
+        "json.loads(text)"),
     "trace clock additions fused": (
         "sim.py", "t += air\n            t += gap", "t += air + gap"),
     "JSONL tail shared across sender roles": (

@@ -78,9 +78,20 @@ def _level(key: str, level) -> int:
     raise InvalidConfig(f"{key} has a level that is not an integer")
 
 
+def _once(pairs, name: str) -> dict:
+    """``pairs`` as a dict, refusing a key given twice (``dict`` and ``json`` keep the last)."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise InvalidConfig(f"{name} {_shown(key)} is given twice")
+        table[key] = value
+    return table
+
+
 def _gamma_table(data: dict, key: str, default: Mapping[int, float]):
     raw = data.get(key, default)
-    return {_level(key, level): g for level, g in raw.items()} if isinstance(raw, dict) else raw
+    return (_once(((_level(key, level), g) for level, g in raw.items()), f"{key} level")
+            if isinstance(raw, dict) else raw)
 
 
 def load_config(path: str | os.PathLike | None = None,
@@ -92,7 +103,7 @@ def load_config(path: str | os.PathLike | None = None,
         path = os.fspath(path)
         text = read_text(path)
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=lambda pairs: _once(pairs, f"{path}: key"))
         except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise InvalidConfig(f"{path}: not valid JSON ({exc})") from None
         if not isinstance(data, dict):

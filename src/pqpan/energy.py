@@ -16,8 +16,6 @@ the communication fit cannot determine.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections.abc import Mapping
 from functools import lru_cache
@@ -26,8 +24,8 @@ from types import MappingProxyType
 from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem, UnknownScheme,
                      UnsupportedScheme, Value, _shown, int_in_range, real_in_range, set_field)
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig, TimeBudget, airtime
-from .reference import (CalibrationFactors, KemParamSet, bundled_text, default_calibration,
-                        lookup_scheme, read_text)
+from .reference import (CalibrationFactors, KemParamSet, _int_field, default_calibration,
+                        lookup_scheme, read_table)
 
 #: Measured cost of the classical ECDH P-256 pairing baseline, microjoules.
 ECDH_PAIRING_UJ = 328.0
@@ -94,47 +92,39 @@ class CycleCounts(Value):
         set_field(self, "decap", decap)
 
 
+_CYCLES_COLUMNS = ("scheme", "keygen", "encaps", "decaps")
+
+
 @lru_cache(maxsize=8)
 def load_cycle_counts(path: str | None = None) -> MappingProxyType[str, CycleCounts]:
     """Load the cycle-count snapshot (bundled file by default), keyed by
     upper-cased scheme name; the table is read-only, as every caller shares it.
 
-    Lines starting with ``#`` are comments. Each row names a known scheme,
-    once. Counts must increase strictly with security level within each
-    operation.
+    Each row names a known scheme, once. Within a scheme family (the name
+    before its last ``-``, as ML-KEM or HQC), counts must increase strictly
+    with security level in each operation.
     """
-    label = path or "cycles.csv"
-    if path is None:
-        text = bundled_text("cycles.csv")
-    else:
-        text = read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    reader = csv.DictReader(io.StringIO("\n".join(lines)))
+    label, rows = read_table(path, "cycles.csv", _CYCLES_COLUMNS)
     counts: dict[str, CycleCounts] = {}
     first_row: dict[str, int] = {}
-    for i, rec in enumerate(reader, start=2):
+    for i, (name, *ops) in rows:
         try:
-            name = lookup_scheme(rec["scheme"] or "").name.upper()
-            if name in first_row:
-                raise ParseError(f"{rec['scheme']} repeats row {first_row[name]}",
-                                 path=label, row=i)
-            counts[name] = CycleCounts(
-                keygen=int(rec["keygen"]), encap=int(rec["encaps"]),
-                decap=int(rec["decaps"]))
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("expected scheme,keygen,encaps,decaps",
-                             path=label, row=i) from None
+            key = lookup_scheme(name).name.upper()
+            if key in first_row:
+                raise ParseError(f"{name} repeats row {first_row[key]}", path=label, row=i)
+            counts[key] = CycleCounts(*(_int_field(raw, path=label, row=i, column=column)
+                                        for column, raw in zip(_CYCLES_COLUMNS[1:], ops)))
         except (InvalidProfile, UnknownScheme) as exc:
             raise ParseError(str(exc), path=label, row=i) from None
-        first_row[name] = i
-    leveled = sorted(
-        ((lookup_scheme(name).nist_level, c) for name, c in counts.items()
-         if lookup_scheme(name).nist_level is not None),
-        key=lambda t: t[0])
-    for (_, lo), (_, hi) in zip(leveled, leveled[1:]):
-        if not (lo.keygen < hi.keygen and lo.encap < hi.encap and lo.decap < hi.decap):
-            raise ParseError("cycle counts must increase strictly with security level",
-                             path=label)
+        first_row[key] = i
+    leveled = sorted((key.rpartition("-")[0], lookup_scheme(key).nist_level, key)
+                     for key in counts if lookup_scheme(key).nist_level is not None)
+    for (family, _, lo_key), (hi_family, _, hi_key) in zip(leveled, leveled[1:]):
+        lo, hi = counts[lo_key], counts[hi_key]
+        if family == hi_family and not (
+                lo.keygen < hi.keygen and lo.encap < hi.encap and lo.decap < hi.decap):
+            raise ParseError("cycle counts must increase strictly with security level, but "
+                             f"{hi_key} does not exceed {lo_key}", path=label)
     return MappingProxyType(counts)
 
 

@@ -9,7 +9,8 @@ Three data sets ship with the package:
   across ATT MTU / LL PDU configurations and ML-KEM parameter sets).
 * default calibration factors aligning analytical energy with measurement.
 
-All loaders return immutable values: rows are tuples and keyed tables are
+Every CSV table, bundled or a user's, is read by :func:`read_table`. All
+loaders return immutable values: rows are tuples and keyed tables are
 read-only mappings, so the cached ones are safe to share across callers and
 threads.
 """
@@ -17,7 +18,6 @@ threads.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections.abc import Mapping
 import os
@@ -113,19 +113,45 @@ def default_calibration() -> CalibrationFactors:
     )
 
 
-def bundled_text(name: str) -> str:
-    """The text of a data file that ships in the package's ``data`` directory."""
-    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
-        return f.read()
-
-
 def read_text(path: str | os.PathLike) -> str:
-    """A user-supplied file's text; one that is not UTF-8 is a ParseError naming it."""
+    """A file's text; one that is not UTF-8 is a ParseError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
     except UnicodeError as exc:
         raise ParseError(f"not readable as UTF-8 text ({exc})", path=os.fspath(path)) from None
+
+
+def read_table(path: str | os.PathLike | None, bundled_name: str,
+               columns: tuple[str, ...]) -> tuple[str, list[tuple[int, list[str]]]]:
+    """The label of the CSV file at ``path`` (None: the bundled ``data/<bundled_name>``)
+    and its records, each as (its line in the file, its fields of ``columns``).
+
+    The file is UTF-8. Blank and ``#`` lines are skipped but counted, so each
+    error names the line the file shows. The header names each of ``columns``
+    once, in any order, among any others, and each record is as wide as it.
+    """
+    label = bundled_name if path is None else os.fspath(path)
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data", bundled_name)
+    table = []
+    for i, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            try:
+                table.append((i, next(csv.reader((line,)))))
+            except csv.Error as exc:  # a NUL byte, or a field over csv.field_size_limit()
+                raise ParseError(f"not a CSV record ({exc})", path=label, row=i) from None
+    (head_line, header), *records = table or [(None, [])]  # no header: the check below fails
+    for column in columns:
+        if header.count(column) != 1:
+            raise ParseError(f"header names {column!r} {header.count(column)} times, not once",
+                             path=label, row=head_line)
+    for i, fields in records:
+        if len(fields) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(fields)}",
+                             path=label, row=i)
+    picks = [header.index(column) for column in columns]
+    return label, [(i, [fields[k] for k in picks]) for i, fields in records]
 
 
 def _int_field(raw: str, *, path: str, row: int, column: str) -> int:
@@ -151,21 +177,13 @@ def _float_field(raw: str, *, path: str, row: int, column: str) -> float:
 def load_schemes() -> MappingProxyType[str, KemParamSet]:
     """Parse the bundled scheme-size table, keyed by upper-cased name; the
     table is read-only, as every caller shares it."""
-    path = "schemes.csv"
-    text = bundled_text(path)
-    reader = csv.DictReader(io.StringIO(text))
+    label, rows = read_table(None, "schemes.csv", ("name", "pk", "sk", "ct", "level"))
     schemes: dict[str, KemParamSet] = {}
-    for i, rec in enumerate(reader, start=2):
-        level_raw = (rec.get("level") or "").strip()
-        scheme = KemParamSet(
-            name=rec["name"],
-            pk_size=_int_field(rec["pk"], path=path, row=i, column="pk"),
-            sk_size=_int_field(rec["sk"], path=path, row=i, column="sk"),
-            ct_size=_int_field(rec["ct"], path=path, row=i, column="ct"),
-            nist_level=_int_field(level_raw, path=path, row=i, column="level")
-            if level_raw else None,
-        )
-        schemes[scheme.name.upper()] = scheme
+    for i, (name, *sizes, level) in rows:
+        pk, sk, ct = (_int_field(raw, path=label, row=i, column=column)
+                      for column, raw in zip(("pk", "sk", "ct"), sizes))
+        level = _int_field(level, path=label, row=i, column="level") if level.strip() else None
+        schemes[name.upper()] = KemParamSet(name, pk, sk, ct, level)
     return MappingProxyType(schemes)
 
 
@@ -192,40 +210,20 @@ def load_reference_table(path: str | os.PathLike | None = None) -> tuple[Referen
     the hardware measurement undercuts the model (negative delta) are valid.
     Each (scheme, att_mtu, ll_pdu, op) cell occurs once.
     """
-    if path is None:
-        label = "table2.csv"
-        text = bundled_text(label)
-    else:
-        label = os.fspath(path)
-        text = read_text(path)
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file", path=label) from None
-    if tuple(header) != _TABLE_COLUMNS:
-        raise ParseError(f"expected header {','.join(_TABLE_COLUMNS)}", path=label, row=1)
-
+    label, records = read_table(path, "table2.csv", _TABLE_COLUMNS)
     rows: list[ReferenceEnergyRow] = []
     first_row: dict[tuple, int] = {}
-    for i, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != len(_TABLE_COLUMNS):
-            raise ParseError(f"expected {len(_TABLE_COLUMNS)} columns, got {len(rec)}",
-                             path=label, row=i)
-        op = rec[3]
+    for i, (scheme, att_mtu, ll_pdu, op, e_theor, e_emp, delta_pct) in records:
         if op not in (OP_NOTIFY_PK, OP_WRITE_CT):
             raise ParseError(f"unknown op {op!r}", path=label, row=i, column="op")
         row = ReferenceEnergyRow(
-            scheme=rec[0],
-            att_mtu=_int_field(rec[1], path=label, row=i, column="att_mtu"),
-            ll_pdu=_int_field(rec[2], path=label, row=i, column="ll_pdu"),
+            scheme=scheme,
+            att_mtu=_int_field(att_mtu, path=label, row=i, column="att_mtu"),
+            ll_pdu=_int_field(ll_pdu, path=label, row=i, column="ll_pdu"),
             op=op,
-            e_theor_uj=_float_field(rec[4], path=label, row=i, column="e_theor_uJ"),
-            e_emp_uj=_float_field(rec[5], path=label, row=i, column="e_emp_uJ"),
-            delta=_float_field(rec[6], path=label, row=i, column="delta_pct") / 100.0,
+            e_theor_uj=_float_field(e_theor, path=label, row=i, column="e_theor_uJ"),
+            e_emp_uj=_float_field(e_emp, path=label, row=i, column="e_emp_uJ"),
+            delta=_float_field(delta_pct, path=label, row=i, column="delta_pct") / 100.0,
         )
         if row.e_theor_uj <= 0 or row.e_emp_uj <= 0:
             raise ParseError("energies must be positive", path=label, row=i)

@@ -640,3 +640,58 @@ def test_config_cycles_file_over_cap_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert f"{cycles}:row 2" in err and "Traceback" not in err
+
+
+def test_cycles_file_error_names_the_line_the_file_shows(capsys, tmp_path):
+    # The bundled file's comment lines count: its ML-KEM-768 row is line 10.
+    lines = resources.files("pqpan").joinpath("data/cycles.csv").read_text().splitlines()
+    assert lines[9].startswith("ML-KEM-768,")
+    lines[9] = lines[9].replace(",", ",x", 1)
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "profile.json"
+    config.write_text(json.dumps({"cycles_file": "cycles.csv"}))
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                             "--att-mtu", "65", "--ll-pdu", "27", "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert f"{cycles}:row 10:keygen: expected integer, got 'x1901587'" in err
+    assert "Traceback" not in err
+
+
+def test_estimate_prices_hqc_from_a_cycles_file_with_ml_kem_and_hqc_rows(capsys, tmp_path):
+    cycles = tmp_path / "cycles.csv"
+    cycles.write_text("scheme,keygen,encaps,decaps\n"
+                      "ML-KEM-512,1432416,1711893,1575658\n"
+                      "ML-KEM-768,1901587,2264514,2091746\n"
+                      "HQC-128,20000000,40000000,60000000\n"
+                      "HQC-192,60000000,120000000,180000000\n")
+    config = tmp_path / "profile.json"
+    config.write_text(json.dumps({"cycles_file": "cycles.csv"}))
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "hqc-128",
+                             "--att-mtu", "65", "--ll-pdu", "27", "--config", str(config))
+    assert code == 0, err
+    # 20M cycles at the default 3 mA / 3 V / 64 MHz: 2812.5 uJ raw keygen.
+    assert json.loads(out)["raw_uJ"]["keygen"] == pytest.approx(2812.5)
+
+
+@pytest.mark.parametrize("text,key", [
+    pytest.param('{"gamma_comm": 1.1, "gamma_comm": 3.0}', "'gamma_comm' is given twice",
+                 id="top-level"),
+    pytest.param('{"gamma_keygen": {"1": 1.2, "1": 2.0, "3": 1.3, "5": 1.4}}',
+                 "'1' is given twice", id="nested"),
+    pytest.param('{"gamma_keygen": {"1": 1.2, "3": 1.3, "5": 1.4, "01": 2}}',
+                 "gamma_keygen level 1 is given twice",
+                 id="one-level-two-spellings"),
+])
+def test_config_that_names_a_key_twice_exits_3(capsys, tmp_path, text, key):
+    # json alone keeps the last value, which would price the run silently.
+    config = tmp_path / "twice.json"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
+                             "--att-mtu", "65", "--ll-pdu", "27", "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert key in err and "Traceback" not in err
+    with pytest.raises(InvalidConfig, match=key):
+        load_config(config)

@@ -224,6 +224,30 @@ def test_cycles_file_row_for_an_unknown_scheme_is_located(tmp_path):
         load_cycle_counts(str(path))
 
 
+MLKEM_AND_HQC_CYCLES = ("scheme,keygen,encaps,decaps\n"
+                        "ML-KEM-512,1432416,1711893,1575658\n"
+                        "ML-KEM-768,1901587,2264514,2091746\n"
+                        "ML-KEM-1024,2334729,2789406,2568191\n"
+                        "HQC-128,20000000,40000000,60000000\n"
+                        "HQC-192,60000000,120000000,180000000\n"
+                        "HQC-256,110000000,220000000,330000000\n")
+
+
+def test_cycles_file_levels_are_ordered_within_each_family(tmp_path):
+    # HQC-128 (level 1) costs more than ML-KEM-768 (level 3): only counts of
+    # one family are compared.
+    path = tmp_path / "cycles.csv"
+    path.write_text(MLKEM_AND_HQC_CYCLES)
+    cycles = load_cycle_counts(str(path))
+    assert cycles["HQC-128"] == CycleCounts(20000000, 40000000, 60000000)
+    assert cycles["ML-KEM-1024"] == load_cycle_counts()["ML-KEM-1024"]
+    path = tmp_path / "out_of_order.csv"  # a new path, as the loader caches by path
+    path.write_text(MLKEM_AND_HQC_CYCLES.replace("HQC-192,60000000", "HQC-192,10000000"))
+    with pytest.raises(ParseError, match="increase strictly with security level, but "
+                                         "HQC-192 does not exceed HQC-128"):
+        load_cycle_counts(str(path))
+
+
 # Current fit
 
 def test_fit_on_reference_table(fit_result):

@@ -1,8 +1,12 @@
+from importlib import resources
+
 import pytest
 
 from pqpan import (CalibrationFactors, ConsistencyError, ParseError, UnknownScheme,
-                   default_calibration, load_reference_table, load_schemes,
+                   default_calibration, load_cycle_counts, load_reference_table, load_schemes,
                    lookup_scheme)
+from pqpan.energy import _CYCLES_COLUMNS
+from pqpan.reference import _TABLE_COLUMNS, read_table
 
 # (pk, sk, ct, level) as standardized.
 MLKEM_SIZES = {
@@ -172,6 +176,85 @@ def test_consistency_error_on_a_repeated_cell(reference_rows, tmp_path):
     with pytest.raises(ConsistencyError,
                        match="row 3: cell ML-KEM-512,65,27,Notify_PK repeats row 2"):
         load_reference_table(out)
+
+
+#: Each bundled table, its columns, and the loader that takes a user's copy.
+BUNDLED_TABLES = {
+    "schemes.csv": (("name", "pk", "sk", "ct", "level"), None),
+    "table2.csv": (_TABLE_COLUMNS, load_reference_table),
+    "cycles.csv": (_CYCLES_COLUMNS, lambda path: load_cycle_counts(path and str(path))),
+}
+
+
+@pytest.mark.parametrize("case", ["comment-and-blank-counted", "header-misses-a-column",
+                                  "header-names-one-twice", "short-record",
+                                  "reordered-and-extra-columns"])
+@pytest.mark.parametrize("name", sorted(BUNDLED_TABLES))
+def test_read_table_format_rule(tmp_path, name, case):
+    columns, loader = BUNDLED_TABLES[name]
+    lines = resources.files("pqpan").joinpath(f"data/{name}").read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    path = tmp_path / name
+    if case == "comment-and-blank-counted":
+        # The note and the blank line are file lines head + 2 and head + 3,
+        # skipped but counted, so the first record is on line head + 4.
+        lines[head + 1:head + 1] = ["# a note", ""]
+        lines[head + 3] += ",extra"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{path}:row {head + 4}: expected "
+                                             f"{len(columns)} columns, got {len(columns) + 1}"):
+            read_table(path, name, columns)
+    elif case == "header-misses-a-column":
+        lines[head] = ",".join(column for column in columns if column != columns[1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{path}:row {head + 1}: header names "
+                                             f"'{columns[1]}' 0 times"):
+            read_table(path, name, columns)
+    elif case == "header-names-one-twice":
+        lines[head] += f",{columns[0]}"
+        lines[head + 1:] = [line + ",x" for line in lines[head + 1:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{path}:row {head + 1}: header names "
+                                             f"'{columns[0]}' 2 times"):
+            read_table(path, name, columns)
+    elif case == "short-record":
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{path}:row {len(lines)}: expected "
+                                             f"{len(columns)} columns, got {len(columns) - 1}"):
+            read_table(path, name, columns)
+    else:
+        # Columns reversed, a note column in the middle, and the header moved
+        # down a line: the records come back equal, on their new lines.
+        order = list(reversed(columns))
+        records = [dict(zip(columns, line.split(","))) for line in lines[head + 1:]]
+        out = ["", ",".join(order[:1] + ["note"] + order[1:])]
+        out += [",".join([rec[order[0]], "n/a"] + [rec[c] for c in order[1:]])
+                for rec in records]
+        path.write_text("\n".join(out) + "\n")
+        label, rows = read_table(path, name, columns)
+        _, bundled_rows = read_table(None, name, columns)
+        assert label == str(path)
+        assert [fields for _, fields in rows] == [fields for _, fields in bundled_rows]
+        assert [i for i, _ in rows] == list(range(3, 3 + len(records)))
+        if loader is not None:
+            assert loader(path) == loader(None)
+
+
+def test_read_table_without_a_header(tmp_path):
+    path = tmp_path / "cycles.csv"
+    path.write_text("# counts to come\n\n")
+    with pytest.raises(ParseError, match=f"^{path}: header names 'scheme' 0 times"):
+        load_cycle_counts(str(path))
+
+
+def test_read_table_record_that_is_not_csv(tmp_path):
+    # A field longer than the csv module's limit is an error at its line, not
+    # the module's own exception.
+    path = tmp_path / "cycles.csv"
+    path.write_text(f"scheme,keygen,encaps,decaps\n\nML-KEM-512,{'9' * 200_000},1,1\n")
+    with pytest.raises(ParseError, match=f"^{path}:row 3: not a CSV record"):
+        load_cycle_counts(str(path))
 
 
 def test_default_calibration_values():
