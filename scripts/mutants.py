@@ -58,7 +58,7 @@ MUTANTS = {
     "reassembly overflow unchecked": (
         "sim.py", "if len(self._buf) + len(chunk) > self.expected_size:", "if False:"),
     "decapsulation ciphertext size unchecked": (
-        "kem.py", "if len(ct) != scheme.ct_size:", "if False:"),
+        "kem.py", '_sized(ct, f"{scheme.name}: ct", scheme.ct_size)', "ct"),
     "encapsulation left out of the total": (
         "energy.py", "total += e_encap", "total += 0.0"),
     "minimax polish skipped": (
@@ -104,6 +104,12 @@ MUTANTS = {
         "[set_field(new, n, v) for n, v in zip(self._fields, values)]; return new"),
     "defaulted field made required": (
         "errors.py", 'f"{name}=_defaults[{name!r}]" if name in cls._defaults else name', "name"),
+    "declared check not applied": (
+        "errors.py", 'body.append(f"    _set(self, {name!r}, {value})\\n")',
+        'body.append(f"    _set(self, {name!r}, {name})\\n")'),
+    "KemParamSet size lower bound 1 -> 0": (
+        "reference.py", "int_in_range, lo=1, hi=ARTIFACT_MAX, error=ConsistencyError)",
+        "int_in_range, lo=0, hi=ARTIFACT_MAX, error=ConsistencyError)"),
     "generated init skipped": (
         "errors.py", 'if "__init__" not in vars(cls):', "if False:"),
     "value fields assignable": (

@@ -30,10 +30,9 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Mapping
-from types import MappingProxyType
 
-from .energy import CycleCounts, FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
-from .errors import InvalidConfig, Value, _shown, set_field
+from .energy import FITTED_RADIO_PROFILE, load_cycle_counts
+from .errors import InvalidConfig, Value, _shown, read_only
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig
 from .reference import CalibrationFactors, default_calibration, read_text
 
@@ -58,14 +57,8 @@ class ModelConfig(Value):
     and ll_pdu. ``cycles`` is stored as a read-only copy."""
 
     __slots__ = ("profile", "gamma", "cycles", "link", "kem_backend")
-
-    def __init__(self, profile: RadioProfile, gamma: CalibrationFactors,
-                 cycles: Mapping[str, CycleCounts], link: LinkConfig, kem_backend: str = "stub"):
-        set_field(self, "profile", profile)
-        set_field(self, "gamma", gamma)
-        set_field(self, "cycles", MappingProxyType(dict(cycles)))
-        set_field(self, "link", link)
-        set_field(self, "kem_backend", kem_backend)
+    _defaults = {"kem_backend": "stub"}
+    _checks = {"cycles": read_only}
 
 
 def _level(key: str, level) -> int:

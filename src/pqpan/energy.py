@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
-from .errors import (InvalidConfig, InvalidProfile, ParseError, SingularSystem, UnknownScheme,
-                     UnsupportedScheme, Value, _shown, int_in_range, real_in_range, set_field)
+from .errors import (InvalidProfile, ParseError, SingularSystem, UnknownScheme, UnsupportedScheme,
+                     Value, int_in_range, real_in_range, str_value)
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig, TimeBudget, airtime
 from .reference import (CalibrationFactors, KemParamSet, _int_field, default_calibration,
                         lookup_scheme, read_table)
@@ -47,23 +47,16 @@ CYCLES_MAX = 10**12
 
 
 class RadioProfile(Value):
-    """Supply voltage, radio-state currents (amperes), and MCU parameters.
-    Each is checked as a number in its range and kept as given."""
+    """Supply voltage, radio-state currents (amperes), and MCU parameters,
+    each a number in its range, stored as a float."""
 
     __slots__ = ("voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu")
-
-    def __init__(self, voltage: float, i_tx: float, i_rx: float, i_ifs: float, i_mcu: float,
-                 f_mcu: float = 64e6):
-        real_in_range("voltage", voltage, VOLTAGE_MIN, VOLTAGE_MAX, InvalidProfile)
-        real_in_range("f_mcu", f_mcu, F_MCU_MIN, F_MCU_MAX, InvalidProfile)
-        for name, current in (("i_tx", i_tx), ("i_rx", i_rx), ("i_ifs", i_ifs), ("i_mcu", i_mcu)):
-            real_in_range(name, current, CURRENT_MIN, CURRENT_MAX, InvalidProfile)
-        set_field(self, "voltage", voltage)
-        set_field(self, "i_tx", i_tx)
-        set_field(self, "i_rx", i_rx)
-        set_field(self, "i_ifs", i_ifs)
-        set_field(self, "i_mcu", i_mcu)
-        set_field(self, "f_mcu", f_mcu)
+    _defaults = {"f_mcu": 64e6}
+    _checks = {"voltage": partial(real_in_range, lo=VOLTAGE_MIN, hi=VOLTAGE_MAX,
+                                  error=InvalidProfile),
+               **dict.fromkeys(("i_tx", "i_rx", "i_ifs", "i_mcu"), partial(
+                   real_in_range, lo=CURRENT_MIN, hi=CURRENT_MAX, error=InvalidProfile)),
+               "f_mcu": partial(real_in_range, lo=F_MCU_MIN, hi=F_MCU_MAX, error=InvalidProfile)}
 
 
 # Recovered from the bundled reference table by fit_radio_currents, under the link's
@@ -79,17 +72,11 @@ FITTED_RADIO_PROFILE = RadioProfile(
 
 
 class CycleCounts(Value):
-    """MCU cycle counts for one scheme's KEM operations, integers in [0, CYCLES_MAX]."""
+    """MCU cycle counts for one scheme's KEM operations, stored as ints in [0, CYCLES_MAX]."""
 
     __slots__ = ("keygen", "encap", "decap")
-
-    def __init__(self, keygen: int, encap: int, decap: int):
-        int_in_range("keygen", keygen, 0, CYCLES_MAX, InvalidProfile)
-        int_in_range("encap", encap, 0, CYCLES_MAX, InvalidProfile)
-        int_in_range("decap", decap, 0, CYCLES_MAX, InvalidProfile)
-        set_field(self, "keygen", keygen)
-        set_field(self, "encap", encap)
-        set_field(self, "decap", decap)
+    _checks = dict.fromkeys(__slots__, partial(int_in_range, lo=0, hi=CYCLES_MAX,
+                                               error=InvalidProfile))
 
 
 _CYCLES_COLUMNS = ("scheme", "keygen", "encaps", "decaps")
@@ -259,8 +246,7 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     KEM scheme name. ``payload`` is an integer byte count. Secured payloads
     grow by the 28-byte AEAD envelope; a zero-byte payload sends nothing.
     """
-    if not isinstance(security, str):
-        raise InvalidConfig(f"security must be a string, got {_shown(security)}")
+    security = str_value("security", security)
     payload = int_in_range("payload", payload, 0, math.inf)  # the artifact cap comes later
     profile = profile or FITTED_RADIO_PROFILE
     gamma = gamma or default_calibration()
@@ -297,11 +283,7 @@ class FitResult(Value):
             "ifs_slots": _FIT_LINK.ifs_slots,  # binds a report loaded as a config
             "max_abs_rel_err": self.max_abs_rel_err,
             "mean_abs_rel_err": self.mean_abs_rel_err,
-            "profile": {
-                "voltage": self.profile.voltage, "i_tx": self.profile.i_tx,
-                "i_rx": self.profile.i_rx, "i_ifs": self.profile.i_ifs,
-                "i_mcu": self.profile.i_mcu, "f_mcu": self.profile.f_mcu,
-            },
+            "profile": dict(zip(self.profile._fields, self.profile._values())),
             "residuals": [
                 {"scheme": r.scheme, "att_mtu": r.att_mtu, "ll_pdu": r.ll_pdu,
                  "op": r.op, "reference_uJ": r.reference_uj,

@@ -5,6 +5,7 @@ CLI can map model/domain failures to a single exit code.
 """
 
 import operator
+from functools import partial
 from types import MappingProxyType
 
 #: How a value type's ``__init__`` stores a field past its refusing ``__setattr__``.
@@ -93,40 +94,70 @@ def real_in_range(name: str, value, lo: float, hi: float, error=InvalidConfig) -
     raise error(f"{name} must be a finite number in [{lo}, {hi}], got {_shown(value)}")
 
 
+def str_value(name: str, value, error=InvalidConfig) -> str:
+    """``value`` if it is a ``str``, else ``error``."""
+    if isinstance(value, str):
+        return value
+    raise error(f"{name} must be a string, got {_shown(value)}")
+
+
+def read_only(name: str, table) -> MappingProxyType:
+    """A read-only copy of ``table``, a mapping (or what ``dict`` takes), else InvalidConfig."""
+    try:
+        return MappingProxyType(dict(table))
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{name} must be a mapping, got {_shown(table)}") from None
+
+
 def _storing_init(cls):
-    """An ``__init__`` that takes ``cls._fields`` in order, each defaulting to
-    its ``cls._defaults`` entry if it has one, and stores each value as given.
-    Built from source, as ``collections.namedtuple`` builds ``__new__``; the
-    source holds only slot names, which are identifiers."""
-    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
-                       for name in cls._fields)
-    body = "".join(f"    _set(self, {name!r}, {name})\n" for name in cls._fields)
-    namespace = {"_defaults": cls._defaults, "_set": set_field}
-    exec(f"def __init__(self, {params}):\n{body or '    pass'}\n", namespace)
+    """An ``__init__`` that takes ``cls._fields`` in order, each defaulting to its
+    ``cls._defaults`` entry if it has one, and stores each, in that order, as given or
+    as its ``cls._checks`` entry returns it. Built from source, as ``namedtuple`` builds
+    ``__new__``, from slot names, which are identifiers. A check that is a ``partial``
+    binding the parameters after ``(name, value)`` is called as its function with them,
+    positionally, so that a range check costs the call written by hand."""
+    namespace = {"__name__": cls.__module__, "_defaults": cls._defaults, "_set": set_field}
+    params, body = [], []
+    for i, name in enumerate(cls._fields):
+        params.append(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name)
+        value = name
+        if name in cls._checks:
+            check, bound = cls._checks[name], []
+            if type(check) is partial and not check.args:
+                after = check.func.__code__.co_varnames[2:2 + len(check.keywords)]
+                if set(after) == set(check.keywords):
+                    check, bound = check.func, [check.keywords[key] for key in after]
+            namespace[f"_check{i}"] = check
+            namespace.update({f"_bound{i}_{j}": arg for j, arg in enumerate(bound)})
+            args = "".join(f", _bound{i}_{j}" for j in range(len(bound)))
+            value = f"_check{i}({name!r}, {name}{args})"
+        body.append(f"    _set(self, {name!r}, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body) or '    pass'}\n",
+         namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
     return init
 
 
 class Value:
     """Base of the package's immutable value types.
 
-    A subclass names its fields once, in order, as ``__slots__`` (plus
-    ``"__dict__"`` if it caches properties), and any defaults in a
-    ``_defaults`` mapping of field name to value. Unless it writes its own,
-    it gets an ``__init__`` that takes the fields in that order and stores each
-    as given. A class writes ``__init__`` only to check, convert, copy or
-    compute its fields; it stores each with :data:`set_field`, and a table as
-    a read-only copy, a ``MappingProxyType``. Instances compare equal when
-    their class and field values are, hash their field tuple, print as
-    ``Name(field=value, ...)``, refuse assignment and deletion, and pickle and
-    copy through ``__init__``, which gets each read-only table as a plain dict.
+    A subclass names its fields once, in order, as ``__slots__`` (plus ``"__dict__"``
+    if it caches properties), any defaults in a ``_defaults`` mapping, and any checks
+    in a ``_checks`` mapping of field name to a function ``(name, value)`` that returns
+    the value to store (checked, converted, or a :func:`read_only` copy) or raises a
+    PqpanError. The generated ``__init__`` takes the fields in order and stores each as
+    its check returns it, or as given. A class writes ``__init__`` only for a rule
+    across fields or a computed field, and stores each field with :data:`set_field`.
+    Instances compare equal when their class and field values are, hash their field
+    tuple, print as ``Name(field=value, ...)``, refuse assignment and deletion, and
+    pickle and copy through ``__init__``, which gets each read-only table as a dict.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
+    _checks: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -44,10 +44,13 @@ def _shake(label: bytes, data: bytes, n: int) -> bytes:
     return hashlib.shake_256(label + data).digest(n)
 
 
-def _check_seed(seed: bytes) -> bytes:
-    if len(seed) != SEED_BYTES:
-        raise SizeMismatch(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-    return seed
+def _sized(value: bytes, what: str, size: int) -> bytes:
+    """``value`` if it is ``bytes`` or ``bytearray`` of ``size`` bytes, else SizeMismatch."""
+    if not isinstance(value, (bytes, bytearray)):
+        raise SizeMismatch(f"{what} must be bytes or bytearray, got {type(value).__name__}")
+    if len(value) != size:
+        raise SizeMismatch(f"{what} is {len(value)} B, expected {size}")
+    return value
 
 
 def _resolve(scheme: KemParamSet | str) -> KemParamSet:
@@ -147,13 +150,9 @@ def keygen(scheme: KemParamSet | str, seed: bytes, backend=None) -> KemKeyPair:
     """Generate a key pair; deterministic for the stub backend."""
     scheme = _resolve(scheme)
     backend = backend or StubBackend()
-    pair = backend.keygen(scheme, _check_seed(seed))
-    if len(pair.pk) != scheme.pk_size:
-        raise SizeMismatch(f"{scheme.name}: backend produced pk of {len(pair.pk)} B, "
-                           f"expected {scheme.pk_size}")
-    if len(pair.sk) != backend.sk_size(scheme):
-        raise SizeMismatch(f"{scheme.name}: backend produced sk of {len(pair.sk)} B, "
-                           f"expected {backend.sk_size(scheme)}")
+    pair = backend.keygen(scheme, _sized(seed, "seed", SEED_BYTES))
+    _sized(pair.pk, f"{scheme.name}: the backend's pk", scheme.pk_size)
+    _sized(pair.sk, f"{scheme.name}: the backend's sk", backend.sk_size(scheme))
     return pair
 
 
@@ -161,15 +160,11 @@ def encapsulate(pk: bytes, scheme: KemParamSet | str, seed: bytes,
                 backend=None) -> Encapsulation:
     """Encapsulate a fresh shared secret against ``pk``."""
     scheme = _resolve(scheme)
-    if len(pk) != scheme.pk_size:
-        raise SizeMismatch(f"{scheme.name}: pk is {len(pk)} B, expected {scheme.pk_size}")
+    _sized(pk, f"{scheme.name}: pk", scheme.pk_size)
     backend = backend or StubBackend()
-    enc = backend.encapsulate(pk, scheme, _check_seed(seed))
-    if len(enc.ct) != scheme.ct_size:
-        raise SizeMismatch(f"{scheme.name}: backend produced ct of {len(enc.ct)} B, "
-                           f"expected {scheme.ct_size}")
-    if len(enc.ss) != SHARED_SECRET_BYTES:
-        raise SizeMismatch(f"{scheme.name}: shared secret is {len(enc.ss)} B")
+    enc = backend.encapsulate(pk, scheme, _sized(seed, "seed", SEED_BYTES))
+    _sized(enc.ct, f"{scheme.name}: the backend's ct", scheme.ct_size)
+    _sized(enc.ss, f"{scheme.name}: the backend's shared secret", SHARED_SECRET_BYTES)
     return enc
 
 
@@ -177,19 +172,13 @@ def decapsulate(sk: bytes, ct: bytes, scheme: KemParamSet | str, backend=None) -
     """Recover the shared secret from ``ct`` with the secret key."""
     scheme = _resolve(scheme)
     backend = backend or StubBackend()
-    if len(sk) != backend.sk_size(scheme):
-        raise SizeMismatch(f"{scheme.name}: sk is {len(sk)} B, "
-                           f"expected {backend.sk_size(scheme)}")
-    if len(ct) != scheme.ct_size:
-        raise SizeMismatch(f"{scheme.name}: ct is {len(ct)} B, expected {scheme.ct_size}")
-    ss = backend.decapsulate(sk, ct, scheme)
-    if len(ss) != SHARED_SECRET_BYTES:
-        raise SizeMismatch(f"{scheme.name}: shared secret is {len(ss)} B")
-    return ss
+    _sized(sk, f"{scheme.name}: sk", backend.sk_size(scheme))
+    _sized(ct, f"{scheme.name}: ct", scheme.ct_size)
+    return _sized(backend.decapsulate(sk, ct, scheme),
+                  f"{scheme.name}: the backend's shared secret", SHARED_SECRET_BYTES)
 
 
 def derive_session_key(ss: bytes) -> SessionKey:
     """Derive the session key from a shared secret via a keyed hash."""
-    if len(ss) != SHARED_SECRET_BYTES:
-        raise SizeMismatch(f"shared secret must be {SHARED_SECRET_BYTES} bytes")
+    _sized(ss, "shared secret", SHARED_SECRET_BYTES)
     return SessionKey(key=hmac.new(ss, SESSION_KEY_CONTEXT, hashlib.sha256).digest())

@@ -24,6 +24,8 @@ pure and operate on value types.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import InvalidConfig, Value, int_in_range, real_in_range, set_field
 
 ATT_HEADER = 3
@@ -54,15 +56,12 @@ class LinkConfig(Value):
     """
 
     __slots__ = ("att_mtu", "ll_pdu", "phy_rate", "ifs", "ifs_slots")
-
-    def __init__(self, att_mtu: int, ll_pdu: int, phy_rate: float = 1_000_000.0,
-                 ifs: float = 150e-6, ifs_slots: int = 2):
-        set_field(self, "att_mtu", int_in_range("att_mtu", att_mtu, ATT_MTU_MIN, ATT_MTU_MAX))
-        set_field(self, "ll_pdu", int_in_range("ll_pdu", ll_pdu, LL_PDU_MIN, LL_PDU_MAX))
-        set_field(self, "phy_rate",
-                  real_in_range("phy_rate", phy_rate, PHY_RATE_MIN, PHY_RATE_MAX))
-        set_field(self, "ifs", real_in_range("ifs", ifs, 0.0, IFS_MAX))
-        set_field(self, "ifs_slots", int_in_range("ifs_slots", ifs_slots, 1, 2))
+    _defaults = {"phy_rate": 1_000_000.0, "ifs": 150e-6, "ifs_slots": 2}
+    _checks = {"att_mtu": partial(int_in_range, lo=ATT_MTU_MIN, hi=ATT_MTU_MAX),
+               "ll_pdu": partial(int_in_range, lo=LL_PDU_MIN, hi=LL_PDU_MAX),
+               "phy_rate": partial(real_in_range, lo=PHY_RATE_MIN, hi=PHY_RATE_MAX),
+               "ifs": partial(real_in_range, lo=0.0, hi=IFS_MAX),
+               "ifs_slots": partial(int_in_range, lo=1, hi=2)}
 
     def seconds_on_air(self, n_bytes: int) -> float:
         """Seconds that ``n_bytes`` take on air at ``phy_rate``."""

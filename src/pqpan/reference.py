@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
 import os
-from functools import lru_cache
+from collections.abc import Mapping
+from functools import lru_cache, partial
 from types import MappingProxyType
 
-from .errors import (ConsistencyError, ParseError, UnknownScheme, Value, _shown, real_in_range,
-                     set_field)
+from .errors import (ConsistencyError, ParseError, UnknownScheme, Value, _shown, int_in_range,
+                     real_in_range, str_value)
+from .link import ARTIFACT_MAX
 
 OP_NOTIFY_PK = "Notify_PK"
 OP_WRITE_CT = "Write_CT"
@@ -44,23 +45,26 @@ GAMMA_MAX = 10.0
 DELTA_TOLERANCE = 1e-3
 
 
+def _nist_level(name: str, level) -> int | None:
+    """A check: None, or one of SECURITY_LEVELS as ``int_in_range`` takes an integer."""
+    if level is None:
+        return None
+    level = int_in_range(name, level, 1, 5, ConsistencyError)
+    if level not in SECURITY_LEVELS:
+        raise ConsistencyError(f"{name} must be 1, 3 or 5, got {level}")
+    return level
+
+
 class KemParamSet(Value):
-    """Named key-encapsulation scheme with its artifact byte sizes."""
+    """Named key-encapsulation scheme with its artifact byte sizes, each an
+    integer in [1, ARTIFACT_MAX], and its NIST security level, if it claims one."""
 
     __slots__ = ("name", "pk_size", "sk_size", "ct_size", "nist_level")
-
-    def __init__(self, name: str, pk_size: int, sk_size: int, ct_size: int,
-                 nist_level: int | None = None):
-        for field, size in (("pk_size", pk_size), ("sk_size", sk_size), ("ct_size", ct_size)):
-            if size <= 0:
-                raise ConsistencyError(f"{name}: {field} must be positive")
-        if nist_level is not None and nist_level not in SECURITY_LEVELS:
-            raise ConsistencyError(f"{name}: level must be 1, 3, or 5")
-        set_field(self, "name", name)
-        set_field(self, "pk_size", pk_size)
-        set_field(self, "sk_size", sk_size)
-        set_field(self, "ct_size", ct_size)
-        set_field(self, "nist_level", nist_level)
+    _defaults = {"nist_level": None}
+    _checks = {"name": partial(str_value, error=ConsistencyError),
+               **dict.fromkeys(("pk_size", "sk_size", "ct_size"), partial(
+                   int_in_range, lo=1, hi=ARTIFACT_MAX, error=ConsistencyError)),
+               "nist_level": _nist_level}
 
     def transfers(self) -> tuple[tuple[str, int, bool], ...]:
         """The handshake's transfers in order: (op, artifact size, peripheral receives)."""
@@ -77,6 +81,19 @@ class ReferenceEnergyRow(Value):
         return (self.e_emp_uj - self.e_theor_uj) / self.e_emp_uj
 
 
+def _factor_table(name: str, table) -> MappingProxyType[int, float]:
+    """A check: a read-only copy of a calibration table, which maps each of levels
+    1, 3 and 5, and any other ``int`` level (not a bool), to a factor in [1, GAMMA_MAX]."""
+    table = dict(table) if isinstance(table, Mapping) else {}  # the copy is checked
+    if not set(SECURITY_LEVELS) <= set(table):
+        raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
+    for level, factor in table.items():
+        if type(level) is not int:
+            raise ConsistencyError(f"{name} has a level that is not an integer, {_shown(level)}")
+        table[level] = real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
+    return MappingProxyType(table)
+
+
 class CalibrationFactors(Value):
     """Multiplicative corrections applied to theoretical energies.
 
@@ -88,18 +105,8 @@ class CalibrationFactors(Value):
     """
 
     __slots__ = ("gamma_keygen", "gamma_decap", "gamma_comm")
-
-    def __init__(self, gamma_keygen: Mapping[int, float], gamma_decap: Mapping[int, float],
-                 gamma_comm: float):
-        for name, table in (("gamma_keygen", gamma_keygen), ("gamma_decap", gamma_decap)):
-            table = dict(table) if isinstance(table, Mapping) else {}  # the copy is checked
-            if not set(SECURITY_LEVELS) <= set(table):
-                raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
-            for factor in table.values():
-                real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
-            set_field(self, name, MappingProxyType(table))
-        real_in_range("gamma_comm", gamma_comm, 1.0, GAMMA_MAX, ConsistencyError)
-        set_field(self, "gamma_comm", gamma_comm)
+    _checks = {"gamma_keygen": _factor_table, "gamma_decap": _factor_table,
+               "gamma_comm": partial(real_in_range, lo=1.0, hi=GAMMA_MAX, error=ConsistencyError)}
 
 
 @lru_cache(maxsize=1)
@@ -114,9 +121,10 @@ def default_calibration() -> CalibrationFactors:
 
 
 def read_text(path: str | os.PathLike) -> str:
-    """A file's text; one that is not UTF-8 is a ParseError naming it."""
+    """A file's text, without the byte-order mark a file may start with; one
+    that is not UTF-8 is a ParseError naming it."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except UnicodeError as exc:
         raise ParseError(f"not readable as UTF-8 text ({exc})", path=os.fspath(path)) from None

@@ -31,12 +31,12 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain, repeat
 from math import isfinite
-from types import MappingProxyType
 
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
-from .errors import HandshakeFailure, InvalidConfig, NotEstablished, Value, int_in_range, set_field
+from .errors import (HandshakeFailure, InvalidConfig, NotEstablished, Value, int_in_range,
+                     read_only, set_field)
 from .link import LL_OVERHEAD, LinkConfig, airtime, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
@@ -190,10 +190,7 @@ class EnergyLedger(Value):
     transfers and its uncalibrated encapsulation."""
 
     __slots__ = ("peripheral", "central")
-
-    def __init__(self, peripheral: Mapping[str, float], central: Mapping[str, float]):
-        set_field(self, "peripheral", MappingProxyType(dict(peripheral)))
-        set_field(self, "central", MappingProxyType(dict(central)))
+    _checks = {"peripheral": read_only, "central": read_only}
 
     def peripheral_pqke_total(self) -> float:
         return (self.peripheral["keygen"] + self.peripheral["decap"]

@@ -642,6 +642,23 @@ def test_config_cycles_file_over_cap_exits_3(capsys, tmp_path):
     assert f"{cycles}:row 2" in err and "Traceback" not in err
 
 
+def test_config_with_a_byte_order_mark_loads_as_without_one(capsys, tmp_path):
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    argv = ["estimate", "--scheme", "ml-kem-512", "--att-mtu", "65", "--ll-pdu", "27"]
+    for text, code in (('{"gamma_comm": 1.2}', 0), ('{"gamma_comm": 1.2,\n "voltage": }', 3)):
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        (plain_code, plain_out, plain_err), (bom_code, bom_out, bom_err) = (
+            run_cli(capsys, *argv, "--config", str(path)) for path in (plain, bom))
+        assert plain_code == bom_code == code and bom_out == plain_out
+        # A JSON error names the line and column it names without the mark.
+        assert bom_err == plain_err.replace(str(plain), str(bom))
+        if code == 0:
+            assert load_config(bom) == load_config(plain)
+            assert load_config(bom).gamma.gamma_comm == 1.2
+    assert "line 2 column 13" in bom_err
+
+
 def test_cycles_file_error_names_the_line_the_file_shows(capsys, tmp_path):
     # The bundled file's comment lines count: its ML-KEM-768 row is line 10.
     lines = resources.files("pqpan").joinpath("data/cycles.csv").read_text().splitlines()

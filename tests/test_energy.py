@@ -65,6 +65,13 @@ def test_invalid_profile_fields():
         make_profile(voltage=-3.0)
 
 
+def test_profile_reports_its_first_bad_field_in_field_order():
+    with pytest.raises(InvalidProfile, match="^i_tx must be"):
+        make_profile(i_tx=0.0, i_mcu=0.0, f_mcu=0.0)
+    with pytest.raises(InvalidProfile, match="^i_mcu must be"):
+        make_profile(i_mcu=0.0, f_mcu=0.0)
+
+
 @pytest.mark.parametrize("field", ["voltage", "i_tx", "i_rx", "i_ifs", "i_mcu", "f_mcu"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e308])
 def test_non_finite_profile_fields_rejected(field, value):
@@ -201,6 +208,18 @@ def test_cached_tables_are_read_only():
     with pytest.raises(TypeError):
         del load_schemes()["ML-KEM-512"]
     assert pqke_total("ml-kem-512", cfg) == before
+
+
+def test_numpy_cycle_counts_are_stored_and_priced_as_ints():
+    # CycleCounts takes any integer type, as int_in_range does, and stores the
+    # int it returns, so comp_energy prices it as it prices the bundled counts.
+    np = pytest.importorskip("numpy")
+    bundled = load_cycle_counts()["ML-KEM-512"]
+    counts = CycleCounts(*(np.int64(v) for v in (bundled.keygen, bundled.encap, bundled.decap)))
+    assert counts == bundled and {type(v) for v in counts._values()} == {int}
+    cfg = LinkConfig(att_mtu=65, ll_pdu=27)
+    assert (pqke_total("ml-kem-512", cfg, cycles={"ML-KEM-512": counts}, include_encap=True)
+            == pqke_total("ml-kem-512", cfg, include_encap=True))
 
 
 @pytest.mark.parametrize("column", [1, 2, 3], ids=["keygen", "encaps", "decaps"])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqpan import (SizeMismatch, UnknownScheme, UnsupportedScheme, decapsulate,
+from pqpan import (KemKeyPair, SizeMismatch, UnknownScheme, UnsupportedScheme, decapsulate,
                    derive_session_key, encapsulate, get_backend, keygen, lookup_scheme)
+from pqpan.kem import SHARED_SECRET_BYTES, StubBackend
 
 MLKEM = ["ML-KEM-512", "ML-KEM-768", "ML-KEM-1024"]
 
@@ -71,6 +72,49 @@ def test_wrong_ct_length():
 def test_wrong_seed_length():
     with pytest.raises(SizeMismatch):
         keygen("ml-kem-512", b"short")
+
+
+#: A call with one byte argument that is not bytes or bytearray, given a key pair.
+NOT_BYTES = {
+    "str-seed": (lambda pair: keygen("ml-kem-512", "a" * 32), "seed"),
+    "none-seed": (lambda pair: keygen("ml-kem-512", None), "seed"),
+    "list-seed": (lambda pair: encapsulate(pair.pk, "ml-kem-512", list(seed(1))), "seed"),
+    "str-pk": (lambda pair: encapsulate("a" * 800, "ml-kem-512", seed(1)), "pk"),
+    "str-sk": (lambda pair: decapsulate("a" * 1632, bytes(768), "ml-kem-512"), "sk"),
+    "memoryview-ct": (lambda pair: decapsulate(pair.sk, memoryview(bytes(768)), "ml-kem-512"),
+                      "ct"),
+    "str-shared-secret": (lambda pair: derive_session_key("a" * 32), "shared secret"),
+}
+
+
+@pytest.mark.parametrize("call,what", NOT_BYTES.values(), ids=list(NOT_BYTES))
+def test_byte_argument_that_is_not_bytes_is_a_size_mismatch(call, what):
+    pair = keygen("ml-kem-512", bytearray(seed(12)))
+    assert pair == keygen("ml-kem-512", seed(12))
+    with pytest.raises(SizeMismatch, match=f"{what} must be bytes or bytearray, got "):
+        call(pair)
+
+
+class _BadOutputBackend(StubBackend):
+    """The stub, but its key pair's pk is a byte short and its decapsulated
+    secret is text."""
+
+    def keygen(self, scheme, seed):
+        pair = super().keygen(scheme, seed)
+        return KemKeyPair(pk=pair.pk[:-1], sk=pair.sk, scheme=scheme)
+
+    def decapsulate(self, sk, ct, scheme):
+        return super().decapsulate(sk, ct, scheme).hex()[:SHARED_SECRET_BYTES]
+
+
+def test_backend_output_of_the_wrong_size_or_type_is_a_size_mismatch():
+    with pytest.raises(SizeMismatch, match="^ML-KEM-512: the backend's pk is 799 B, expected 800$"):
+        keygen("ml-kem-512", seed(13), _BadOutputBackend())
+    pair = keygen("ml-kem-512", seed(13))
+    ct = encapsulate(pair.pk, "ml-kem-512", seed(14)).ct
+    with pytest.raises(SizeMismatch, match="the backend's shared secret must be bytes or "
+                                           "bytearray, got str"):
+        decapsulate(pair.sk, ct, "ml-kem-512", _BadOutputBackend())
 
 
 def test_signature_scheme_rejected():

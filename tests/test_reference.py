@@ -2,10 +2,11 @@ from importlib import resources
 
 import pytest
 
-from pqpan import (CalibrationFactors, ConsistencyError, ParseError, UnknownScheme,
+from pqpan import (CalibrationFactors, ConsistencyError, KemParamSet, ParseError, UnknownScheme,
                    default_calibration, load_cycle_counts, load_reference_table, load_schemes,
                    lookup_scheme)
 from pqpan.energy import _CYCLES_COLUMNS
+from pqpan.link import ARTIFACT_MAX
 from pqpan.reference import _TABLE_COLUMNS, read_table
 
 # (pk, sk, ct, level) as standardized.
@@ -241,6 +242,24 @@ def test_read_table_format_rule(tmp_path, name, case):
             assert loader(path) == loader(None)
 
 
+@pytest.mark.parametrize("name", sorted(BUNDLED_TABLES))
+def test_table_with_a_byte_order_mark_loads_as_without_one(tmp_path, name):
+    # A spreadsheet's "CSV UTF-8" starts with a BOM; it is not part of the header,
+    # and it does not shift the line an error names.
+    columns, loader = BUNDLED_TABLES[name]
+    lines = resources.files("pqpan").joinpath(f"data/{name}").read_text().splitlines()
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_table(path, name, columns)[1] == read_table(None, name, columns)[1]
+    if loader is not None:
+        assert loader(path) == loader(None)
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+    with pytest.raises(ParseError, match=f"^{path}:row {len(lines)}: expected "):
+        read_table(path, name, columns)
+
+
 def test_read_table_without_a_header(tmp_path):
     path = tmp_path / "cycles.csv"
     path.write_text("# counts to come\n\n")
@@ -268,3 +287,42 @@ def test_calibration_rejects_sub_unity_factors():
     with pytest.raises(ConsistencyError):
         CalibrationFactors(gamma_keygen={1: 0.9, 3: 1.3, 5: 1.6},
                            gamma_decap={1: 1.1, 3: 1.2, 5: 1.3}, gamma_comm=1.15)
+
+
+@pytest.mark.parametrize("table", [{True: 1.2, 3: 1.3, 5: 1.4}, {1.0: 1.2, 3: 1.3, 5: 1.4},
+                                   {1: 1.2, "1": 9.0, 3: 1.3, 5: 1.4}],
+                         ids=["bool", "float", "str-beside-int"])
+def test_calibration_level_that_is_not_an_int_is_refused(table):
+    # A bool or a float key equals an int level, so a dict takes it for one.
+    base = default_calibration()
+    with pytest.raises(ConsistencyError, match="^gamma_decap has a level that is not an integer"):
+        CalibrationFactors(base.gamma_keygen, table, base.gamma_comm)
+
+
+def test_calibration_stores_each_factor_as_a_float():
+    gamma = CalibrationFactors(dict.fromkeys((1, 3, 5), 2), {1: 1, 3: 2.5, 5: 3, 7: 4}, 2)
+    assert gamma.gamma_keygen == {1: 2.0, 3: 2.0, 5: 2.0} and gamma.gamma_comm == 2.0
+    assert {type(g) for g in (*gamma.gamma_keygen.values(), *gamma.gamma_decap.values(),
+                              gamma.gamma_comm)} == {float}
+
+
+#: A KemParamSet field and a value it refuses: each size is an int in
+#: [1, ARTIFACT_MAX], the level is None or 1, 3 or 5, and the name is a str.
+SCHEME_REFUSALS = [("pk_size", 800.0), ("sk_size", True), ("ct_size", "768"), ("pk_size", 0),
+                   ("ct_size", ARTIFACT_MAX + 1), ("nist_level", True), ("nist_level", 3.0),
+                   ("nist_level", 2), ("nist_level", "3"), ("name", 512), ("name", None)]
+
+
+@pytest.mark.parametrize("field,value", SCHEME_REFUSALS,
+                         ids=[f"{field}={value!r}" for field, value in SCHEME_REFUSALS])
+def test_scheme_field_of_the_wrong_type_or_range_is_refused(field, value):
+    sizes = dict(name="ML-KEM-512", pk_size=800, sk_size=1632, ct_size=768, nist_level=1)
+    with pytest.raises(ConsistencyError, match=f"^{field} must be "):
+        KemParamSet(**{**sizes, field: value})
+
+
+def test_scheme_stores_each_integer_as_an_int():
+    np = pytest.importorskip("numpy")
+    scheme = KemParamSet("ML-KEM-512", np.int64(800), np.int32(1632), 768, np.int64(1))
+    assert scheme == lookup_scheme("ml-kem-512")
+    assert {type(v) for v in scheme._values()[1:]} == {int}

@@ -108,7 +108,7 @@ _PARTY_REPR = ("PartyState(role=<Role.{}: '{}'>, scheme=" + _SCHEME_REPR
                + ", phase=<Phase.IDLE: 'Idle'>, keypair=None, peer_pk=None, session_key=None)")
 
 REPRS = {
-    # An int phy_rate is stored as a float; an int voltage is kept as given.
+    # An int phy_rate and an int voltage are stored as floats.
     LinkConfig: ("LinkConfig(att_mtu=65, ll_pdu=27, phy_rate=2000000.0, ifs=0.00015, "
                  "ifs_slots=1)"),
     LinkFrame: "LinkFrame(payload_bytes=27, overhead_bytes=10, is_ack=False)",
@@ -123,7 +123,7 @@ REPRS = {
     KemKeyPair: f"KemKeyPair(pk=b'pk', sk=b'sk', scheme={_SCHEME_REPR})",
     Encapsulation: "Encapsulation(ct=b'ct', ss=b'ss')",
     SessionKey: "SessionKey(key=b'key')",
-    RadioProfile: ("RadioProfile(voltage=3, i_tx=0.006, i_rx=0.005, i_ifs=0.003, i_mcu=0.003, "
+    RadioProfile: ("RadioProfile(voltage=3.0, i_tx=0.006, i_rx=0.005, i_ifs=0.003, i_mcu=0.003, "
                    "f_mcu=64000000.0)"),
     CycleCounts: "CycleCounts(keygen=1, encap=2, decap=3)",
     EnergyBreakdown: (
@@ -286,6 +286,13 @@ def test_replace_stores_what_the_constructor_stores():
     trace = _payload_trace()
     later = trace.replace(clock=1.0)
     assert later.clock == 1.0 and later.to_jsonl() == trace.to_jsonl()
+
+
+def test_profile_stores_each_field_as_a_float():
+    # An int in range is stored as a float, as LinkConfig stores an int phy_rate.
+    profile = RadioProfile(3, 1, 1, 1, 1, 64_000_000)
+    assert profile == RadioProfile(3.0, 1.0, 1.0, 1.0, 1.0, 64e6)
+    assert {type(v) for v in profile._values()} == {float}
 
 
 def _session_with_payload():
