@@ -24,6 +24,18 @@ ROOT = Path(__file__).resolve().parents[1]
 TABLE_TEST = "tests/test_scripts.py::test_mutant_table_matches_source"
 RUN_TIMEOUT_S = 900
 
+#: The two checks of a calibration table, in reference._factor_table's order.
+LEVEL_KEYS = """\
+    for level, factor in table.items():  # types first: a bad key is not called a missing level
+        if type(level) is not int:
+            raise ConsistencyError(f"{name} has a level that is not an integer, {_shown(level)}")
+        table[level] = real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
+"""
+COVERAGE = """\
+    if not set(SECURITY_LEVELS) <= set(table):
+        raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
+"""
+
 #: name -> (file under src/pqpan, old text, new text); each old text occurs
 #: exactly once in src/.
 MUTANTS = {
@@ -123,6 +135,16 @@ MUTANTS = {
     "caller's calibration table stored uncopied": (
         "reference.py", "table = dict(table) if isinstance(table, Mapping) else {}",
         "table = table if isinstance(table, Mapping) else {}"),
+    "falsy profile taken for the default": (
+        "energy.py", "FITTED_RADIO_PROFILE if profile is None",
+        "FITTED_RADIO_PROFILE if not profile"),
+    "cfg check dropped from sdu_layout": (
+        "link.py", 'cfg = of_type("cfg", cfg, LinkConfig)  # every count',
+        "cfg = cfg  # every count"),
+    "level-key check moved back after the coverage check": (
+        "reference.py", LEVEL_KEYS + COVERAGE, COVERAGE + LEVEL_KEYS),
+    "KemParamSet passthrough removed from lookup_scheme": (
+        "reference.py", "    if isinstance(name, KemParamSet):\n        return name\n", ""),
 }
 
 

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .config import BACKENDS, ModelConfig, resolve_config
+from .config import BACKENDS, ModelConfig, _once, resolve_config
 from .energy import AEAD_OVERHEAD_BYTES, comm_energy, fit_radio_currents, pqke_total
 from .errors import PqpanError
 from .link import ARTIFACT_MAX, airtime
@@ -139,7 +139,8 @@ def cmd_sweep(args) -> int:
     if args.reference_grid:
         cells = sorted({(r.scheme, r.att_mtu, r.ll_pdu) for r in ref_rows})
     else:
-        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+        schemes = _once(((lookup_scheme(s).name, s) for s in args.schemes.split(",") if s.strip()),
+                        "--schemes: scheme")  # compared after lookup
         if not schemes:
             raise PqpanError("sweep axes must be non-empty")
         cells = [(s, a, l) for s in schemes for a in args.att_mtus for l in args.ll_pdus]
@@ -256,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="theoretical transfer energies over a grid")
-    int_list = _checked(lambda t: [int(v) for v in t.split(",")], bool, "comma-separated integers")
+    int_list = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: len({*v}) == len(v),
+                        "comma-separated integers, none repeated")
     p.add_argument("--schemes", default=DEFAULT_SWEEP_SCHEMES,
                    help="comma-separated scheme names")
     p.add_argument("--att-mtus", type=int_list, default=DEFAULT_SWEEP_ATT,

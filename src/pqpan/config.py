@@ -23,6 +23,8 @@ The ``PQPAN_PROFILE`` environment variable names a fallback config path used
 when ``--config`` is absent. Overrides, such as the CLI's ``--gamma-*`` and
 ``--ifs-slots`` flags, are config keys merged after the file. The loader only
 parses: each value is checked by the type it configures, as a library argument is.
+It reads a calibration table's decimal-string JSON keys as ints, and
+``CalibrationFactors`` rules on every level key (ConsistencyError).
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Mapping
+from functools import partial
 
-from .energy import FITTED_RADIO_PROFILE, load_cycle_counts
-from .errors import InvalidConfig, Value, _shown, read_only
+from .energy import FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
+from .errors import (ConsistencyError, InvalidConfig, InvalidProfile, Value, _shown, of_type,
+                     read_only)
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig
 from .reference import CalibrationFactors, default_calibration, read_text
 
@@ -58,17 +62,17 @@ class ModelConfig(Value):
 
     __slots__ = ("profile", "gamma", "cycles", "link", "kem_backend")
     _defaults = {"kem_backend": "stub"}
-    _checks = {"cycles": read_only}
+    _checks = {"profile": partial(of_type, cls=RadioProfile, error=InvalidProfile),
+               "gamma": partial(of_type, cls=CalibrationFactors, error=ConsistencyError),
+               "cycles": read_only, "link": partial(of_type, cls=LinkConfig)}
 
 
-def _level(key: str, level) -> int:
-    """A calibration table's level key: an int (not a bool), or a decimal
-    integer string as a JSON object key holds it."""
-    if type(level) is int:
-        return level
+def _level(level):
+    """A calibration level key as a JSON object holds it, a decimal integer string,
+    as an int; any other key is left for ``CalibrationFactors`` to check."""
     if isinstance(level, str) and level.isascii() and level.removeprefix("-").isdigit():
         return int(level)
-    raise InvalidConfig(f"{key} has a level that is not an integer")
+    return level
 
 
 def _once(pairs, name: str) -> dict:
@@ -83,7 +87,7 @@ def _once(pairs, name: str) -> dict:
 
 def _gamma_table(data: dict, key: str, default: Mapping[int, float]):
     raw = data.get(key, default)
-    return (_once(((_level(key, level), g) for level, g in raw.items()), f"{key} level")
+    return (_once(((_level(level), g) for level, g in raw.items()), f"{key} level")
             if isinstance(raw, dict) else raw)
 
 
@@ -106,7 +110,7 @@ def load_config(path: str | os.PathLike | None = None,
             nested = data["profile"]
             data = {k: v for k, v in data.items() if k not in _REPORT_KEYS}
             data.update(nested)
-    data.update(overrides or {})
+    data.update({} if overrides is None else of_type("overrides", overrides, dict))
     known = set(_PROFILE_KEYS) | set(_LINK_KEYS) | set(_OTHER_KEYS)
     unknown = set(data) - known
     if unknown:

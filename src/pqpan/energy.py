@@ -21,11 +21,11 @@ from collections.abc import Mapping
 from functools import lru_cache, partial
 from types import MappingProxyType
 
-from .errors import (InvalidProfile, ParseError, SingularSystem, UnknownScheme, UnsupportedScheme,
-                     Value, int_in_range, real_in_range, str_value)
+from .errors import (ConsistencyError, InvalidProfile, ParseError, SingularSystem, UnknownScheme,
+                     UnsupportedScheme, Value, int_in_range, of_type, real_in_range)
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig, TimeBudget, airtime
-from .reference import (CalibrationFactors, KemParamSet, _int_field, default_calibration,
-                        lookup_scheme, read_table)
+from .reference import (CalibrationFactors, KemParamSet, ReferenceEnergyRow, _int_field,
+                        default_calibration, lookup_scheme, read_table)
 
 #: Measured cost of the classical ECDH P-256 pairing baseline, microjoules.
 ECDH_PAIRING_UJ = 328.0
@@ -175,22 +175,27 @@ def transfer_energy(budget: TimeBudget, profile: RadioProfile, gamma: Calibratio
     return gamma.gamma_comm * comm_energy(budget, profile, as_receiver)
 
 
+def _profile_and_gamma(profile, gamma) -> tuple[RadioProfile, CalibrationFactors]:
+    """Each its default when None; a value of another type is refused with its type's error."""
+    return (FITTED_RADIO_PROFILE if profile is None
+            else of_type("profile", profile, RadioProfile, InvalidProfile),
+            default_calibration() if gamma is None
+            else of_type("gamma", gamma, CalibrationFactors, ConsistencyError))
+
+
 def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
                      gamma: CalibrationFactors | None, cycles: Mapping[str, CycleCounts] | None):
-    """(scheme, profile, gamma, the scheme's cycle counts), with defaults filled
-    in. A scheme that is not a KemParamSet is looked up by name (UnknownScheme
-    unless it is a known one); UnsupportedScheme for a scheme without a
-    handshake energy model."""
-    if not isinstance(scheme, KemParamSet):
-        scheme = lookup_scheme(scheme)
-    profile = profile or FITTED_RADIO_PROFILE
-    gamma = gamma or default_calibration()
+    """(scheme, profile, gamma, the scheme's cycle counts), with defaults filled in;
+    UnsupportedScheme for a scheme without a handshake energy model."""
+    scheme = lookup_scheme(scheme)
+    profile, gamma = _profile_and_gamma(profile, gamma)
     if scheme.nist_level is None:
         raise UnsupportedScheme(f"{scheme.name} has no handshake energy model")
-    counts = (load_cycle_counts() if cycles is None else cycles).get(scheme.name.upper())
+    counts = (load_cycle_counts() if cycles is None
+              else of_type("cycles", cycles, Mapping, InvalidProfile)).get(scheme.name.upper())
     if counts is None:
         raise UnsupportedScheme(f"no cycle counts for {scheme.name}")
-    return scheme, profile, gamma, counts
+    return scheme, profile, gamma, of_type("cycles entry", counts, CycleCounts, InvalidProfile)
 
 
 def handshake_breakdown(counts: CycleCounts, pk_budget: TimeBudget, ct_budget: TimeBudget,
@@ -246,10 +251,10 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     KEM scheme name. ``payload`` is an integer byte count. Secured payloads
     grow by the 28-byte AEAD envelope; a zero-byte payload sends nothing.
     """
-    security = str_value("security", security)
+    security = of_type("security", security, str)
     payload = int_in_range("payload", payload, 0, math.inf)  # the artifact cap comes later
-    profile = profile or FITTED_RADIO_PROFILE
-    gamma = gamma or default_calibration()
+    cfg = of_type("cfg", cfg, LinkConfig)  # "none" or "ecdh" without a payload never reads it
+    profile, gamma = _profile_and_gamma(profile, gamma)
 
     kind = security.strip().lower()
     if kind == SECURITY_NONE:
@@ -399,7 +404,7 @@ def fit_radio_currents(rows) -> FitResult:
     The voltage and the MCU fields, which the fit cannot observe, are
     ``FITTED_RADIO_PROFILE``'s.
     """
-    rows = tuple(rows)
+    rows = tuple(of_type("row", row, ReferenceEnergyRow, ConsistencyError) for row in rows)
     if len(rows) < 3:
         raise SingularSystem(f"need at least 3 rows, got {len(rows)}")
     target = [r.e_theor_uj * 1e-6 for r in rows]

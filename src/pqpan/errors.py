@@ -94,11 +94,11 @@ def real_in_range(name: str, value, lo: float, hi: float, error=InvalidConfig) -
     raise error(f"{name} must be a finite number in [{lo}, {hi}], got {_shown(value)}")
 
 
-def str_value(name: str, value, error=InvalidConfig) -> str:
-    """``value`` if it is a ``str``, else ``error``."""
-    if isinstance(value, str):
+def of_type(name: str, value, cls: type, error=InvalidConfig):
+    """``value`` if it is a ``cls``, else ``error``: the one check of an argument's type."""
+    if isinstance(value, cls):
         return value
-    raise error(f"{name} must be a string, got {_shown(value)}")
+    raise error(f"{name} must be a {cls.__name__}, got {_shown(value)}")
 
 
 def read_only(name: str, table) -> MappingProxyType:

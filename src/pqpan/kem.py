@@ -53,10 +53,6 @@ def _sized(value: bytes, what: str, size: int) -> bytes:
     return value
 
 
-def _resolve(scheme: KemParamSet | str) -> KemParamSet:
-    return scheme if isinstance(scheme, KemParamSet) else lookup_scheme(scheme)
-
-
 class StubBackend:
     """Deterministic size-exact mock KEM.
 
@@ -148,7 +144,7 @@ def get_backend(name: str):
 
 def keygen(scheme: KemParamSet | str, seed: bytes, backend=None) -> KemKeyPair:
     """Generate a key pair; deterministic for the stub backend."""
-    scheme = _resolve(scheme)
+    scheme = lookup_scheme(scheme)
     backend = backend or StubBackend()
     pair = backend.keygen(scheme, _sized(seed, "seed", SEED_BYTES))
     _sized(pair.pk, f"{scheme.name}: the backend's pk", scheme.pk_size)
@@ -159,7 +155,7 @@ def keygen(scheme: KemParamSet | str, seed: bytes, backend=None) -> KemKeyPair:
 def encapsulate(pk: bytes, scheme: KemParamSet | str, seed: bytes,
                 backend=None) -> Encapsulation:
     """Encapsulate a fresh shared secret against ``pk``."""
-    scheme = _resolve(scheme)
+    scheme = lookup_scheme(scheme)
     _sized(pk, f"{scheme.name}: pk", scheme.pk_size)
     backend = backend or StubBackend()
     enc = backend.encapsulate(pk, scheme, _sized(seed, "seed", SEED_BYTES))
@@ -170,7 +166,7 @@ def encapsulate(pk: bytes, scheme: KemParamSet | str, seed: bytes,
 
 def decapsulate(sk: bytes, ct: bytes, scheme: KemParamSet | str, backend=None) -> bytes:
     """Recover the shared secret from ``ct`` with the secret key."""
-    scheme = _resolve(scheme)
+    scheme = lookup_scheme(scheme)
     backend = backend or StubBackend()
     _sized(sk, f"{scheme.name}: sk", backend.sk_size(scheme))
     _sized(ct, f"{scheme.name}: ct", scheme.ct_size)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .errors import InvalidConfig, Value, int_in_range, real_in_range, set_field
+from .errors import InvalidConfig, Value, int_in_range, of_type, real_in_range, set_field
 
 ATT_HEADER = 3
 L2CAP_HEADER = 4
@@ -118,6 +118,7 @@ def sdu_layout(artifact_size: int, cfg: LinkConfig) -> tuple[Sdu, int, Sdu]:
     frames, then its tail frame.
     """
     artifact_size = int_in_range("artifact_size", artifact_size, 1, ARTIFACT_MAX)
+    cfg = of_type("cfg", cfg, LinkConfig)  # every count, plan, budget and transfer comes here
     chunk = cfg.att_mtu - ATT_HEADER
     n_full, last = divmod(artifact_size - 1, chunk)
 

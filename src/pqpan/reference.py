@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .errors import (ConsistencyError, ParseError, UnknownScheme, Value, _shown, int_in_range,
-                     real_in_range, str_value)
+                     of_type, real_in_range)
 from .link import ARTIFACT_MAX
 
 OP_NOTIFY_PK = "Notify_PK"
@@ -61,7 +61,7 @@ class KemParamSet(Value):
 
     __slots__ = ("name", "pk_size", "sk_size", "ct_size", "nist_level")
     _defaults = {"nist_level": None}
-    _checks = {"name": partial(str_value, error=ConsistencyError),
+    _checks = {"name": partial(of_type, cls=str, error=ConsistencyError),
                **dict.fromkeys(("pk_size", "sk_size", "ct_size"), partial(
                    int_in_range, lo=1, hi=ARTIFACT_MAX, error=ConsistencyError)),
                "nist_level": _nist_level}
@@ -85,12 +85,12 @@ def _factor_table(name: str, table) -> MappingProxyType[int, float]:
     """A check: a read-only copy of a calibration table, which maps each of levels
     1, 3 and 5, and any other ``int`` level (not a bool), to a factor in [1, GAMMA_MAX]."""
     table = dict(table) if isinstance(table, Mapping) else {}  # the copy is checked
-    if not set(SECURITY_LEVELS) <= set(table):
-        raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
-    for level, factor in table.items():
+    for level, factor in table.items():  # types first: a bad key is not called a missing level
         if type(level) is not int:
             raise ConsistencyError(f"{name} has a level that is not an integer, {_shown(level)}")
         table[level] = real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
+    if not set(SECURITY_LEVELS) <= set(table):
+        raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
     return MappingProxyType(table)
 
 
@@ -195,13 +195,13 @@ def load_schemes() -> MappingProxyType[str, KemParamSet]:
     return MappingProxyType(schemes)
 
 
-def lookup_scheme(name: str) -> KemParamSet:
-    """Look up a scheme by (case-insensitive) name.
-
-    Raises UnknownScheme for a name not in the bundled table, or not a ``str``.
-    """
+def lookup_scheme(name: str | KemParamSet) -> KemParamSet:
+    """The scheme of a (case-insensitive) name, or a KemParamSet as it is; UnknownScheme
+    for a name not in the bundled table, or not a ``str``."""
     if isinstance(name, str) and (scheme := load_schemes().get(name.strip().upper())):
         return scheme
+    if isinstance(name, KemParamSet):
+        return name
     known = ", ".join(sorted(load_schemes()))
     raise UnknownScheme(f"unknown scheme {_shown(name)} (known: {known})")
 

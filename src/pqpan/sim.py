@@ -36,7 +36,7 @@ from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
 from .errors import (HandshakeFailure, InvalidConfig, NotEstablished, Value, int_in_range,
-                     read_only, set_field)
+                     of_type, read_only, set_field)
 from .link import LL_OVERHEAD, LinkConfig, airtime, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
@@ -323,8 +323,10 @@ def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[Fram
     delta and its calibrated communication energy in microjoules. The delta
     starts at the handshake's clock, so the gap after the handshake's last
     ack follows the same rule as the gap between two handshake transfers.
-    A payload that is not ``bytes`` or ``bytearray`` is InvalidConfig.
+    A payload that is not ``bytes`` or ``bytearray`` is InvalidConfig, and a
+    session that is not a HandshakeResult is NotEstablished.
     """
+    session = of_type("session", session, HandshakeResult, NotEstablished)
     if (session.peripheral.phase is not Phase.ESTABLISHED
             or session.central.phase is not Phase.ESTABLISHED):
         raise NotEstablished("handshake has not completed")

@@ -5,6 +5,11 @@ computed by the checkers. A case runs through the value type the key sets,
 through ``load_config(overrides=...)`` when the key is a config key, and,
 for a numeric value, through the ``estimate`` flag when one exists. Every
 path must agree with the table and refuse a value only with a PqpanError.
+
+A second table gives each library entry point a model input of the wrong
+type. ``None`` is the only default, so a falsy value such as ``profile=0``
+is refused, not priced as the default, and each refusal is the error of the
+type the argument should have been, never an ``AttributeError``.
 """
 
 import contextlib
@@ -13,9 +18,12 @@ import math
 
 import pytest
 
-from pqpan import (FITTED_RADIO_PROFILE, CycleCounts, LinkConfig, PqpanError, comp_energy,
-                   default_calibration, load_config)
+from pqpan import (FITTED_RADIO_PROFILE, ConsistencyError, CycleCounts, InvalidConfig,
+                   InvalidProfile, LinkConfig, ModelConfig, NotEstablished, PqpanError, airtime,
+                   comp_energy, default_calibration, fit_radio_currents, load_config,
+                   pqke_total, run_handshake, send_secured_payload, session_energy)
 from pqpan.cli import main
+from pqpan.link import plan_counts
 
 NAN, INF = math.nan, math.inf
 BIG = 10 ** 400  # beyond every range and every float
@@ -147,3 +155,48 @@ def test_flag_boundary(monkeypatch, key, value, accepted):
     unparsed = key in INT_FLAGS and (isinstance(value, float) or value is HUGE)
     assert code == (0 if accepted else 2 if unparsed else 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+CFG = LinkConfig(att_mtu=65, ll_pdu=27)
+#: A model input of the wrong type for each entry point: (entry point, call, error).
+WRONG_TYPES = [
+    *[(f"{name}({arg}={value!r})", call, arg, value, error)
+      for name, call in (("pqke_total", lambda **kw: pqke_total("ml-kem-512", CFG, **kw)),
+                         ("session_energy",
+                          lambda **kw: session_energy("ml-kem-512", 16, CFG, **kw)),
+                         ("run_handshake", lambda **kw: run_handshake("ml-kem-512", CFG, **kw)))
+      for arg, value, error in (
+          ("profile", 0, InvalidProfile), ("profile", "x", InvalidProfile),
+          ("gamma", 0, ConsistencyError), ("gamma", {}, ConsistencyError),
+          ("cycles", {"ML-KEM-512": (1, 2, 3)}, InvalidProfile),
+          ("cycles", [("ML-KEM-512", CycleCounts(1, 2, 3))], InvalidProfile))],
+    *[(f"{name}(cfg={value!r})", call, "cfg", value, InvalidConfig)
+      for name, call in (("pqke_total", lambda cfg: pqke_total("ml-kem-512", cfg)),
+                         ("session_energy", lambda cfg: session_energy("ml-kem-512", 0, cfg)),
+                         ("session_energy('none', 0)", lambda cfg: session_energy("none", 0, cfg)),
+                         ("session_energy('ecdh', 0)", lambda cfg: session_energy("ecdh", 0, cfg)),
+                         ("run_handshake", lambda cfg: run_handshake("ml-kem-512", cfg)),
+                         ("airtime", lambda cfg: airtime(100, cfg)),
+                         ("plan_counts", lambda cfg: plan_counts(100, cfg)))
+      for value in ((65, 27), "junk", None)],
+    ("send_secured_payload(session=None)", lambda session: send_secured_payload(session, b"x"),
+     "session", None, NotEstablished),
+    ("ModelConfig(None, None, {}, None)", lambda profile: ModelConfig(profile, None, {}, None),
+     "profile", None, InvalidProfile),
+    *[(f"ModelConfig({arg}=None)", lambda **kw: ModelConfig(
+        **{"profile": FITTED_RADIO_PROFILE, "gamma": default_calibration(), "cycles": {},
+           "link": CFG, **kw}), arg, None, error)
+      for arg, error in (("gamma", ConsistencyError), ("link", InvalidConfig))],
+    ("fit_radio_currents(rows=[1, 2, 3])", lambda rows: fit_radio_currents(rows), "rows",
+     [1, 2, 3], ConsistencyError),
+    *[(f"load_config(overrides={value!r})", lambda overrides: load_config(overrides=overrides),
+       "overrides", value, InvalidConfig)
+      for value in ("gamma_comm", [("gamma_comm", 1.2)])],
+]
+
+
+@pytest.mark.parametrize("call,arg,value,error", [pytest.param(*case[1:], id=case[0])
+                                                  for case in WRONG_TYPES])
+def test_model_input_of_the_wrong_type_is_refused_with_its_types_error(call, arg, value, error):
+    with pytest.raises(error, match="must be a"):
+        call(**{arg: value})

@@ -11,7 +11,7 @@ import pqpan.cli
 from pqpan.cli import main
 from pqpan.config import load_config
 from pqpan.energy import AEAD_OVERHEAD_BYTES
-from pqpan.errors import InvalidConfig
+from pqpan.errors import ConsistencyError, InvalidConfig
 from pqpan.link import ARTIFACT_MAX
 from pqpan.reference import load_reference_table
 
@@ -62,6 +62,14 @@ def test_sweep_scheme_table_is_kem_only(capsys, scheme, code):
     assert got == code
     assert ("unknown scheme" in err) == (code == 3) and "Traceback" not in err
     assert len(out.splitlines()) == (0 if code else 3)
+
+
+def test_sweep_scheme_named_twice_exits_3_naming_it(capsys):
+    # Names are compared after lookup, so a change of case is still a repeat.
+    code, out, err = run_cli(capsys, "sweep", "--schemes", "ml-kem-512,ml-kem-768,ML-KEM-512",
+                             "--att-mtus", "65", "--ll-pdus", "27")
+    assert code == 3 and out == ""
+    assert "'ML-KEM-512' is given twice" in err and "Traceback" not in err
 
 
 def test_estimate_missing_flags_exits_2(capsys):
@@ -370,8 +378,21 @@ def test_config_gamma_level_key_must_be_an_integer(table, level):
     # is not truncated and a bool is not read as level 1.
     cfg = load_config(overrides={table: {1: 2.0, "3": 1.5, 5: 1.5}})
     assert getattr(cfg.gamma, table) == {1: 2.0, 3: 1.5, 5: 1.5}
-    with pytest.raises(InvalidConfig, match=f"{table} has a level that is not an integer"):
+    with pytest.raises(ConsistencyError, match=f"{table} has a level that is not an integer"):
         load_config(overrides={table: {level: 2.0, 3: 1.38, 5: 1.62}})
+
+
+def test_config_file_level_key_that_is_not_an_integer_exits_3(capsys, tmp_path):
+    # The file's keys reach CalibrationFactors, the one rule on level keys,
+    # as a library caller's do.
+    config = tmp_path / "bad.json"
+    config.write_text('{"gamma_decap": {"1.5": 1.2, "3": 1.3, "5": 1.4}}')
+    with pytest.raises(ConsistencyError, match="gamma_decap has a level that is not an integer"):
+        load_config(config)
+    code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512", "--att-mtu", "65",
+                             "--ll-pdu", "27", "--config", str(config))
+    assert code == 3 and out == ""
+    assert "gamma_decap has a level that is not an integer, '1.5'" in err
 
 
 @pytest.mark.parametrize("flag,argv", [
@@ -384,6 +405,8 @@ def test_config_gamma_level_key_must_be_an_integer(table, level):
                  id="payload-over-cap"),
     pytest.param("--att-mtus", ["sweep", "--att-mtus", "65,abc"], id="att_mtus-text"),
     pytest.param("--ll-pdus", ["sweep", "--ll-pdus", "27,"], id="ll_pdus-empty"),
+    pytest.param("--att-mtus", ["sweep", "--att-mtus", "65,104,65"], id="att_mtus-repeated"),
+    pytest.param("--ll-pdus", ["sweep", "--ll-pdus", "27,27"], id="ll_pdus-repeated"),
 ])
 def test_bad_argv_is_usage_error(capsys, tmp_path, flag, argv):
     outputs = ["--trace", str(tmp_path / "t.jsonl"), "--ledger", str(tmp_path / "l.json")]

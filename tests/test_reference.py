@@ -51,6 +51,13 @@ def test_scheme_name_that_is_not_a_str_is_unknown(name):
         lookup_scheme(name)
 
 
+def test_scheme_param_set_is_returned_as_it_is():
+    own = KemParamSet("ML-KEM-512", 800, 1632, 768, 1)
+    assert lookup_scheme(own) is own
+    custom = KemParamSet("my-kem", 10, 20, 30)  # not in the bundled table
+    assert lookup_scheme(custom) is custom
+
+
 def test_all_sizes_positive():
     for s in load_schemes().values():
         assert s.pk_size > 0 and s.sk_size > 0
@@ -290,10 +297,14 @@ def test_calibration_rejects_sub_unity_factors():
 
 
 @pytest.mark.parametrize("table", [{True: 1.2, 3: 1.3, 5: 1.4}, {1.0: 1.2, 3: 1.3, 5: 1.4},
-                                   {1: 1.2, "1": 9.0, 3: 1.3, 5: 1.4}],
-                         ids=["bool", "float", "str-beside-int"])
+                                   {1: 1.2, "1": 9.0, 3: 1.3, 5: 1.4},
+                                   {1.5: 1.2, 3: 1.3, 5: 1.4}, {None: 1.2, 3: 1.3, 5: 1.4}],
+                         ids=["bool", "float", "str-beside-int", "float-for-a-level",
+                              "None-for-a-level"])
 def test_calibration_level_that_is_not_an_int_is_refused(table):
     # A bool or a float key equals an int level, so a dict takes it for one.
+    # Key types are checked before coverage, so a key that takes a level's
+    # place is named as a bad key, not reported as a missing level.
     base = default_calibration()
     with pytest.raises(ConsistencyError, match="^gamma_decap has a level that is not an integer"):
         CalibrationFactors(base.gamma_keygen, table, base.gamma_comm)
