@@ -67,8 +67,6 @@ MUTANTS = {
     "cycles_file relative to the working directory": (
         "config.py", 'os.path.join(os.path.dirname(path or ""), data["cycles_file"])',
         'os.path.join("", data["cycles_file"])'),
-    "reassembly overflow unchecked": (
-        "sim.py", "if len(self._buf) + len(chunk) > self.expected_size:", "if False:"),
     "decapsulation ciphertext size unchecked": (
         "kem.py", '_sized(ct, f"{scheme.name}: ct", scheme.ct_size)', "ct"),
     "encapsulation left out of the total": (
@@ -100,8 +98,8 @@ MUTANTS = {
     "trace clock additions fused": (
         "sim.py", "t += air\n            t += gap", "t += air + gap"),
     "JSONL tail shared across sender roles": (
-        "sim.py", "[tail(*step[:4], part.op) for step in steps]",
-        "[tail(part.last[0][0], *step[1:4], part.op) for step in steps]"),
+        "sim.py", "[tail(*step[:4], op_json) for step in steps]",
+        "[tail(part.last[0][0], *step[1:4], op_json) for step in steps]"),
     "trace frame counts ignore the op": (
         "sim.py", "for part in self._parts if op is None or part.op == op)",
         "for part in self._parts)"),
@@ -145,6 +143,12 @@ MUTANTS = {
         "reference.py", LEVEL_KEYS + COVERAGE, COVERAGE + LEVEL_KEYS),
     "KemParamSet passthrough removed from lookup_scheme": (
         "reference.py", "    if isinstance(name, KemParamSet):\n        return name\n", ""),
+    "non-backend value runs the stub": (
+        "kem.py", "    if backend is None:\n        return StubBackend()",
+        "    if not isinstance(backend, (StubBackend, RealBackend)):\n"
+        "        return StubBackend()"),
+    "truthy include_encap prices encapsulation": (
+        "energy.py", 'of_type("include_encap", include_encap, bool))', "include_encap)"),
 }
 
 

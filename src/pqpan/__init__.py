@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 #: Layer module -> the names the package exports from it.
 _LAYERS = {
-    "errors": ("ConsistencyError", "HandshakeFailure", "InvalidConfig", "InvalidProfile",
-               "NotEstablished", "ParseError", "PqpanError", "SingularSystem",
-               "SizeMismatch", "UnknownScheme", "UnsupportedScheme"),
+    "errors": ("ConsistencyError", "InvalidConfig", "InvalidProfile", "NotEstablished",
+               "ParseError", "PqpanError", "SingularSystem", "SizeMismatch",
+               "UnknownScheme", "UnsupportedScheme"),
     "reference": ("CalibrationFactors", "KemParamSet", "ReferenceEnergyRow",
                   "default_calibration", "load_reference_table", "load_schemes",
                   "lookup_scheme"),

@@ -89,9 +89,11 @@ def _add_link_flags(p: argparse.ArgumentParser, require: bool,
 
 
 def _model_config(args) -> ModelConfig:
-    """The config file, then each flag whose dest is a config key, on one path."""
-    flags = {key: value for key in ("gamma_comm", "gamma_keygen", "gamma_decap", "ifs_slots")
-             if (value := getattr(args, key)) is not None}
+    """The config file, then each flag whose dest is a config key, on one path;
+    a subcommand without the flag reads None."""
+    flags = {key: value for key in ("gamma_comm", "gamma_keygen", "gamma_decap", "ifs_slots",
+                                    "kem_backend")
+             if (value := getattr(args, key, None)) is not None}
     return resolve_config(args.config, flags)
 
 
@@ -207,14 +209,13 @@ def cmd_simulate(args) -> int:
 
     cfg = _model_config(args)
     link = cfg.link.replace(att_mtu=args.att_mtu, ll_pdu=args.ll_pdu)
-    backend = args.backend or cfg.kem_backend
     result = run_handshake(args.scheme, link, cfg.profile, cfg.gamma, cfg.cycles,
-                           seed=args.seed, backend=backend)
+                           seed=args.seed, backend=cfg.kem_backend)
     trace = result.trace
     summary = {
         "scheme": result.peripheral.scheme.name,
         "att_mtu": link.att_mtu, "ll_pdu": link.ll_pdu, "seed": args.seed,
-        "backend": backend,
+        "backend": cfg.kem_backend,
         "peripheral_phase": result.peripheral.phase.value,
         "central_phase": result.central.phase.value,
         "session_keys_match":
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                                               f"a byte count in [0, {payload_max}]"),
                    default=None, metavar="BYTES",
                    help="also send one secured payload and print the session total")
-    p.add_argument("--backend", choices=BACKENDS, default=None)
+    p.add_argument("--backend", dest="kem_backend", choices=BACKENDS, default=None)
     p.add_argument("--trace", default="pqpan_trace.jsonl", metavar="PATH",
                    help="JSON-lines frame trace output")
     p.add_argument("--ledger", default="pqpan_ledger.json", metavar="PATH",

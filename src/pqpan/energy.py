@@ -17,7 +17,7 @@ the communication fit cannot determine.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from functools import lru_cache, partial
 from types import MappingProxyType
 
@@ -232,12 +232,12 @@ def pqke_total(scheme: KemParamSet | str, cfg: LinkConfig,
 
     Prices the time budgets of the scheme's two transfers with
     :func:`handshake_breakdown`. Encapsulation runs on the remote party and
-    is excluded unless ``include_encap`` is set.
+    is excluded unless ``include_encap``, a bool, is True.
     """
     scheme, profile, gamma, counts = handshake_inputs(scheme, profile, gamma, cycles)
     pk_budget, ct_budget = (airtime(size, cfg) for _, size, _ in scheme.transfers())
-    return handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma,
-                               scheme.nist_level, include_encap)
+    return handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma, scheme.nist_level,
+                               of_type("include_encap", include_encap, bool))
 
 
 def session_energy(security: str, payload: int, cfg: LinkConfig,
@@ -404,7 +404,8 @@ def fit_radio_currents(rows) -> FitResult:
     The voltage and the MCU fields, which the fit cannot observe, are
     ``FITTED_RADIO_PROFILE``'s.
     """
-    rows = tuple(of_type("row", row, ReferenceEnergyRow, ConsistencyError) for row in rows)
+    rows = tuple(of_type("row", row, ReferenceEnergyRow, ConsistencyError)
+                 for row in of_type("rows", rows, Iterable, ConsistencyError))
     if len(rows) < 3:
         raise SingularSystem(f"need at least 3 rows, got {len(rows)}")
     target = [r.e_theor_uj * 1e-6 for r in rows]

@@ -5,7 +5,6 @@ CLI can map model/domain failures to a single exit code.
 """
 
 import operator
-from functools import partial
 from types import MappingProxyType
 
 #: How a value type's ``__init__`` stores a field past its refusing ``__setattr__``.
@@ -60,10 +59,6 @@ class SingularSystem(PqpanError):
     """Current-fit design matrix is rank deficient, or its minimax solve did not finish."""
 
 
-class HandshakeFailure(PqpanError):
-    """Reassembled artifact does not match the scheme's sizes."""
-
-
 class NotEstablished(PqpanError):
     """Payload transfer requested before the handshake completed."""
 
@@ -112,25 +107,17 @@ def read_only(name: str, table) -> MappingProxyType:
 def _storing_init(cls):
     """An ``__init__`` that takes ``cls._fields`` in order, each defaulting to its
     ``cls._defaults`` entry if it has one, and stores each, in that order, as given or
-    as its ``cls._checks`` entry returns it. Built from source, as ``namedtuple`` builds
-    ``__new__``, from slot names, which are identifiers. A check that is a ``partial``
-    binding the parameters after ``(name, value)`` is called as its function with them,
-    positionally, so that a range check costs the call written by hand."""
+    as its ``cls._checks`` entry returns it, called as ``check(name, value)``. Built
+    from source, as ``namedtuple`` builds ``__new__``, from slot names, which are
+    identifiers."""
     namespace = {"__name__": cls.__module__, "_defaults": cls._defaults, "_set": set_field}
     params, body = [], []
     for i, name in enumerate(cls._fields):
         params.append(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name)
         value = name
         if name in cls._checks:
-            check, bound = cls._checks[name], []
-            if type(check) is partial and not check.args:
-                after = check.func.__code__.co_varnames[2:2 + len(check.keywords)]
-                if set(after) == set(check.keywords):
-                    check, bound = check.func, [check.keywords[key] for key in after]
-            namespace[f"_check{i}"] = check
-            namespace.update({f"_bound{i}_{j}": arg for j, arg in enumerate(bound)})
-            args = "".join(f", _bound{i}_{j}" for j in range(len(bound)))
-            value = f"_check{i}({name!r}, {name}{args})"
+            namespace[f"_check{i}"] = cls._checks[name]
+            value = f"_check{i}({name!r}, {name})"
         body.append(f"    _set(self, {name!r}, {value})\n")
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body) or '    pass'}\n",
          namespace)

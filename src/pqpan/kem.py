@@ -142,10 +142,21 @@ def get_backend(name: str):
     return backend()
 
 
+def _backend(backend):
+    """The stub for None, else ``backend`` if it is a StubBackend or RealBackend
+    (a subclass too), else UnsupportedScheme."""
+    if backend is None:
+        return StubBackend()
+    if isinstance(backend, (StubBackend, RealBackend)):
+        return backend
+    raise UnsupportedScheme(
+        f"backend must be a StubBackend or RealBackend, got {_shown(backend)}")
+
+
 def keygen(scheme: KemParamSet | str, seed: bytes, backend=None) -> KemKeyPair:
     """Generate a key pair; deterministic for the stub backend."""
     scheme = lookup_scheme(scheme)
-    backend = backend or StubBackend()
+    backend = _backend(backend)
     pair = backend.keygen(scheme, _sized(seed, "seed", SEED_BYTES))
     _sized(pair.pk, f"{scheme.name}: the backend's pk", scheme.pk_size)
     _sized(pair.sk, f"{scheme.name}: the backend's sk", backend.sk_size(scheme))
@@ -157,7 +168,7 @@ def encapsulate(pk: bytes, scheme: KemParamSet | str, seed: bytes,
     """Encapsulate a fresh shared secret against ``pk``."""
     scheme = lookup_scheme(scheme)
     _sized(pk, f"{scheme.name}: pk", scheme.pk_size)
-    backend = backend or StubBackend()
+    backend = _backend(backend)
     enc = backend.encapsulate(pk, scheme, _sized(seed, "seed", SEED_BYTES))
     _sized(enc.ct, f"{scheme.name}: the backend's ct", scheme.ct_size)
     _sized(enc.ss, f"{scheme.name}: the backend's shared secret", SHARED_SECRET_BYTES)
@@ -167,7 +178,7 @@ def encapsulate(pk: bytes, scheme: KemParamSet | str, seed: bytes,
 def decapsulate(sk: bytes, ct: bytes, scheme: KemParamSet | str, backend=None) -> bytes:
     """Recover the shared secret from ``ct`` with the secret key."""
     scheme = lookup_scheme(scheme)
-    backend = backend or StubBackend()
+    backend = _backend(backend)
     _sized(sk, f"{scheme.name}: sk", backend.sk_size(scheme))
     _sized(ct, f"{scheme.name}: ct", scheme.ct_size)
     return _sized(backend.decapsulate(sk, ct, scheme),

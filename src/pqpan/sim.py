@@ -4,10 +4,11 @@ A peripheral and a central execute the key-establishment protocol over an
 in-memory, lossless, in-order link: the peripheral generates a key pair and
 notifies the public key; the central encapsulates and writes the ciphertext
 back; the peripheral decapsulates and both derive the session key, going
-from Idle to Established (or raising). Every transfer, the secured payload
-included, yields its timestamped frames and its ``airtime(size, cfg)``
-budget; the energy ledger prices those budgets, so it reconciles exactly
-with the analytical model (it introduces no cost terms of its own).
+from Idle to Established (or raising). Each party takes the other's artifact
+as it was sent; its frames carry only the chunk sizes. Every transfer, the
+secured payload included, yields its timestamped frames and its
+``airtime(size, cfg)`` budget; the energy ledger prices those budgets, so it
+reconciles exactly with the analytical model (no cost terms of its own).
 
 Virtual time advances by frame airtime plus inter-frame spacing only, by the
 link's timing rules that the budget also sums; connection-interval idle gaps
@@ -35,8 +36,8 @@ from math import isfinite
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
-from .errors import (HandshakeFailure, InvalidConfig, NotEstablished, Value, int_in_range,
-                     of_type, read_only, set_field)
+from .errors import (InvalidConfig, NotEstablished, Value, int_in_range, of_type, read_only,
+                     set_field)
 from .link import LL_OVERHEAD, LinkConfig, airtime, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
@@ -158,16 +159,11 @@ class FrameTrace(Value):
         """One JSON object per record, in the form of :meth:`TraceRecord.as_dict`.
 
         Lines are formatted directly, byte for byte as ``json.dumps`` would:
-        finite floats with ``repr``, ints as they are, and each distinct op
+        finite floats with ``repr``, ints as they are, and each transfer's op
         string through ``json.dumps`` once. All of a line but its time is
         formatted once per step of a block.
         """
-        ops: dict[str, str] = {}
-
-        def tail(sender, payload_bytes, overhead_bytes, is_ack, op):
-            op_json = ops.get(op)
-            if op_json is None:
-                op_json = ops[op] = json.dumps(op)
+        def tail(sender, payload_bytes, overhead_bytes, is_ack, op_json):
             direction = '"p->c"' if sender is Role.PERIPHERAL else '"c->p"'
             return (f', "dir": {direction}, "payload_B": {payload_bytes}, '
                     f'"overhead_B": {overhead_bytes}, "op": {op_json}, '
@@ -175,7 +171,8 @@ class FrameTrace(Value):
 
         lines = []
         for part in self._parts:
-            full, last = ([tail(*step[:4], part.op) for step in steps]
+            op_json = json.dumps(part.op)
+            full, last = ([tail(*step[:4], op_json) for step in steps]
                           for steps in (part.full, part.last))
             for t, line in zip(part.times(), _expand(full, part.n_full, last)):
                 u = t * 1e6
@@ -206,48 +203,16 @@ class HandshakeResult(Value):
     __slots__ = ("peripheral", "central", "trace", "ledger", "cfg", "profile", "gamma")
 
 
-class Reassembler:
-    """Collects value chunks with a hard size bound."""
-
-    def __init__(self, expected_size: int, what: str):
-        self.expected_size = expected_size
-        self.what = what
-        self._buf = bytearray()
-
-    def feed(self, chunk: bytes) -> None:
-        if len(self._buf) + len(chunk) > self.expected_size:
-            raise HandshakeFailure(
-                f"{self.what}: reassembly overflow ({len(self._buf) + len(chunk)} "
-                f"> {self.expected_size} bytes)")
-        self._buf.extend(chunk)
-
-    def finish(self) -> bytes:
-        if len(self._buf) != self.expected_size:
-            raise HandshakeFailure(
-                f"{self.what}: reassembled {len(self._buf)} bytes, "
-                f"expected {self.expected_size}")
-        return bytes(self._buf)
-
-
 def _seed32(seed: bytes, label: bytes) -> bytes:
     return hashlib.shake_256(b"pqpan-sim" + label + seed).digest(kem.SEED_BYTES)
 
 
-def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig,
-              artifact: bytes | None = None):
+def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig):
     """Send one (op, size, peripheral receives) row of :meth:`KemParamSet.transfers`
     from clock ``t``; the sender sends the data frames and the other party the
-    acks. Returns the transfer's frames, its time budget and ``artifact``
-    reassembled from the ATT chunks of the layout (None without one)."""
+    acks. Returns the transfer's frames and its time budget."""
     op, size, peripheral_receives = transfer
-    (chunk, full), n_full, (last_chunk, last) = sdu_layout(size, cfg)
-    received = None
-    if artifact is not None:
-        rx = Reassembler(size, op)
-        for offset in range(0, n_full * chunk, chunk):
-            rx.feed(artifact[offset:offset + chunk])
-        rx.feed(artifact[n_full * chunk:n_full * chunk + last_chunk])
-        received = rx.finish()
+    (_, full), n_full, (_, last) = sdu_layout(size, cfg)
     sender, receiver = ((Role.CENTRAL, Role.PERIPHERAL) if peripheral_receives
                         else (Role.PERIPHERAL, Role.CENTRAL))
     ack = (receiver, 0, LL_OVERHEAD, True, cfg.seconds_on_air(LL_OVERHEAD), cfg.gap_after(True))
@@ -259,7 +224,7 @@ def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig,
         return tuple(step for payload in sizes for step in (data[payload], ack))
 
     frames = _Transfer(op, t, steps(full) if n_full else (), n_full, steps(last))
-    return frames, airtime(size, cfg), received
+    return frames, airtime(size, cfg)
 
 
 def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
@@ -283,18 +248,18 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
 
     # Step 1: peripheral generates its key pair and notifies the public key.
     keypair = kem.keygen(scheme, _seed32(seed, b"keygen"), kem_backend)
-    pk_frames, pk_budget, peer_pk = _transfer(0.0, pk_transfer, cfg, keypair.pk)
+    pk_frames, pk_budget = _transfer(0.0, pk_transfer, cfg)
 
-    # Step 2: central encapsulates against the received key and writes the
+    # Step 2: central encapsulates against the public key and writes the
     # ciphertext back.
-    enc = kem.encapsulate(peer_pk, scheme, _seed32(seed, b"encap"), kem_backend)
-    ct_frames, ct_budget, ct = _transfer(pk_frames.clock, ct_transfer, cfg, enc.ct)
+    enc = kem.encapsulate(keypair.pk, scheme, _seed32(seed, b"encap"), kem_backend)
+    ct_frames, ct_budget = _transfer(pk_frames.clock, ct_transfer, cfg)
 
     # Step 3: peripheral decapsulates; both sides derive the session key.
-    ss = kem.decapsulate(keypair.sk, ct, scheme, kem_backend)
+    ss = kem.decapsulate(keypair.sk, enc.ct, scheme, kem_backend)
     peripheral = PartyState(Role.PERIPHERAL, scheme, Phase.ESTABLISHED, keypair=keypair,
                             session_key=kem.derive_session_key(ss))
-    central = PartyState(Role.CENTRAL, scheme, Phase.ESTABLISHED, peer_pk=peer_pk,
+    central = PartyState(Role.CENTRAL, scheme, Phase.ESTABLISHED, peer_pk=keypair.pk,
                          session_key=kem.derive_session_key(enc.ss))
 
     phases = handshake_breakdown(counts, pk_budget, ct_budget, profile, gamma,
@@ -332,7 +297,7 @@ def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[Fram
         raise NotEstablished("handshake has not completed")
     if not isinstance(payload, (bytes, bytearray)):
         raise InvalidConfig(f"payload must be bytes or bytearray, got {type(payload).__name__}")
-    frames, budget, _ = _transfer(
+    frames, budget = _transfer(
         session.trace.clock, (OP_PAYLOAD, len(payload) + AEAD_OVERHEAD_BYTES, False),
         session.cfg)
     energy = transfer_energy(budget, session.profile, session.gamma)

@@ -187,8 +187,11 @@ WRONG_TYPES = [
         **{"profile": FITTED_RADIO_PROFILE, "gamma": default_calibration(), "cycles": {},
            "link": CFG, **kw}), arg, None, error)
       for arg, error in (("gamma", ConsistencyError), ("link", InvalidConfig))],
-    ("fit_radio_currents(rows=[1, 2, 3])", lambda rows: fit_radio_currents(rows), "rows",
-     [1, 2, 3], ConsistencyError),
+    *[(f"fit_radio_currents(rows={value!r})", lambda rows: fit_radio_currents(rows), "rows",
+       value, ConsistencyError) for value in ([1, 2, 3], 5)],
+    *[(f"pqke_total(include_encap={value!r})",
+       lambda include_encap: pqke_total("ml-kem-512", CFG, include_encap=include_encap),
+       "include_encap", value, InvalidConfig) for value in ("no", 1, None)],
     *[(f"load_config(overrides={value!r})", lambda overrides: load_config(overrides=overrides),
        "overrides", value, InvalidConfig)
       for value in ("gamma_comm", [("gamma_comm", 1.2)])],

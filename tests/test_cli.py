@@ -302,6 +302,26 @@ def test_simulate_payload_prints_session_total(capsys, tmp_path):
     assert data["ledger"]["peripheral_pqke_total_uJ"] > data["payload_energy_uJ"]
 
 
+@pytest.mark.parametrize("file_backend,flag,expected", [
+    (None, None, "stub"), ("real", "stub", "stub"), ("stub", "real", "real"),
+    ("real", None, "real")])
+def test_simulate_backend_flag_overrides_the_config_file(capsys, tmp_path, monkeypatch,
+                                                          file_backend, flag, expected):
+    # --backend is the kem_backend config key: it goes on top of the file's,
+    # and the ledger names the backend that ran.
+    if expected == "real":
+        pytest.importorskip("cryptography.hazmat.primitives.asymmetric.mlkem")
+    monkeypatch.delenv("PQPAN_PROFILE", raising=False)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({} if file_backend is None else {"kem_backend": file_backend}))
+    argv = ["simulate", "--scheme", "ml-kem-768", "--config", str(config),
+            "--trace", str(tmp_path / "t.jsonl"), "--ledger", str(tmp_path / "l.json")]
+    code, out, err = run_cli(capsys, *argv, *(() if flag is None else ("--backend", flag)))
+    assert code == 0, err
+    assert json.loads(out)["backend"] == expected
+    assert json.loads((tmp_path / "l.json").read_text())["backend"] == expected
+
+
 def test_env_var_config_fallback(capsys, tmp_path, monkeypatch):
     config = tmp_path / "profile.json"
     config.write_text(json.dumps({"gamma_comm": 1.0}))
@@ -527,9 +547,8 @@ def test_broken_pipe_on_the_out_file_exits_4(capsys, tmp_path, monkeypatch):
 
 #: The names ``pqpan`` exports, by defining module.
 EXPORTS = {
-    "errors": "ConsistencyError HandshakeFailure InvalidConfig InvalidProfile NotEstablished "
-              "ParseError PqpanError SingularSystem SizeMismatch UnknownScheme "
-              "UnsupportedScheme",
+    "errors": "ConsistencyError InvalidConfig InvalidProfile NotEstablished ParseError "
+              "PqpanError SingularSystem SizeMismatch UnknownScheme UnsupportedScheme",
     "reference": "CalibrationFactors KemParamSet ReferenceEnergyRow default_calibration "
                  "load_reference_table load_schemes lookup_scheme",
     "link": "FragmentationPlan LinkConfig LinkFrame TimeBudget airtime plan_counts "

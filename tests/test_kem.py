@@ -1,5 +1,6 @@
 import hashlib
 import hmac
+import re
 
 import pytest
 from hypothesis import given
@@ -115,6 +116,25 @@ def test_backend_output_of_the_wrong_size_or_type_is_a_size_mismatch():
     with pytest.raises(SizeMismatch, match="the backend's shared secret must be bytes or "
                                            "bytearray, got str"):
         decapsulate(pair.sk, ct, "ml-kem-512", _BadOutputBackend())
+
+
+#: Each KEM operation, given a key pair and its backend argument.
+OPERATIONS = {
+    "keygen": lambda pair, backend: keygen("ml-kem-512", seed(15), backend),
+    "encapsulate": lambda pair, backend: encapsulate(pair.pk, "ml-kem-512", seed(16), backend),
+    "decapsulate": lambda pair, backend: decapsulate(pair.sk, bytes(768), "ml-kem-512", backend),
+}
+
+
+@pytest.mark.parametrize("backend", ["stub", 0, object()], ids=["name", "zero", "object"])
+@pytest.mark.parametrize("operation", OPERATIONS.values(), ids=list(OPERATIONS))
+def test_backend_that_is_not_a_backend_is_unsupported(operation, backend):
+    # None alone gives the stub; a backend name belongs to get_backend.
+    pair = keygen("ml-kem-512", seed(15))
+    with pytest.raises(UnsupportedScheme, match=re.escape(
+            f"backend must be a StubBackend or RealBackend, got {backend!r}")):
+        operation(pair, backend)
+    assert operation(pair, None) == operation(pair, StubBackend())
 
 
 def test_signature_scheme_rejected():

@@ -9,11 +9,11 @@ import pqpan.energy
 import pqpan.kem
 import pqpan.link
 import pqpan.sim
-from pqpan import (AEAD_OVERHEAD_BYTES, FrameTrace, HandshakeFailure, InvalidConfig,
-                   LinkConfig, NotEstablished, Phase, Role, UnknownScheme, UnsupportedScheme,
+from pqpan import (AEAD_OVERHEAD_BYTES, FrameTrace, InvalidConfig, LinkConfig,
+                   NotEstablished, Phase, Role, UnknownScheme, UnsupportedScheme,
                    derive_session_key, lookup_scheme, plan_transfer, pqke_total,
                    run_handshake, send_secured_payload)
-from pqpan.sim import OP_PAYLOAD, Reassembler, TraceRecord, _Transfer
+from pqpan.sim import OP_PAYLOAD, TraceRecord, _Transfer
 from chunking_oracle import byte_stream_frames
 
 CFG_DEFAULT = LinkConfig(att_mtu=65, ll_pdu=27)
@@ -331,20 +331,6 @@ def test_send_secured_payload_takes_bytes_and_bytearray_alike():
 def test_run_handshake_scheme_that_is_not_a_str_is_unknown():
     with pytest.raises(UnknownScheme, match="unknown scheme"):
         run_handshake(123, CFG_DLE)
-
-
-def test_reassembler_overflow_is_handshake_failure():
-    buf = Reassembler(4, "public key")
-    buf.feed(b"\x01\x02\x03")
-    with pytest.raises(HandshakeFailure):
-        buf.feed(b"\x04\x05")
-
-
-def test_reassembler_short_artifact_is_handshake_failure():
-    buf = Reassembler(4, "ciphertext")
-    buf.feed(b"\x01\x02\x03")
-    with pytest.raises(HandshakeFailure):
-        buf.finish()
 
 
 def test_backend_substitutability_frame_counts():
