@@ -149,6 +149,10 @@ MUTANTS = {
         "        return StubBackend()"),
     "truthy include_encap prices encapsulation": (
         "energy.py", 'of_type("include_encap", include_encap, bool))', "include_encap)"),
+    "old tail kept after an in-place rewrite": (
+        "cli.py", "fh.truncate()", "pass"),
+    "non-regular output truncated": (
+        "cli.py", "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):", "if True:"),
 }
 
 

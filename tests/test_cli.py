@@ -545,6 +545,82 @@ def test_broken_pipe_on_the_out_file_exits_4(capsys, tmp_path, monkeypatch):
     assert (code, out) == (4, "") and err == "pqpan: i/o error: [Errno 32] Broken pipe\n"
 
 
+#: Output option -> argv writing it to ``{out}``; ``{tmp}`` holds the other outputs.
+FILE_WRITERS = {
+    "sweep --out": ["sweep", "--schemes", "ml-kem-512", "--att-mtus", "65", "--ll-pdus", "27",
+                    "--out", "{out}"],
+    "fit --out": ["fit", "--out", "{out}"],
+    "simulate --trace": ["simulate", "--scheme", "ml-kem-512", "--trace", "{out}",
+                         "--ledger", "{tmp}/l.json"],
+    "simulate --ledger": ["simulate", "--scheme", "ml-kem-512", "--trace", "{tmp}/t.jsonl",
+                          "--ledger", "{out}"],
+}
+
+
+def _write_output(capsys, tmp_path, writer, out):
+    """(exit status, stderr) of the ``writer`` argv with its output at ``out``."""
+    code, _, err = run_cli(capsys, *[arg.format(out=out, tmp=tmp_path)
+                                     for arg in FILE_WRITERS[writer]])
+    return code, err
+
+
+def _fresh_output(capsys, tmp_path, writer) -> bytes:
+    fresh = tmp_path / "fresh"
+    assert _write_output(capsys, tmp_path, writer, fresh)[0] == 0
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("through_link", [False, True], ids=["file", "symlink"])
+@pytest.mark.parametrize("writer", list(FILE_WRITERS))
+def test_existing_output_is_rewritten_in_place(capsys, tmp_path, writer, through_link):
+    # A longer file of junk leaves no tail; the file keeps its inode and mode,
+    # and a symlink to it stays a symlink.
+    fresh = _fresh_output(capsys, tmp_path, writer)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"junk\n" * len(fresh))
+    target.chmod(0o600)
+    link.symlink_to(target)
+    inode = target.stat().st_ino
+    assert _write_output(capsys, tmp_path, writer, link if through_link else target)[0] == 0
+    assert target.read_bytes() == fresh
+    assert (target.stat().st_ino, target.stat().st_mode & 0o777) == (inode, 0o600)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+
+
+@pytest.mark.parametrize("writer", list(FILE_WRITERS))
+def test_new_output_gets_the_mode_open_gives(capsys, tmp_path, writer):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open", "w"):
+            pass
+        assert _write_output(capsys, tmp_path, writer, tmp_path / "out")[0] == 0
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "out").stat().st_mode == (tmp_path / "by_open").stat().st_mode
+
+
+@pytest.mark.parametrize("writer", list(FILE_WRITERS))
+def test_output_to_a_device_or_fifo_is_written_and_never_truncated(capsys, tmp_path, writer):
+    # Truncating either one fails, so an attempt would exit 4.
+    assert _write_output(capsys, tmp_path, writer, os.devnull)[0] == 0
+    fresh = _fresh_output(capsys, tmp_path, writer)  # smaller than a pipe's buffer
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert _write_output(capsys, tmp_path, writer, fifo)[0] == 0
+        assert os.read(reader, 2 * len(fresh)) == fresh
+    finally:
+        os.close(reader)
+
+
+@pytest.mark.parametrize("writer", list(FILE_WRITERS))
+def test_directory_as_output_exits_4(capsys, tmp_path, writer):
+    (tmp_path / "dir").mkdir()
+    code, err = _write_output(capsys, tmp_path, writer, tmp_path / "dir")
+    assert code == 4 and err.startswith("pqpan: i/o error:")
+
+
 #: The names ``pqpan`` exports, by defining module.
 EXPORTS = {
     "errors": "ConsistencyError InvalidConfig InvalidProfile NotEstablished ParseError "
