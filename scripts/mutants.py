@@ -48,8 +48,8 @@ MUTANTS = {
         "energy.py", "lo.keygen < hi.keygen and lo.encap < hi.encap and lo.decap < hi.decap",
         "lo.keygen <= hi.keygen and lo.encap <= hi.encap and lo.decap <= hi.decap"),
     "non-positive e_emp accepted": (
-        "reference.py", "if row.e_theor_uj <= 0 or row.e_emp_uj <= 0:",
-        "if row.e_theor_uj <= 0:"),
+        "reference.py", 'dict.fromkeys(("e_theor_uj", "e_emp_uj"), partial(',
+        'dict.fromkeys(("e_theor_uj",), partial('),
     "ecdh-p256 alias dropped": (
         "energy.py", 'elif kind in (SECURITY_ECDH, "ecdh-p256"):', "elif kind == SECURITY_ECDH:"),
     "one-slot gap rule dropped": (
@@ -65,8 +65,8 @@ MUTANTS = {
     "delta tolerance widened": (
         "reference.py", "DELTA_TOLERANCE = 1e-3", "DELTA_TOLERANCE = 1e-1"),
     "cycles_file relative to the working directory": (
-        "config.py", 'os.path.join(os.path.dirname(path or ""), data["cycles_file"])',
-        'os.path.join("", data["cycles_file"])'),
+        "config.py", 'os.path.join(os.path.dirname(path or ""), cycles_file)',
+        'os.path.join("", cycles_file)'),
     "decapsulation ciphertext size unchecked": (
         "kem.py", '_sized(ct, f"{scheme.name}: ct", scheme.ct_size)', "ct"),
     "encapsulation left out of the total": (
@@ -77,10 +77,9 @@ MUTANTS = {
         "energy.py", "if tab[i][j] > pivot_min]", "if tab[i][j] > tol]"),
     "least-total tie-break dropped": (
         "energy.py", "for rhs in (-2, -1):", "for rhs in (-2,):"),
-    "duplicate reference cell accepted": (
-        "reference.py", "if cell in first_row:", "if False:"),
-    "duplicate cycles row accepted": (
-        "energy.py", "if key in first_row:", "if False:"),
+    "duplicate reference cell or cycles row accepted": (
+        "reference.py", "if (key := name.strip().upper()) in lines:",
+        "if (key := name.strip().upper()) in ():"),
     "cycles level order compared across families": (
         "energy.py", "if family == hi_family and not (", "if not ("),
     "table lines counted after the skip": (
@@ -153,6 +152,14 @@ MUTANTS = {
         "cli.py", "fh.truncate()", "pass"),
     "non-regular output truncated": (
         "cli.py", "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):", "if True:"),
+    "a user's cycles file is cached": (
+        "energy.py", "return wraps(load)(lambda path=None:",
+        "return lru_cache(maxsize=8)(lambda path=None:"),
+    "a row error loses its line": (
+        "reference.py", "raise ParseError(str(exc), path=label, row=i) from None",
+        "raise ParseError(str(exc), path=label) from None"),
+    "the path rule is skipped": (
+        "config.py", '        path = path_str("path", path)\n', "        path = os.fspath(path)\n"),
 }
 
 

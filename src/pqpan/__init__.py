@@ -23,9 +23,8 @@ _LAYERS = {
     "kem": ("Encapsulation", "KemKeyPair", "SessionKey", "decapsulate",
             "derive_session_key", "encapsulate", "get_backend", "keygen"),
     "energy": ("AEAD_OVERHEAD_BYTES", "CycleCounts", "ECDH_PAIRING_UJ", "EnergyBreakdown",
-               "FITTED_RADIO_PROFILE", "FitResult", "RadioProfile", "comm_energy",
-               "comp_energy", "fit_radio_currents", "handshake_breakdown",
-               "load_cycle_counts", "pqke_total", "session_energy", "transfer_energy"),
+               "FITTED_RADIO_PROFILE", "FitResult", "RadioProfile", "fit_radio_currents",
+               "load_cycle_counts", "pqke_total", "session_energy"),
     "sim": ("EnergyLedger", "FrameTrace", "HandshakeResult", "PartyState", "Phase", "Role",
             "run_handshake", "send_secured_payload"),
     "config": ("ModelConfig", "load_config", "resolve_config"),

@@ -36,7 +36,7 @@ from functools import partial
 
 from .energy import FITTED_RADIO_PROFILE, RadioProfile, load_cycle_counts
 from .errors import (ConsistencyError, InvalidConfig, InvalidProfile, Value, _shown, of_type,
-                     read_only)
+                     one_of, path_str, read_only)
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig
 from .reference import CalibrationFactors, default_calibration, read_text
 
@@ -97,7 +97,7 @@ def load_config(path: str | os.PathLike | None = None,
     ``overrides``: config keys that pass the same checks as the file's."""
     data = {}
     if path is not None:
-        path = os.fspath(path)
+        path = path_str("path", path)
         text = read_text(path)
         try:
             data = json.loads(text, object_pairs_hook=lambda pairs: _once(pairs, f"{path}: key"))
@@ -126,21 +126,19 @@ def load_config(path: str | os.PathLike | None = None,
                       **{k: data[k] for k in _LINK_KEYS if k in data})
 
     cycles = load_cycle_counts()
-    if "cycles_file" in data:
-        if not isinstance(data["cycles_file"], str) or "\0" in data["cycles_file"]:
-            raise InvalidConfig(
-                f"cycles_file must be a path string, got {_shown(data['cycles_file'])}")
-        # Relative to the config file; an absolute path replaces the prefix.
-        cycles = load_cycle_counts(os.path.join(os.path.dirname(path or ""), data["cycles_file"]))
+    if "cycles_file" in data:  # relative to the config file; an absolute path replaces it
+        cycles_file = path_str("cycles_file", data["cycles_file"])
+        cycles = load_cycle_counts(os.path.join(os.path.dirname(path or ""), cycles_file))
 
-    kem_backend = data.get("kem_backend", "stub")
-    if kem_backend not in BACKENDS:
-        raise InvalidConfig(f"kem_backend must be one of {BACKENDS}, got {_shown(kem_backend)}")
+    kem_backend = one_of("kem_backend", data.get("kem_backend", "stub"), BACKENDS)
     return ModelConfig(profile=profile, gamma=gamma, cycles=cycles, link=link,
                        kem_backend=kem_backend)
 
 
-def resolve_config(explicit_path: str | None, overrides: dict | None = None) -> ModelConfig:
+def resolve_config(explicit_path: str | os.PathLike | None,
+                   overrides: dict | None = None) -> ModelConfig:
     """Pick the active config file: --config flag, then $PQPAN_PROFILE, then
     none; ``overrides`` go on top, as in :func:`load_config`."""
+    if explicit_path is not None:
+        explicit_path = path_str("explicit_path", explicit_path)
     return load_config(explicit_path or os.environ.get(ENV_PROFILE) or None, overrides)

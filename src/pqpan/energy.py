@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from types import MappingProxyType
 
-from .errors import (ConsistencyError, InvalidProfile, ParseError, SingularSystem, UnknownScheme,
+from .errors import (ConsistencyError, InvalidProfile, ParseError, SingularSystem,
                      UnsupportedScheme, Value, int_in_range, of_type, real_in_range)
 from .link import ATT_MTU_MIN, LL_PDU_MIN, LinkConfig, TimeBudget, airtime
-from .reference import (CalibrationFactors, KemParamSet, ReferenceEnergyRow, _int_field,
-                        default_calibration, lookup_scheme, read_table)
+from .reference import (CalibrationFactors, KemParamSet, ReferenceEnergyRow, _load_table,
+                        default_calibration, lookup_scheme)
 
 #: Measured cost of the classical ECDH P-256 pairing baseline, microjoules.
 ECDH_PAIRING_UJ = 328.0
@@ -82,28 +82,25 @@ class CycleCounts(Value):
 _CYCLES_COLUMNS = ("scheme", "keygen", "encaps", "decaps")
 
 
-@lru_cache(maxsize=8)
+def _bundled_cached(load):
+    """``load``, reading its bundled table (``path`` None) once to share it; a user's
+    file is read on every call, so an edited one is read again."""
+    bundled = lru_cache(maxsize=1)(partial(load, None))
+    return wraps(load)(lambda path=None: bundled() if path is None else load(path))
+
+
+@_bundled_cached
 def load_cycle_counts(path: str | None = None) -> MappingProxyType[str, CycleCounts]:
     """Load the cycle-count snapshot (bundled file by default), keyed by
-    upper-cased scheme name; the table is read-only, as every caller shares it.
+    upper-cased scheme name, as a read-only table: the bundled one is shared.
 
     Each row names a known scheme, once. Within a scheme family (the name
     before its last ``-``, as ML-KEM or HQC), counts must increase strictly
     with security level in each operation.
     """
-    label, rows = read_table(path, "cycles.csv", _CYCLES_COLUMNS)
-    counts: dict[str, CycleCounts] = {}
-    first_row: dict[str, int] = {}
-    for i, (name, *ops) in rows:
-        try:
-            key = lookup_scheme(name).name.upper()
-            if key in first_row:
-                raise ParseError(f"{name} repeats row {first_row[key]}", path=label, row=i)
-            counts[key] = CycleCounts(*(_int_field(raw, path=label, row=i, column=column)
-                                        for column, raw in zip(_CYCLES_COLUMNS[1:], ops)))
-        except (InvalidProfile, UnknownScheme) as exc:
-            raise ParseError(str(exc), path=label, row=i) from None
-        first_row[key] = i
+    label, counts = _load_table(path, "cycles.csv", _CYCLES_COLUMNS, (str, int, int, int),
+                                lambda scheme, *ops: lookup_scheme(scheme) and CycleCounts(*ops),
+                                "{}")  # each row names a scheme of the bundled table
     leveled = sorted((key.rpartition("-")[0], lookup_scheme(key).nist_level, key)
                      for key in counts if lookup_scheme(key).nist_level is not None)
     for (family, _, lo_key), (hi_family, _, hi_key) in zip(leveled, leveled[1:]):

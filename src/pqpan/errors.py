@@ -5,6 +5,7 @@ CLI can map model/domain failures to a single exit code.
 """
 
 import operator
+import os
 from types import MappingProxyType
 
 #: How a value type's ``__init__`` stores a field past its refusing ``__setattr__``.
@@ -94,6 +95,22 @@ def of_type(name: str, value, cls: type, error=InvalidConfig):
     if isinstance(value, cls):
         return value
     raise error(f"{name} must be a {cls.__name__}, got {_shown(value)}")
+
+
+def one_of(name: str, value, choices: tuple, error=InvalidConfig):
+    """``value`` if it equals one of ``choices``, else ``error``."""
+    if value in choices:
+        return value
+    raise error(f"{name} must be one of {choices}, got {_shown(value)}")
+
+
+def path_str(name: str, value) -> str:
+    """``value`` as a path string: a ``str``, or an ``os.PathLike`` whose path is
+    one, with no NUL byte; else InvalidConfig. A ``bytes`` path is refused."""
+    path = value.__fspath__() if isinstance(value, os.PathLike) else value
+    if isinstance(path, str) and "\0" not in path:
+        return path
+    raise InvalidConfig(f"{name} must be a path string, got {_shown(value)}")
 
 
 def read_only(name: str, table) -> MappingProxyType:

@@ -9,10 +9,10 @@ Three data sets ship with the package:
   across ATT MTU / LL PDU configurations and ML-KEM parameter sets).
 * default calibration factors aligning analytical energy with measurement.
 
-Every CSV table, bundled or a user's, is read by :func:`read_table`. All
-loaders return immutable values: rows are tuples and keyed tables are
-read-only mappings, so the cached ones are safe to share across callers and
-threads.
+Every CSV table, bundled or a user's, is read by :func:`read_table` and checked
+row by row by one loop. All loaders return immutable values: rows are tuples and
+keyed tables are read-only mappings, so the cached ones, the bundled tables only,
+are safe to share across callers and threads.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from collections.abc import Mapping
 from functools import lru_cache, partial
 from types import MappingProxyType
 
-from .errors import (ConsistencyError, ParseError, UnknownScheme, Value, _shown, int_in_range,
-                     of_type, real_in_range)
-from .link import ARTIFACT_MAX
+from .errors import (ConsistencyError, ParseError, PqpanError, UnknownScheme, Value, _shown,
+                     int_in_range, of_type, one_of, path_str, real_in_range)
+from .link import ARTIFACT_MAX, LinkConfig
 
 OP_NOTIFY_PK = "Notify_PK"
 OP_WRITE_CT = "Write_CT"
@@ -72,10 +72,14 @@ class KemParamSet(Value):
 
 
 class ReferenceEnergyRow(Value):
-    """One cell of the communication-energy reference table; ``delta`` is
-    (e_emp - e_theor) / e_emp, as a fraction."""
+    """One cell of the communication-energy reference table, each energy in [1e-6, 1e12]
+    uJ, a normal float in joules too; ``delta`` is (e_emp - e_theor) / e_emp."""
 
     __slots__ = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uj", "e_emp_uj", "delta")
+    _checks = {**{field: LinkConfig._checks[field] for field in ("att_mtu", "ll_pdu")},
+               "op": partial(one_of, choices=(OP_NOTIFY_PK, OP_WRITE_CT), error=ConsistencyError),
+               **dict.fromkeys(("e_theor_uj", "e_emp_uj"), partial(
+                   real_in_range, lo=1e-6, hi=1e12, error=ConsistencyError))}
 
     def derived_delta(self) -> float:
         return (self.e_emp_uj - self.e_theor_uj) / self.e_emp_uj
@@ -123,11 +127,12 @@ def default_calibration() -> CalibrationFactors:
 def read_text(path: str | os.PathLike) -> str:
     """A file's text, without the byte-order mark a file may start with; one
     that is not UTF-8 is a ParseError naming it."""
+    path = path_str("path", path)
     try:
         with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except UnicodeError as exc:
-        raise ParseError(f"not readable as UTF-8 text ({exc})", path=os.fspath(path)) from None
+        raise ParseError(f"not readable as UTF-8 text ({exc})", path=path) from None
 
 
 def read_table(path: str | os.PathLike | None, bundled_name: str,
@@ -139,7 +144,7 @@ def read_table(path: str | os.PathLike | None, bundled_name: str,
     error names the line the file shows. The header names each of ``columns``
     once, in any order, among any others, and each record is as wide as it.
     """
-    label = bundled_name if path is None else os.fspath(path)
+    label = bundled_name if path is None else path_str("path", path)
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", bundled_name)
     table = []
@@ -162,37 +167,46 @@ def read_table(path: str | os.PathLike | None, bundled_name: str,
     return label, [(i, [fields[k] for k in picks]) for i, fields in records]
 
 
-def _int_field(raw: str, *, path: str, row: int, column: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"expected integer, got {raw!r}", path=path, row=row,
-                         column=column) from None
+def _int_or_blank(text: str) -> int | None:
+    return int(text) if text.strip() else None
 
 
-def _float_field(raw: str, *, path: str, row: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"expected a finite number, got {raw!r}", path=path, row=row,
-                         column=column)
-    return value
+def _load_table(path: str | os.PathLike | None, bundled_name: str, columns: tuple[str, ...],
+                types: tuple, build, named: str) -> tuple[str, dict]:
+    """The label of a table :func:`read_table` reads, and ``build(*fields)`` of each
+    record in file order, keyed by ``named.format(*fields)``, stripped and upper-cased. A
+    field that its type (``str``, ``int``, finite ``float``, ``_int_or_blank``) cannot
+    parse, a PqpanError from ``build`` or a repeated key is a ParseError at its line."""
+    label, records = read_table(path, bundled_name, columns)
+    table, lines = {}, {}
+    for i, texts in records:
+        fields = []
+        for column, kind, text in zip(columns, types, texts):
+            try:
+                fields.append(kind(text))
+                if kind is float and not math.isfinite(fields[-1]):
+                    raise ValueError(text)
+            except ValueError:
+                raise ParseError(f"expected {'a finite number' if kind is float else 'integer'}, "
+                                 f"got {text!r}", path=label, row=i, column=column) from None
+        try:
+            value = build(*fields)
+        except PqpanError as exc:
+            raise ParseError(str(exc), path=label, row=i) from None
+        name = named.format(*fields)
+        if (key := name.strip().upper()) in lines:
+            raise ParseError(f"{name} repeats row {lines[key]}", path=label, row=i)
+        lines[key], table[key] = i, value
+    return label, table
 
 
 @lru_cache(maxsize=1)
 def load_schemes() -> MappingProxyType[str, KemParamSet]:
     """Parse the bundled scheme-size table, keyed by upper-cased name; the
     table is read-only, as every caller shares it."""
-    label, rows = read_table(None, "schemes.csv", ("name", "pk", "sk", "ct", "level"))
-    schemes: dict[str, KemParamSet] = {}
-    for i, (name, *sizes, level) in rows:
-        pk, sk, ct = (_int_field(raw, path=label, row=i, column=column)
-                      for column, raw in zip(("pk", "sk", "ct"), sizes))
-        level = _int_field(level, path=label, row=i, column="level") if level.strip() else None
-        schemes[name.upper()] = KemParamSet(name, pk, sk, ct, level)
-    return MappingProxyType(schemes)
+    return MappingProxyType(_load_table(None, "schemes.csv", ("name", "pk", "sk", "ct", "level"),
+                                        (str, int, int, int, _int_or_blank), KemParamSet,
+                                        "{}")[1])
 
 
 def lookup_scheme(name: str | KemParamSet) -> KemParamSet:
@@ -210,6 +224,16 @@ _TABLE_COLUMNS = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uJ", "e_emp_uJ",
                   "delta_pct")
 
 
+def _reference_row(scheme: str, *fields) -> ReferenceEnergyRow:
+    """A record's row: a bundled scheme, kept as written, and a delta that fits its energies."""
+    lookup_scheme(scheme)
+    row = ReferenceEnergyRow(scheme, *fields[:-1], fields[-1] / 100.0)
+    if abs(row.delta - row.derived_delta()) <= DELTA_TOLERANCE:
+        return row
+    raise ConsistencyError(f"stored delta {row.delta:.4f} does not match "
+                           f"(e_emp - e_theor)/e_emp = {row.derived_delta():.4f}")
+
+
 def load_reference_table(path: str | os.PathLike | None = None) -> tuple[ReferenceEnergyRow, ...]:
     """Load the 48-row communication-energy reference table.
 
@@ -218,37 +242,10 @@ def load_reference_table(path: str | os.PathLike | None = None) -> tuple[Referen
     the hardware measurement undercuts the model (negative delta) are valid.
     Each (scheme, att_mtu, ll_pdu, op) cell occurs once.
     """
-    label, records = read_table(path, "table2.csv", _TABLE_COLUMNS)
-    rows: list[ReferenceEnergyRow] = []
-    first_row: dict[tuple, int] = {}
-    for i, (scheme, att_mtu, ll_pdu, op, e_theor, e_emp, delta_pct) in records:
-        if op not in (OP_NOTIFY_PK, OP_WRITE_CT):
-            raise ParseError(f"unknown op {op!r}", path=label, row=i, column="op")
-        row = ReferenceEnergyRow(
-            scheme=scheme,
-            att_mtu=_int_field(att_mtu, path=label, row=i, column="att_mtu"),
-            ll_pdu=_int_field(ll_pdu, path=label, row=i, column="ll_pdu"),
-            op=op,
-            e_theor_uj=_float_field(e_theor, path=label, row=i, column="e_theor_uJ"),
-            e_emp_uj=_float_field(e_emp, path=label, row=i, column="e_emp_uJ"),
-            delta=_float_field(delta_pct, path=label, row=i, column="delta_pct") / 100.0,
-        )
-        if row.e_theor_uj <= 0 or row.e_emp_uj <= 0:
-            raise ParseError("energies must be positive", path=label, row=i)
-        if abs(row.delta - row.derived_delta()) > DELTA_TOLERANCE:
-            raise ConsistencyError(
-                f"{label}:row {i}: stored delta {row.delta:.4f} does not match "
-                f"(e_emp - e_theor)/e_emp = {row.derived_delta():.4f}")
-        cell = (row.scheme.upper(), row.att_mtu, row.ll_pdu, row.op)
-        if cell in first_row:
-            raise ConsistencyError(
-                f"{label}:row {i}: cell {row.scheme},{row.att_mtu},{row.ll_pdu},{row.op} "
-                f"repeats row {first_row[cell]}")
-        first_row[cell] = i
-        rows.append(row)
-
+    label, rows = _load_table(path, "table2.csv", _TABLE_COLUMNS,
+                              (str, int, int, str, float, float, float), _reference_row,
+                              "cell {},{},{},{}")
     if len(rows) != REFERENCE_ROW_COUNT:
         raise ConsistencyError(
             f"{label}: expected {REFERENCE_ROW_COUNT} rows, got {len(rows)}")
-    return tuple(rows)
-
+    return tuple(rows.values())

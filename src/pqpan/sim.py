@@ -29,15 +29,15 @@ import enum
 import hashlib
 import json
 from collections.abc import Mapping
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from math import isfinite
 
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
-from .errors import (InvalidConfig, NotEstablished, Value, int_in_range, of_type, read_only,
-                     set_field)
+from .errors import (ConsistencyError, InvalidConfig, InvalidProfile, NotEstablished, Value,
+                     int_in_range, of_type, read_only, set_field)
 from .link import LL_OVERHEAD, LinkConfig, airtime, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
@@ -144,6 +144,8 @@ class FrameTrace(Value):
         return tuple(chain.from_iterable(part.records() for part in self._parts))
 
     def __add__(self, other: FrameTrace) -> FrameTrace:
+        if not isinstance(other, FrameTrace):
+            return NotImplemented
         return FrameTrace(self._parts + other._parts, other.clock)
 
     def _count(self, is_ack: bool, op: str | None) -> int:
@@ -200,7 +202,17 @@ class EnergyLedger(Value):
 
 
 class HandshakeResult(Value):
+    """An established session: both parties' states, the trace and the ledger, each
+    of its type or NotEstablished, and the link, profile and calibration it was run
+    on, each of its type or its type's error."""
+
     __slots__ = ("peripheral", "central", "trace", "ledger", "cfg", "profile", "gamma")
+    _checks = {**{field: partial(of_type, cls=cls, error=NotEstablished) for field, cls in (
+                   ("peripheral", PartyState), ("central", PartyState), ("trace", FrameTrace),
+                   ("ledger", EnergyLedger))},
+               "cfg": partial(of_type, cls=LinkConfig),
+               "profile": partial(of_type, cls=RadioProfile, error=InvalidProfile),
+               "gamma": partial(of_type, cls=CalibrationFactors, error=ConsistencyError)}
 
 
 def _seed32(seed: bytes, label: bytes) -> bytes:

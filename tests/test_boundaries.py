@@ -20,9 +20,10 @@ import pytest
 
 from pqpan import (FITTED_RADIO_PROFILE, ConsistencyError, CycleCounts, InvalidConfig,
                    InvalidProfile, LinkConfig, ModelConfig, NotEstablished, PqpanError, airtime,
-                   comp_energy, default_calibration, fit_radio_currents, load_config,
-                   pqke_total, run_handshake, send_secured_payload, session_energy)
+                   default_calibration, fit_radio_currents, load_config, pqke_total,
+                   run_handshake, send_secured_payload, session_energy)
 from pqpan.cli import main
+from pqpan.energy import comp_energy
 from pqpan.link import plan_counts
 
 NAN, INF = math.nan, math.inf

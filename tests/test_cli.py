@@ -474,6 +474,20 @@ def test_non_utf8_input_file_exits_3_naming_it(capsys, tmp_path, source):
     assert str(binary) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["fit"], ["sweep", "--reference-grid"],
+                                  ["sweep", "--reference-grid", "--compare"]])
+def test_reference_table_cell_out_of_range_exits_3_naming_its_line(capsys, tmp_path, argv):
+    lines = resources.files("pqpan").joinpath("data/table2.csv").read_text().splitlines()
+    assert lines[1].startswith("ML-KEM-512,65,27,")
+    lines[1] = lines[1].replace(",65,", ",5,", 1)
+    table = tmp_path / "bad.csv"
+    table.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--table", str(table))
+    assert code == 3 and out == ""
+    assert err == (f"pqpan: error: {table}:row 2: att_mtu must be a finite integer "
+                   "in [23, 517], got 5\n")
+
+
 def test_config_missing_file_exits_4(capsys):
     code, _, _ = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
                          "--att-mtu", "65", "--ll-pdu", "27",
@@ -632,9 +646,8 @@ EXPORTS = {
     "kem": "Encapsulation KemKeyPair SessionKey decapsulate derive_session_key encapsulate "
            "get_backend keygen",
     "energy": "AEAD_OVERHEAD_BYTES CycleCounts ECDH_PAIRING_UJ EnergyBreakdown "
-              "FITTED_RADIO_PROFILE FitResult RadioProfile comm_energy comp_energy "
-              "fit_radio_currents handshake_breakdown load_cycle_counts pqke_total "
-              "session_energy transfer_energy",
+              "FITTED_RADIO_PROFILE FitResult RadioProfile fit_radio_currents "
+              "load_cycle_counts pqke_total session_energy",
     "sim": "EnergyLedger FrameTrace HandshakeResult PartyState Phase Role run_handshake "
            "send_secured_payload",
     "config": "ModelConfig load_config resolve_config",
@@ -673,6 +686,16 @@ def test_estimate_sweep_and_simulate_do_not_import_numpy(tmp_path):
     assert _loaded_after(["simulate", *link, "--payload", "64", "--seed", "5",
                           "--trace", out + "t.jsonl", "--ledger", out + "l.json"]) == [
         "pqpan.kem", "pqpan.sim"]
+
+
+@pytest.mark.parametrize("name", ["comm_energy", "comp_energy", "transfer_energy",
+                                  "handshake_breakdown"])
+def test_unchecked_pricing_helpers_are_not_exported(name):
+    # They price values the exported entry points have checked; only pqpan.energy has them.
+    assert name not in pqpan.__all__ and name not in dir(pqpan)
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(pqpan, name)
+    assert callable(getattr(pqpan.energy, name))
 
 
 def test_package_names_resolve_lazily_to_their_layer():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,12 @@ from hypothesis import strategies as st
 from pqpan import (CalibrationFactors, CycleCounts, ECDH_PAIRING_UJ, FITTED_RADIO_PROFILE,
                    InvalidConfig, InvalidProfile, KemParamSet, LinkConfig, ParseError,
                    RadioProfile, SingularSystem, TimeBudget, UnknownScheme, UnsupportedScheme,
-                   airtime, comm_energy, comp_energy, default_calibration,
-                   fit_radio_currents, load_cycle_counts, load_schemes, lookup_scheme,
-                   pqke_total, session_energy, transfer_energy)
+                   airtime, default_calibration, fit_radio_currents, load_config,
+                   load_cycle_counts, load_schemes, lookup_scheme, pqke_total, session_energy)
 from pqpan import energy
 from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _design_matrix, _dot,
-                          _require_full_rank, handshake_inputs)
+                          _require_full_rank, comm_energy, comp_energy, handshake_inputs,
+                          transfer_energy)
 from pqpan.link import ARTIFACT_MAX
 from pqpan.reference import ReferenceEnergyRow
 
@@ -243,6 +245,30 @@ def test_cycles_file_row_for_an_unknown_scheme_is_located(tmp_path):
         load_cycle_counts(str(path))
 
 
+def test_edited_cycles_file_is_read_again(tmp_path):
+    # Only the bundled table is cached: a user's file is read on every call, so
+    # an edit shows in the next load, directly and through a config naming it.
+    path = tmp_path / "cycles.csv"
+    config = tmp_path / "profile.json"
+    config.write_text(json.dumps({"cycles_file": "cycles.csv"}))
+    for keygen in (100, 150):
+        path.write_text(f"scheme,keygen,encaps,decaps\nML-KEM-512,{keygen},200,300\n")
+        counts = CycleCounts(keygen, 200, 300)
+        assert load_cycle_counts(str(path))["ML-KEM-512"] == counts
+        assert load_cycle_counts(path)["ML-KEM-512"] == counts
+        assert load_config(config).cycles["ML-KEM-512"] == counts
+    assert load_cycle_counts() is load_cycle_counts() is load_cycle_counts(None)
+
+
+def test_cycles_file_that_repeats_a_scheme_names_both_lines(tmp_path):
+    # Names are compared as lookup_scheme reads them: in any case, without blanks.
+    path = tmp_path / "cycles.csv"
+    path.write_text("scheme,keygen,encaps,decaps\nML-KEM-512,100,200,300\n\n"
+                    " ml-kem-512 ,100,200,300\n")
+    with pytest.raises(ParseError, match=f"^{path}:row 4:  ml-kem-512  repeats row 2$"):
+        load_cycle_counts(path)
+
+
 MLKEM_AND_HQC_CYCLES = ("scheme,keygen,encaps,decaps\n"
                         "ML-KEM-512,1432416,1711893,1575658\n"
                         "ML-KEM-768,1901587,2264514,2091746\n"
@@ -260,7 +286,7 @@ def test_cycles_file_levels_are_ordered_within_each_family(tmp_path):
     cycles = load_cycle_counts(str(path))
     assert cycles["HQC-128"] == CycleCounts(20000000, 40000000, 60000000)
     assert cycles["ML-KEM-1024"] == load_cycle_counts()["ML-KEM-1024"]
-    path = tmp_path / "out_of_order.csv"  # a new path, as the loader caches by path
+    path = tmp_path / "out_of_order.csv"
     path.write_text(MLKEM_AND_HQC_CYCLES.replace("HQC-192,60000000", "HQC-192,10000000"))
     with pytest.raises(ParseError, match="increase strictly with security level, but "
                                          "HQC-192 does not exceed HQC-128"):

@@ -1,13 +1,15 @@
+import math
+import re
 from importlib import resources
 
 import pytest
 
-from pqpan import (CalibrationFactors, ConsistencyError, KemParamSet, ParseError, UnknownScheme,
-                   default_calibration, load_cycle_counts, load_reference_table, load_schemes,
-                   lookup_scheme)
+from pqpan import (CalibrationFactors, ConsistencyError, InvalidConfig, KemParamSet, ParseError,
+                   UnknownScheme, default_calibration, load_config, load_cycle_counts,
+                   load_reference_table, load_schemes, lookup_scheme, resolve_config)
 from pqpan.energy import _CYCLES_COLUMNS
 from pqpan.link import ARTIFACT_MAX
-from pqpan.reference import _TABLE_COLUMNS, read_table
+from pqpan.reference import _TABLE_COLUMNS, ReferenceEnergyRow, read_table
 
 # (pk, sk, ct, level) as standardized.
 MLKEM_SIZES = {
@@ -144,13 +146,13 @@ def test_parse_error_on_wrong_header(tmp_path):
         load_reference_table(bad)
 
 
-def test_consistency_error_on_tampered_delta(reference_rows, tmp_path):
+def test_parse_error_on_tampered_delta(reference_rows, tmp_path):
     out = tmp_path / "tampered.csv"
     write_table(reference_rows, out)
     lines = out.read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",2.00"  # true delta is 8.58
     out.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConsistencyError, match="delta"):
+    with pytest.raises(ParseError, match=f"^{out}:row 2: stored delta 0.0200 does not match"):
         load_reference_table(out)
 
 
@@ -163,7 +165,8 @@ def test_parse_error_on_negative_empirical_energy(reference_rows, tmp_path):
     # stored delta stays consistent and only the positivity rule applies.
     lines[1] = ",".join([scheme, att, ll, op, theor, "-" + theor, "200.00"])
     out.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="row 2: energies must be positive"):
+    with pytest.raises(ParseError, match=r"row 2: e_emp_uj must be a finite number in "
+                                         r"\[1e-06, 1000000000000.0\], got -362.63"):
         load_reference_table(out)
 
 
@@ -174,16 +177,112 @@ def test_consistency_error_on_wrong_row_count(reference_rows, tmp_path):
         load_reference_table(out)
 
 
-def test_consistency_error_on_a_repeated_cell(reference_rows, tmp_path):
+def test_parse_error_on_a_repeated_cell(reference_rows, tmp_path):
     # Row 3 copies row 2: the count is still 48, but one cell is missing.
     out = tmp_path / "repeated.csv"
     write_table(reference_rows, out)
     lines = out.read_text().splitlines()
     lines[2] = lines[1]
     out.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConsistencyError,
+    with pytest.raises(ParseError,
                        match="row 3: cell ML-KEM-512,65,27,Notify_PK repeats row 2"):
         load_reference_table(out)
+
+
+#: An edit of one field of line 2 of a reference table, as (column, new text), and
+#: the error after ``path:row 2`` that refuses it at load. Each is a cell that the
+#: fit or the comparison sweep would refuse later, or price wrongly.
+BAD_CELLS = {
+    "att_mtu-out-of-range": (1, "5", ": att_mtu must be a finite integer in [23, 517], got 5"),
+    "ll_pdu-out-of-range": (2, "300", ": ll_pdu must be a finite integer in [27, 251], got 300"),
+    "unknown-scheme": (0, "FOO-1", ": unknown scheme 'FOO-1' (known: "),
+    "unknown-op": (3, "Indicate_PK", ": op must be one of ('Notify_PK', 'Write_CT'), "
+                                     "got 'Indicate_PK'"),
+    "att_mtu-not-an-integer": (1, "65.0", ":att_mtu: expected integer, got '65.0'"),
+    "energy-not-finite": (5, "inf", ":e_emp_uJ: expected a finite number, got 'inf'"),
+    "energy-zero": (4, "0", ": e_theor_uj must be a finite number in [1e-06, "),
+    "delta-mismatch": (6, "2.00", ": stored delta 0.0200 does not match (e_emp - e_theor)/e_emp"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CELLS))
+def test_reference_cell_error_is_a_parse_error_at_its_line(reference_rows, tmp_path, case):
+    column, text, message = BAD_CELLS[case]
+    out = tmp_path / "bad.csv"
+    write_table(reference_rows, out)
+    lines = out.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[column] = text
+    lines[1] = ",".join(fields)
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{out}:row 2{message}")):
+        load_reference_table(out)
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("e_theor_uj", 0.0, ConsistencyError), ("e_emp_uj", -1.0, ConsistencyError),
+    ("e_emp_uj", math.nan, ConsistencyError), ("e_theor_uj", 1e300, ConsistencyError),
+    ("att_mtu", 5, InvalidConfig), ("ll_pdu", 27.0, InvalidConfig),
+    ("op", "notify_pk", ConsistencyError),
+], ids=["e_theor-zero", "e_emp-negative", "e_emp-nan", "e_theor-huge", "att_mtu",
+        "ll_pdu-float", "op-case"])
+def test_reference_row_is_checked_when_built(reference_rows, field, value, error):
+    # A library-built row meets the cell checks a loaded one does, so the fit
+    # never divides by a zero energy, prices a link outside the model's ranges
+    # or looks up an op that no transfer has.
+    fields = dict(zip(ReferenceEnergyRow._fields, reference_rows[0]._values()))
+    with pytest.raises(error, match=field):
+        ReferenceEnergyRow(**{**fields, field: value})
+    with pytest.raises(error, match=field):
+        reference_rows[0].replace(**{field: value})
+
+
+def test_reference_table_keeps_the_scheme_name_as_written(reference_rows, tmp_path):
+    out = tmp_path / "lower.csv"
+    write_table([reference_rows[0].replace(scheme="ml-kem-512"), *reference_rows[1:]], out)
+    rows = load_reference_table(out)
+    assert rows[0].scheme == "ml-kem-512" and rows[1:] == reference_rows[1:]
+
+
+#: Path arguments of every entry point that reads a file, and values none takes.
+PATH_READERS = {
+    "load_cycle_counts": (load_cycle_counts, "path"),
+    "load_reference_table": (load_reference_table, "path"),
+    "load_config": (load_config, "path"),
+    "resolve_config": (resolve_config, "explicit_path"),
+    "cycles_file": (lambda path: load_config(overrides={"cycles_file": path}), "cycles_file"),
+}
+
+
+class _FsPath:
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+    def __repr__(self):
+        return f"_FsPath({self.path!r})"
+
+
+@pytest.mark.parametrize("value", [5, [], "a\0b", b"/x", _FsPath(b"/x"), _FsPath("a\0b"),
+                                   _FsPath(5)],
+                         ids=["int", "list", "nul", "bytes", "pathlike-bytes", "pathlike-nul",
+                              "pathlike-int"])
+@pytest.mark.parametrize("reader", list(PATH_READERS))
+def test_path_that_is_not_a_path_string_is_invalid_config(reader, value):
+    load, name = PATH_READERS[reader]
+    with pytest.raises(InvalidConfig, match="^" + re.escape(f"{name} must be a path string, "
+                                                            f"got {value!r}")):
+        load(value)
+
+
+@pytest.mark.parametrize("reader", list(PATH_READERS))
+def test_missing_file_is_still_an_os_error(tmp_path, reader):
+    load, _ = PATH_READERS[reader]
+    for path in (str(tmp_path / "missing.csv"), _FsPath(str(tmp_path / "missing.csv"))):
+        with pytest.raises(FileNotFoundError):
+            load(path)
 
 
 #: Each bundled table, its columns, and the loader that takes a user's copy.

@@ -9,8 +9,9 @@ import pqpan.energy
 import pqpan.kem
 import pqpan.link
 import pqpan.sim
-from pqpan import (AEAD_OVERHEAD_BYTES, FrameTrace, InvalidConfig, LinkConfig,
-                   NotEstablished, Phase, Role, UnknownScheme, UnsupportedScheme,
+from pqpan import (AEAD_OVERHEAD_BYTES, ConsistencyError, FrameTrace, InvalidConfig,
+                   InvalidProfile, LinkConfig, NotEstablished, Phase, Role, UnknownScheme,
+                   UnsupportedScheme,
                    derive_session_key, lookup_scheme, plan_transfer, pqke_total,
                    run_handshake, send_secured_payload)
 from pqpan.sim import OP_PAYLOAD, TraceRecord, _Transfer
@@ -292,6 +293,30 @@ def test_send_before_established_rejected():
         idle = r.replace(**{party: getattr(r, party).replace(phase=Phase.IDLE)})
         with pytest.raises(NotEstablished):
             send_secured_payload(idle, b"hello")
+
+
+@pytest.mark.parametrize("field,error", [
+    ("peripheral", NotEstablished), ("central", NotEstablished), ("trace", NotEstablished),
+    ("ledger", NotEstablished), ("cfg", InvalidConfig), ("profile", InvalidProfile),
+    ("gamma", ConsistencyError)])
+def test_session_field_of_the_wrong_type_is_refused_when_built(field, error):
+    # Each field is checked where it is declared, so a session that
+    # send_secured_payload could not use is never built; it was an AttributeError
+    # there. A session's state, trace and ledger are NotEstablished.
+    r = run_handshake("ml-kem-512", CFG_DLE, seed=13)
+    with pytest.raises(error, match=f"^{field} must be a "):
+        r.replace(**{field: None})
+    with pytest.raises(error, match=f"^{field} must be a "):
+        r.replace(**{field: r.ledger if field != "ledger" else r.trace})
+
+
+def test_trace_added_to_a_non_trace_is_a_type_error():
+    trace = run_handshake("ml-kem-512", CFG_DLE, seed=13).trace
+    for other in (1, None, trace.records):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            trace + other
+        with pytest.raises(TypeError):
+            other + trace
 
 
 def test_send_secured_payload_plans_once(monkeypatch):
