@@ -78,8 +78,10 @@ MUTANTS = {
     "least-total tie-break dropped": (
         "energy.py", "for rhs in (-2, -1):", "for rhs in (-2,):"),
     "duplicate reference cell or cycles row accepted": (
-        "reference.py", "if (key := name.strip().upper()) in lines:",
-        "if (key := name.strip().upper()) in ():"),
+        "reference.py", "        if key in lines:\n", "        if key in ():\n"),
+    "reference row keeps the scheme as written": (
+        "reference.py", '"scheme": lambda _, scheme: lookup_scheme(scheme).name,',
+        '"scheme": lambda _, scheme: scheme,'),
     "cycles level order compared across families": (
         "energy.py", "if family == hi_family and not (", "if not ("),
     "table lines counted after the skip": (

@@ -134,25 +134,26 @@ def cmd_estimate(args) -> int:
 
 
 def _sweep_rows(cfg: ModelConfig, cells):
+    """The transfers of each (scheme, att, ll) cell, by level (none last), name, att, ll."""
     rows = []
-    for scheme_name, att, ll in cells:
-        scheme = lookup_scheme(scheme_name)
+    for scheme, att, ll in sorted(((lookup_scheme(name), att, ll) for name, att, ll in cells),
+                                  key=lambda c: (c[0].nist_level or 99, c[0].name, *c[1:])):
         link = cfg.link.replace(att_mtu=att, ll_pdu=ll)
         for op, artifact, as_receiver in scheme.transfers():
             budget = airtime(artifact, link)
             e = comm_energy(budget, cfg.profile, as_receiver=as_receiver)
             rows.append({"scheme": scheme.name, "att_mtu": att, "ll_pdu": ll,
                          "op": op, "e_theor_uJ": e})
-    rows.sort(key=lambda r: (lookup_scheme(r["scheme"]).nist_level or 99,
-                             r["scheme"], r["att_mtu"], r["ll_pdu"], r["op"]))
     return rows
 
 
 def cmd_sweep(args) -> int:
+    if args.table is not None and not (args.reference_grid or args.compare):
+        args.error("--table needs --reference-grid or --compare")
     cfg = _model_config(args)
-    ref_rows = load_reference_table(args.table) if args.reference_grid else None
+    ref_rows = load_reference_table(args.table) if args.reference_grid or args.compare else ()
     if args.reference_grid:
-        cells = sorted({(r.scheme, r.att_mtu, r.ll_pdu) for r in ref_rows})
+        cells = {(r.scheme, r.att_mtu, r.ll_pdu) for r in ref_rows}
     else:
         schemes = _once(((lookup_scheme(s).name, s) for s in args.schemes.split(",") if s.strip()),
                         "--schemes: scheme")  # compared after lookup
@@ -163,20 +164,12 @@ def cmd_sweep(args) -> int:
 
     fields = ["scheme", "att_mtu", "ll_pdu", "op", "e_theor_uJ"]
     if args.compare:
-        if ref_rows is None:
-            ref_rows = load_reference_table(args.table)
-        reference = {(r.scheme.upper(), r.att_mtu, r.ll_pdu, r.op): r.e_theor_uj
-                     for r in ref_rows}
+        reference = {(r.scheme, r.att_mtu, r.ll_pdu, r.op): r.e_theor_uj for r in ref_rows}
         fields += ["e_ref_uJ", "rel_err_pct"]
         for row in rows:
-            key = (row["scheme"].upper(), row["att_mtu"], row["ll_pdu"], row["op"])
-            if key in reference:
-                ref = reference[key]
-                row["e_ref_uJ"] = ref
-                row["rel_err_pct"] = (row["e_theor_uJ"] - ref) / ref * 100.0
-            else:
-                row["e_ref_uJ"] = None
-                row["rel_err_pct"] = None
+            ref = reference.get((row["scheme"], row["att_mtu"], row["ll_pdu"], row["op"]))
+            row["e_ref_uJ"] = ref
+            row["rel_err_pct"] = None if ref is None else (row["e_theor_uJ"] - ref) / ref * 100.0
 
     if args.format == "json":
         text = json.dumps([_round_tree(r, 3) for r in rows], indent=2) + "\n"
@@ -276,14 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-grid", action="store_true",
                    help="sweep exactly the (scheme, att, ll) cells of the reference table")
     p.add_argument("--compare", action="store_true",
-                   help="join the bundled reference energies and report relative error")
+                   help="join the reference energies and report relative error")
     p.add_argument("--table", default=None, metavar="PATH",
-                   help="reference table CSV (defaults to the bundled copy)")
+                   help="reference table CSV of --reference-grid and --compare "
+                        "(defaults to the bundled copy)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (defaults to stdout)")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, error=p.error)
 
     p = sub.add_parser("fit", help="recover radio currents from a reference table")
     p.add_argument("--table", default=None, metavar="PATH",
@@ -317,10 +311,10 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
+            return args.func(args)
         except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
             _print("", end="")  # flushes what argparse printed, such as the help
             return int(exc.code or 0)
-        return args.func(args)
     except PqpanError as exc:
         print(f"pqpan: error: {exc}", file=sys.stderr)
         return 3

@@ -91,16 +91,16 @@ def _bundled_cached(load):
 
 @_bundled_cached
 def load_cycle_counts(path: str | None = None) -> MappingProxyType[str, CycleCounts]:
-    """Load the cycle-count snapshot (bundled file by default), keyed by
-    upper-cased scheme name, as a read-only table: the bundled one is shared.
+    """Load the cycle-count snapshot (bundled file by default), keyed by bundled scheme
+    name, ``lookup_scheme(scheme).name``, as a read-only table: the bundled one is shared.
 
     Each row names a known scheme, once. Within a scheme family (the name
     before its last ``-``, as ML-KEM or HQC), counts must increase strictly
     with security level in each operation.
     """
     label, counts = _load_table(path, "cycles.csv", _CYCLES_COLUMNS, (str, int, int, int),
-                                lambda scheme, *ops: lookup_scheme(scheme) and CycleCounts(*ops),
-                                "{}")  # each row names a scheme of the bundled table
+                                lambda scheme, *ops: (lookup_scheme(scheme).name,
+                                                      CycleCounts(*ops)))
     leveled = sorted((key.rpartition("-")[0], lookup_scheme(key).nist_level, key)
                      for key in counts if lookup_scheme(key).nist_level is not None)
     for (family, _, lo_key), (hi_family, _, hi_key) in zip(leveled, leveled[1:]):

@@ -72,11 +72,12 @@ class KemParamSet(Value):
 
 
 class ReferenceEnergyRow(Value):
-    """One cell of the communication-energy reference table, each energy in [1e-6, 1e12]
-    uJ, a normal float in joules too; ``delta`` is (e_emp - e_theor) / e_emp."""
+    """A cell of the communication-energy reference table, its scheme by bundled name, each
+    energy in [1e-6, 1e12] uJ and a normal float in joules; delta is (e_emp - e_theor)/e_emp."""
 
     __slots__ = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uj", "e_emp_uj", "delta")
-    _checks = {**{field: LinkConfig._checks[field] for field in ("att_mtu", "ll_pdu")},
+    _checks = {"scheme": lambda _, scheme: lookup_scheme(scheme).name,
+               **{field: LinkConfig._checks[field] for field in ("att_mtu", "ll_pdu")},
                "op": partial(one_of, choices=(OP_NOTIFY_PK, OP_WRITE_CT), error=ConsistencyError),
                **dict.fromkeys(("e_theor_uj", "e_emp_uj"), partial(
                    real_in_range, lo=1e-6, hi=1e12, error=ConsistencyError))}
@@ -172,11 +173,11 @@ def _int_or_blank(text: str) -> int | None:
 
 
 def _load_table(path: str | os.PathLike | None, bundled_name: str, columns: tuple[str, ...],
-                types: tuple, build, named: str) -> tuple[str, dict]:
-    """The label of a table :func:`read_table` reads, and ``build(*fields)`` of each
-    record in file order, keyed by ``named.format(*fields)``, stripped and upper-cased. A
-    field that its type (``str``, ``int``, finite ``float``, ``_int_or_blank``) cannot
-    parse, a PqpanError from ``build`` or a repeated key is a ParseError at its line."""
+                types: tuple, build) -> tuple[str, dict]:
+    """The label of a table :func:`read_table` reads, and the table of each record in
+    file order, as ``build(*fields)`` returns its (key, value). A field that its type
+    (``str``, ``int``, finite ``float``, ``_int_or_blank``) cannot parse, a PqpanError
+    from ``build`` or a repeated key is a ParseError at its line."""
     label, records = read_table(path, bundled_name, columns)
     table, lines = {}, {}
     for i, texts in records:
@@ -190,12 +191,11 @@ def _load_table(path: str | os.PathLike | None, bundled_name: str, columns: tupl
                 raise ParseError(f"expected {'a finite number' if kind is float else 'integer'}, "
                                  f"got {text!r}", path=label, row=i, column=column) from None
         try:
-            value = build(*fields)
+            key, value = build(*fields)
         except PqpanError as exc:
             raise ParseError(str(exc), path=label, row=i) from None
-        name = named.format(*fields)
-        if (key := name.strip().upper()) in lines:
-            raise ParseError(f"{name} repeats row {lines[key]}", path=label, row=i)
+        if key in lines:
+            raise ParseError(f"{key} repeats row {lines[key]}", path=label, row=i)
         lines[key], table[key] = i, value
     return label, table
 
@@ -205,8 +205,8 @@ def load_schemes() -> MappingProxyType[str, KemParamSet]:
     """Parse the bundled scheme-size table, keyed by upper-cased name; the
     table is read-only, as every caller shares it."""
     return MappingProxyType(_load_table(None, "schemes.csv", ("name", "pk", "sk", "ct", "level"),
-                                        (str, int, int, int, _int_or_blank), KemParamSet,
-                                        "{}")[1])
+                                        (str, int, int, int, _int_or_blank),
+                                        lambda *row: (row[0].upper(), KemParamSet(*row)))[1])
 
 
 def lookup_scheme(name: str | KemParamSet) -> KemParamSet:
@@ -224,12 +224,11 @@ _TABLE_COLUMNS = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uJ", "e_emp_uJ",
                   "delta_pct")
 
 
-def _reference_row(scheme: str, *fields) -> ReferenceEnergyRow:
-    """A record's row: a bundled scheme, kept as written, and a delta that fits its energies."""
-    lookup_scheme(scheme)
-    row = ReferenceEnergyRow(scheme, *fields[:-1], fields[-1] / 100.0)
+def _reference_row(*fields) -> tuple[str, ReferenceEnergyRow]:
+    """A record's cell and row, whose delta fits its energies."""
+    row = ReferenceEnergyRow(*fields[:-1], fields[-1] / 100.0)
     if abs(row.delta - row.derived_delta()) <= DELTA_TOLERANCE:
-        return row
+        return f"cell {row.scheme},{row.att_mtu},{row.ll_pdu},{row.op}", row
     raise ConsistencyError(f"stored delta {row.delta:.4f} does not match "
                            f"(e_emp - e_theor)/e_emp = {row.derived_delta():.4f}")
 
@@ -240,11 +239,10 @@ def load_reference_table(path: str | os.PathLike | None = None) -> tuple[Referen
     ``path`` defaults to the bundled copy. Each row's stored delta is checked
     against the (theoretical, empirical) pair it was derived from; rows where
     the hardware measurement undercuts the model (negative delta) are valid.
-    Each (scheme, att_mtu, ll_pdu, op) cell occurs once.
+    Each (scheme, att_mtu, ll_pdu, op) cell occurs once, its scheme by bundled name.
     """
     label, rows = _load_table(path, "table2.csv", _TABLE_COLUMNS,
-                              (str, int, int, str, float, float, float), _reference_row,
-                              "cell {},{},{},{}")
+                              (str, int, int, str, float, float, float), _reference_row)
     if len(rows) != REFERENCE_ROW_COUNT:
         raise ConsistencyError(
             f"{label}: expected {REFERENCE_ROW_COUNT} rows, got {len(rows)}")

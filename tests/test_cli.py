@@ -488,6 +488,43 @@ def test_reference_table_cell_out_of_range_exits_3_naming_its_line(capsys, tmp_p
                    "in [23, 517], got 5\n")
 
 
+def _table_with_line(tmp_path, n, name):
+    """The bundled reference table with line ``n`` set to line 2, its scheme written ``name``."""
+    lines = resources.files("pqpan").joinpath("data/table2.csv").read_text().splitlines()
+    assert lines[1].startswith("ML-KEM-512,65,27,Notify_PK,")
+    lines[n - 1] = lines[1].replace("ML-KEM-512", name, 1)
+    table = tmp_path / "respelled.csv"
+    table.write_text("\n".join(lines) + "\n")
+    return table
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["sweep", "--reference-grid"],
+                                  ["sweep", "--reference-grid", "--compare"]])
+def test_reference_table_cell_repeated_in_another_spelling_exits_3(capsys, tmp_path, argv):
+    # Line 3 repeats line 2's cell in place of its Write_CT cell; the count is still 48.
+    table = _table_with_line(tmp_path, 3, " ml-kem-512 ")
+    code, out, err = run_cli(capsys, *argv, "--table", str(table))
+    assert code == 3 and out == ""
+    assert err == (f"pqpan: error: {table}:row 3: cell ML-KEM-512,65,27,Notify_PK "
+                   "repeats row 2\n")
+
+
+@pytest.mark.parametrize("name", [" ml-kem-512 ", "ml-kem-512"])
+@pytest.mark.parametrize("argv", [["sweep", "--reference-grid", "--compare"],
+                                  ["sweep", "--compare", "--format", "json"], ["fit"]])
+def test_reference_table_scheme_in_another_spelling_prints_as_bundled(capsys, tmp_path, argv,
+                                                                      name):
+    table = _table_with_line(tmp_path, 2, name)
+    assert run_cli(capsys, *argv, "--table", str(table)) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["--schemes", "ml-kem-512", "--format", "json"]])
+def test_sweep_table_without_a_flag_that_reads_it_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv, "--table", "/nonexistent.csv")
+    assert code == 2 and out == ""
+    assert err.endswith("pqpan sweep: error: --table needs --reference-grid or --compare\n")
+
+
 def test_config_missing_file_exits_4(capsys):
     code, _, _ = run_cli(capsys, "estimate", "--scheme", "ml-kem-512",
                          "--att-mtu", "65", "--ll-pdu", "27",

@@ -77,6 +77,8 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
     flags = {**required, **{f: v for f, v in optional.items() if draw(st.booleans())}}
+    if command == "sweep" and "--table" in flags:  # valid only with a flag that reads it
+        flags.setdefault(draw(st.sampled_from(["--reference-grid", "--compare"])), None)
     values = {f: draw(st.sampled_from(v)) for f, v in flags.items() if v is not None}
     # Generation favours the first entry, so one swap, a single bad value in
     # an otherwise valid command, is the most common case.

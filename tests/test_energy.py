@@ -265,7 +265,7 @@ def test_cycles_file_that_repeats_a_scheme_names_both_lines(tmp_path):
     path = tmp_path / "cycles.csv"
     path.write_text("scheme,keygen,encaps,decaps\nML-KEM-512,100,200,300\n\n"
                     " ml-kem-512 ,100,200,300\n")
-    with pytest.raises(ParseError, match=f"^{path}:row 4:  ml-kem-512  repeats row 2$"):
+    with pytest.raises(ParseError, match=f"^{path}:row 4: ML-KEM-512 repeats row 2$"):
         load_cycle_counts(path)
 
 

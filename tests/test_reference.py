@@ -189,6 +189,20 @@ def test_parse_error_on_a_repeated_cell(reference_rows, tmp_path):
         load_reference_table(out)
 
 
+@pytest.mark.parametrize("name", [" ml-kem-512 ", "ml-kem-512", "Ml-Kem-512"])
+def test_parse_error_on_a_cell_repeated_in_another_spelling(reference_rows, tmp_path, name):
+    # A cell's scheme is compared as lookup_scheme reads it, so a copy of row 2
+    # that respells the name is a repeat, not a 49th cell in place of row 3's.
+    out = tmp_path / "respelled.csv"
+    write_table(reference_rows, out)
+    lines = out.read_text().splitlines()
+    lines[2] = lines[1].replace("ML-KEM-512", name, 1)
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(
+            f"{out}:row 3: cell ML-KEM-512,65,27,Notify_PK repeats row 2")):
+        load_reference_table(out)
+
+
 #: An edit of one field of line 2 of a reference table, as (column, new text), and
 #: the error after ``path:row 2`` that refuses it at load. Each is a cell that the
 #: fit or the comparison sweep would refuse later, or price wrongly.
@@ -223,9 +237,10 @@ def test_reference_cell_error_is_a_parse_error_at_its_line(reference_rows, tmp_p
     ("e_theor_uj", 0.0, ConsistencyError), ("e_emp_uj", -1.0, ConsistencyError),
     ("e_emp_uj", math.nan, ConsistencyError), ("e_theor_uj", 1e300, ConsistencyError),
     ("att_mtu", 5, InvalidConfig), ("ll_pdu", 27.0, InvalidConfig),
-    ("op", "notify_pk", ConsistencyError),
+    ("op", "notify_pk", ConsistencyError), ("scheme", "FOO-1", UnknownScheme),
+    ("scheme", None, UnknownScheme),
 ], ids=["e_theor-zero", "e_emp-negative", "e_emp-nan", "e_theor-huge", "att_mtu",
-        "ll_pdu-float", "op-case"])
+        "ll_pdu-float", "op-case", "scheme-unknown", "scheme-None"])
 def test_reference_row_is_checked_when_built(reference_rows, field, value, error):
     # A library-built row meets the cell checks a loaded one does, so the fit
     # never divides by a zero energy, prices a link outside the model's ranges
@@ -237,11 +252,22 @@ def test_reference_row_is_checked_when_built(reference_rows, field, value, error
         reference_rows[0].replace(**{field: value})
 
 
-def test_reference_table_keeps_the_scheme_name_as_written(reference_rows, tmp_path):
-    out = tmp_path / "lower.csv"
-    write_table([reference_rows[0].replace(scheme="ml-kem-512"), *reference_rows[1:]], out)
-    rows = load_reference_table(out)
-    assert rows[0].scheme == "ml-kem-512" and rows[1:] == reference_rows[1:]
+@pytest.mark.parametrize("name", ["ml-kem-512", " ml-kem-512 ", lookup_scheme("ML-KEM-512")],
+                         ids=["lower", "blanks", "param-set"])
+def test_reference_row_stores_the_bundled_scheme_name(reference_rows, name):
+    fields = dict(zip(ReferenceEnergyRow._fields, reference_rows[0]._values()))
+    assert ReferenceEnergyRow(**{**fields, "scheme": name}).scheme == "ML-KEM-512"
+    assert reference_rows[0].replace(scheme=name) == reference_rows[0]
+
+
+def test_reference_table_stores_the_bundled_scheme_name(reference_rows, tmp_path):
+    out = tmp_path / "respelled.csv"
+    write_table(reference_rows, out)
+    lines = out.read_text().splitlines()
+    for name in ("ml-kem-512", " ml-kem-512 "):
+        out.write_text("\n".join([lines[0], lines[1].replace("ML-KEM-512", name, 1),
+                                   *lines[2:]]) + "\n")
+        assert load_reference_table(out) == reference_rows
 
 
 #: Path arguments of every entry point that reads a file, and values none takes.
