@@ -80,8 +80,21 @@ MUTANTS = {
     "duplicate reference cell or cycles row accepted": (
         "reference.py", "        if key in lines:\n", "        if key in ():\n"),
     "reference row keeps the scheme as written": (
-        "reference.py", '"scheme": lambda _, scheme: lookup_scheme(scheme).name,',
-        '"scheme": lambda _, scheme: scheme,'),
+        "reference.py", "    return bundled.name\n", "    return scheme\n"),
+    "reference row takes a KemParamSet as it is": (
+        "reference.py",
+        "bundled = lookup_scheme(scheme.name if isinstance(scheme, KemParamSet) else scheme)",
+        "bundled = lookup_scheme(scheme)"),
+    "reference row takes a param set unequal to the bundled one": (
+        "reference.py",
+        "if isinstance(scheme, KemParamSet) and scheme.replace(name=bundled.name) != bundled:",
+        "if False:"),
+    "cycles read at the upper-cased name": (
+        "energy.py", "InvalidProfile)).get(scheme.name)",
+        "InvalidProfile)).get(scheme.name.upper())"),
+    "fit residuals priced by the design row": (
+        "energy.py", "for r, m in zip(rows, (comm_energy(b, profile, rx) for b, rx in transfers)))",
+        "for r, m in zip(rows, (_dot(d, current) * 1e6 for d in design)))"),
     "cycles level order compared across families": (
         "energy.py", "if family == hi_family and not (", "if not ("),
     "table lines counted after the skip": (

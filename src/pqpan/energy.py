@@ -182,16 +182,16 @@ def _profile_and_gamma(profile, gamma) -> tuple[RadioProfile, CalibrationFactors
 
 def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
                      gamma: CalibrationFactors | None, cycles: Mapping[str, CycleCounts] | None):
-    """(scheme, profile, gamma, the scheme's cycle counts), with defaults filled in;
-    UnsupportedScheme for a scheme without a handshake energy model."""
+    """(scheme, profile, gamma, the cycle counts at ``scheme.name``), with defaults filled
+    in; UnsupportedScheme for a scheme without a handshake energy model or counts."""
     scheme = lookup_scheme(scheme)
     profile, gamma = _profile_and_gamma(profile, gamma)
     if scheme.nist_level is None:
         raise UnsupportedScheme(f"{scheme.name} has no handshake energy model")
     counts = (load_cycle_counts() if cycles is None
-              else of_type("cycles", cycles, Mapping, InvalidProfile)).get(scheme.name.upper())
+              else of_type("cycles", cycles, Mapping, InvalidProfile)).get(scheme.name)
     if counts is None:
-        raise UnsupportedScheme(f"no cycle counts for {scheme.name}")
+        raise UnsupportedScheme(f"no cycle counts at key {scheme.name!r}")
     return scheme, profile, gamma, of_type("cycles entry", counts, CycleCounts, InvalidProfile)
 
 
@@ -301,19 +301,6 @@ _FIT_LINK = LinkConfig(att_mtu=ATT_MTU_MIN, ll_pdu=LL_PDU_MIN)
 _PIVOTS_PER_COLUMN = 50
 
 
-def _design_matrix(rows) -> list[list[float]]:
-    voltage = FITTED_RADIO_PROFILE.voltage
-    design = []
-    for row in rows:
-        artifact, as_receiver = {op: (size, rx) for op, size, rx
-                                 in lookup_scheme(row.scheme).transfers()}[row.op]
-        cfg = _FIT_LINK.replace(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu)
-        # Columns multiply (i_tx, i_rx, i_ifs).
-        times = radio_state_times(airtime(artifact, cfg), as_receiver)
-        design.append([voltage * t for t in times])
-    return design
-
-
 def _dot(a, b) -> float:
     return math.fsum(x * y for x, y in zip(a, b))
 
@@ -396,7 +383,8 @@ def fit_radio_currents(rows) -> FitResult:
     residual of ``E = V * (i_tx*t_tx + i_rx*t_rx + i_ifs*t_ifs)``, with the
     least total current among those that reach it (:func:`_chebyshev_polish`).
     The fitted ``i_ifs`` belongs to the link's IFS accounting, which the
-    report records.
+    report records. Each residual prices its row with :func:`comm_energy` under
+    the returned profile, as the model does once that profile is loaded.
 
     The voltage and the MCU fields, which the fit cannot observe, are
     ``FITTED_RADIO_PROFILE``'s.
@@ -405,19 +393,23 @@ def fit_radio_currents(rows) -> FitResult:
                  for row in of_type("rows", rows, Iterable, ConsistencyError))
     if len(rows) < 3:
         raise SingularSystem(f"need at least 3 rows, got {len(rows)}")
-    target = [r.e_theor_uj * 1e-6 for r in rows]
-    design = _design_matrix(rows)
+    # Each row's sender-side time budget, and whether the peripheral receives it.
+    transfers = [(airtime(size, _FIT_LINK.replace(att_mtu=r.att_mtu, ll_pdu=r.ll_pdu)), rx)
+                 for r in rows for op, size, rx in lookup_scheme(r.scheme).transfers()
+                 if op == r.op]
+    # Columns multiply (i_tx, i_rx, i_ifs).
+    design = [[FITTED_RADIO_PROFILE.voltage * t for t in radio_state_times(*transfer)]
+              for transfer in transfers]
     _require_full_rank(design)
-    current = _chebyshev_polish(design, target)
-    modeled = [_dot(d, current) for d in design]
-    residuals = tuple(
-        FitRowResidual(scheme=r.scheme, att_mtu=r.att_mtu, ll_pdu=r.ll_pdu, op=r.op,
-                       reference_uj=r.e_theor_uj, modeled_uj=m * 1e6, rel_err=m / t - 1.0)
-        for r, m, t in zip(rows, modeled, target))
-    errors = [abs(r.rel_err) for r in residuals]
+    current = _chebyshev_polish(design, [r.e_theor_uj * 1e-6 for r in rows])
     # RadioProfile requires currents of at least CURRENT_MIN; a table whose
     # gaps cost nothing fits i_ifs to zero.
     profile = FITTED_RADIO_PROFILE.replace(i_tx=current[0], i_rx=current[1],
                                            i_ifs=max(current[2], CURRENT_MIN))
+    residuals = tuple(
+        FitRowResidual(scheme=r.scheme, att_mtu=r.att_mtu, ll_pdu=r.ll_pdu, op=r.op,
+                       reference_uj=r.e_theor_uj, modeled_uj=m, rel_err=m / r.e_theor_uj - 1.0)
+        for r, m in zip(rows, (comm_energy(b, profile, rx) for b, rx in transfers)))
+    errors = [abs(r.rel_err) for r in residuals]
     return FitResult(profile=profile, residuals=residuals, max_abs_rel_err=max(errors),
                      mean_abs_rel_err=math.fsum(errors) / len(errors))

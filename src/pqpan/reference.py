@@ -71,12 +71,20 @@ class KemParamSet(Value):
         return ((OP_NOTIFY_PK, self.pk_size, False), (OP_WRITE_CT, self.ct_size, True))
 
 
+def _bundled_name(name: str, scheme: str | KemParamSet) -> str:
+    """A check: a bundled scheme's name, from its name or a KemParamSet of its name and fields."""
+    bundled = lookup_scheme(scheme.name if isinstance(scheme, KemParamSet) else scheme)
+    if isinstance(scheme, KemParamSet) and scheme.replace(name=bundled.name) != bundled:
+        raise UnknownScheme(f"{name} {scheme!r} is not the bundled {bundled!r}")
+    return bundled.name
+
+
 class ReferenceEnergyRow(Value):
-    """A cell of the communication-energy reference table, its scheme by bundled name, each
+    """A cell of the communication-energy reference table, its scheme a bundled one by name, each
     energy in [1e-6, 1e12] uJ and a normal float in joules; delta is (e_emp - e_theor)/e_emp."""
 
     __slots__ = ("scheme", "att_mtu", "ll_pdu", "op", "e_theor_uj", "e_emp_uj", "delta")
-    _checks = {"scheme": lambda _, scheme: lookup_scheme(scheme).name,
+    _checks = {"scheme": _bundled_name,
                **{field: LinkConfig._checks[field] for field in ("att_mtu", "ll_pdu")},
                "op": partial(one_of, choices=(OP_NOTIFY_PK, OP_WRITE_CT), error=ConsistencyError),
                **dict.fromkeys(("e_theor_uj", "e_emp_uj"), partial(

@@ -10,9 +10,8 @@ from pqpan import (CalibrationFactors, CycleCounts, ECDH_PAIRING_UJ, FITTED_RADI
                    airtime, default_calibration, fit_radio_currents, load_config,
                    load_cycle_counts, load_schemes, lookup_scheme, pqke_total, session_energy)
 from pqpan import energy
-from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _design_matrix, _dot,
-                          _require_full_rank, comm_energy, comp_energy, handshake_inputs,
-                          transfer_energy)
+from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _dot, _require_full_rank, comm_energy,
+                          comp_energy, handshake_inputs, radio_state_times, transfer_energy)
 from pqpan.link import ARTIFACT_MAX
 from pqpan.reference import ReferenceEnergyRow
 
@@ -293,6 +292,22 @@ def test_cycles_file_levels_are_ordered_within_each_family(tmp_path):
         load_cycle_counts(str(path))
 
 
+def test_custom_scheme_is_priced_under_cycles_keyed_by_its_name():
+    # A cycles mapping is read at scheme.name, the key load_cycle_counts writes.
+    custom = KemParamSet("my-kem", 800, 1632, 768, 1)  # ML-KEM-512's sizes, another name
+    counts = load_cycle_counts()["ML-KEM-512"]
+    cfg = LinkConfig(att_mtu=65, ll_pdu=27)
+    assert pqke_total(custom, cfg, cycles={"my-kem": counts}) == pqke_total("ML-KEM-512", cfg)
+    with pytest.raises(UnsupportedScheme, match="no cycle counts at key 'my-kem'"):
+        pqke_total(custom, cfg, cycles={"MY-KEM": counts})
+
+
+def test_cycles_mapping_keyed_in_another_case_names_the_key_it_lacks():
+    cycles = {name.lower(): counts for name, counts in load_cycle_counts().items()}
+    with pytest.raises(UnsupportedScheme, match="^no cycle counts at key 'ML-KEM-512'$"):
+        pqke_total("ml-kem-512", LinkConfig(att_mtu=65, ll_pdu=27), cycles=cycles)
+
+
 # Current fit
 
 def test_fit_on_reference_table(fit_result):
@@ -300,6 +315,44 @@ def test_fit_on_reference_table(fit_result):
     assert len(fit_result.residuals) == 48
     # The report records the link's own IFS accounting, the one i_ifs belongs to.
     assert fit_result.as_dict()["ifs_slots"] == LinkConfig(att_mtu=65, ll_pdu=27).ifs_slots == 2
+
+
+def _transfers(rows):
+    """Each reference row's sender-side time budget, and whether the peripheral receives it."""
+    for row in rows:
+        scheme = lookup_scheme(row.scheme)
+        size, as_receiver = {"Notify_PK": (scheme.pk_size, False),
+                             "Write_CT": (scheme.ct_size, True)}[row.op]
+        yield airtime(size, LinkConfig(att_mtu=row.att_mtu, ll_pdu=row.ll_pdu)), as_receiver
+
+
+def _priced_residuals(rows, result):
+    """Each (residual, the model's comm_energy of its row under the reported profile)."""
+    for residual, (budget, as_receiver) in zip(result.residuals, _transfers(rows), strict=True):
+        yield residual, comm_energy(budget, result.profile, as_receiver)
+
+
+def test_fit_residuals_are_the_model_priced_under_the_reported_profile(reference_rows,
+                                                                       fit_result):
+    # One formula: a report loaded with --config prices each row as its residual shows.
+    for residual, modeled in _priced_residuals(reference_rows, fit_result):
+        assert residual.modeled_uj == modeled
+        assert residual.rel_err == modeled / residual.reference_uj - 1.0
+    assert fit_result.max_abs_rel_err == max(abs(r.rel_err) for r in fit_result.residuals)
+
+
+def test_fit_of_a_table_whose_gaps_cost_nothing_prices_the_reported_i_ifs(reference_rows):
+    # The fit's i_ifs rounds to about 4e-15 here; the profile holds CURRENT_MIN,
+    # and so does every residual.
+    rows = []
+    for row, transfer in zip(reference_rows, _transfers(reference_rows)):
+        t_tx, t_rx, _ = radio_state_times(*transfer)
+        e = 3.0 * (6e-3 * t_tx + 5e-3 * t_rx) * 1e6
+        rows.append(row.replace(e_theor_uj=e, e_emp_uj=e, delta=0.0))
+    result = fit_radio_currents(rows)
+    assert result.profile.i_ifs == energy.CURRENT_MIN
+    for residual, modeled in _priced_residuals(rows, result):
+        assert residual.modeled_uj == modeled
 
 
 def test_fit_matches_shipped_defaults(fit_result):
@@ -459,9 +512,12 @@ def test_fit_without_ifs_term_is_strictly_worse(reference_rows):
         x = _chebyshev_polish(design, target)
         return max(abs(_dot(d, x) / t - 1.0) for d, t in zip(design, target))
 
-    with_ifs = _design_matrix(reference_rows)
+    with_ifs = [[FITTED_RADIO_PROFILE.voltage * t for t in radio_state_times(*transfer)]
+                for transfer in _transfers(reference_rows)]
     without = [row[:2] for row in with_ifs]
-    assert worst(with_ifs) == fit_radio_currents(reference_rows).max_abs_rel_err
+    # The report prices its residuals with comm_energy, which rounds another way.
+    assert worst(with_ifs) == pytest.approx(fit_radio_currents(reference_rows).max_abs_rel_err,
+                                            rel=1e-12)
     assert worst(without) > worst(with_ifs)
 
 

@@ -239,8 +239,12 @@ def test_reference_cell_error_is_a_parse_error_at_its_line(reference_rows, tmp_p
     ("att_mtu", 5, InvalidConfig), ("ll_pdu", 27.0, InvalidConfig),
     ("op", "notify_pk", ConsistencyError), ("scheme", "FOO-1", UnknownScheme),
     ("scheme", None, UnknownScheme),
+    ("scheme", KemParamSet("my-kem", 800, 1632, 768, 1), UnknownScheme),
+    ("scheme", KemParamSet("ML-KEM-512", 800, 1632, 768, 3), UnknownScheme),
+    ("scheme", KemParamSet("ML-KEM-512", 801, 1632, 768, 1), UnknownScheme),
 ], ids=["e_theor-zero", "e_emp-negative", "e_emp-nan", "e_theor-huge", "att_mtu",
-        "ll_pdu-float", "op-case", "scheme-unknown", "scheme-None"])
+        "ll_pdu-float", "op-case", "scheme-unknown", "scheme-None", "scheme-custom-param-set",
+        "scheme-param-set-other-level", "scheme-param-set-other-size"])
 def test_reference_row_is_checked_when_built(reference_rows, field, value, error):
     # A library-built row meets the cell checks a loaded one does, so the fit
     # never divides by a zero energy, prices a link outside the model's ranges
@@ -252,8 +256,11 @@ def test_reference_row_is_checked_when_built(reference_rows, field, value, error
         reference_rows[0].replace(**{field: value})
 
 
-@pytest.mark.parametrize("name", ["ml-kem-512", " ml-kem-512 ", lookup_scheme("ML-KEM-512")],
-                         ids=["lower", "blanks", "param-set"])
+@pytest.mark.parametrize("name", ["ml-kem-512", " ml-kem-512 ", lookup_scheme("ML-KEM-512"),
+                                  KemParamSet("ML-KEM-512", 800, 1632, 768, 1),
+                                  KemParamSet("ml-kem-512", 800, 1632, 768, 1)],
+                         ids=["lower", "blanks", "param-set", "equal-param-set",
+                              "equal-param-set-lower"])
 def test_reference_row_stores_the_bundled_scheme_name(reference_rows, name):
     fields = dict(zip(ReferenceEnergyRow._fields, reference_rows[0]._values()))
     assert ReferenceEnergyRow(**{**fields, "scheme": name}).scheme == "ML-KEM-512"

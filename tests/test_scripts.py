@@ -36,9 +36,68 @@ def test_mutant_table_matches_source():
     assert mutants.TABLE_TEST == "tests/test_scripts.py::test_mutant_table_matches_source"
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "pqpan").glob("*.py")}
-    assert len(mutants.MUTANTS) == 48
+    assert len(mutants.MUTANTS) == 52
     for name, (file, old, new) in mutants.MUTANTS.items():
         assert old != new, name
         assert sources[file].count(old) == 1, name
         assert sum(text.count(old) for text in sources.values()) == 1, name
         compile(sources[file].replace(old, new), file, "exec")
+
+
+def _chunking_domain():
+    spec = importlib.util.spec_from_file_location("chunking_domain",
+                                                  ROOT / "scripts" / "chunking_domain.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_chunking_domain_check_passes_on_the_two_smallest_att_mtus():
+    # The whole domain runs in CI; tier-1 checks att_mtu 23 and 24 with every ll_pdu.
+    domain = _chunking_domain()
+    sizes = mismatches = 0
+    for att_mtu in (23, 24):
+        for ll_pdu in range(domain.LL_PDU_MIN, domain.LL_PDU_MAX + 1):
+            checked, bad = domain.pair_mismatches(att_mtu, ll_pdu)
+            sizes, mismatches = sizes + checked, mismatches + len(bad)
+    assert (sizes, mismatches) == (18450, 0)
+
+
+def test_chunking_domain_check_sees_a_count_off_by_one(monkeypatch):
+    domain = _chunking_domain()
+    real = domain.plan_counts
+    monkeypatch.setattr(domain, "plan_counts", lambda size, cfg: real(size + (size == 40), cfg))
+    checked, bad = domain.pair_mismatches(23, 27)
+    assert checked == 40
+    # Two SDUs of 20 value bytes, each 27 B in one frame; the model counts 41 bytes.
+    assert bad == ["att_mtu=23 ll_pdu=27 size=40: model ((3, 3), TimeBudget(t_tx=0.000592, "
+                   "t_rx=0.00016, t_ifs=0.0006)), byte stream ((2, 2), TimeBudget("
+                   "t_tx=0.000592, t_rx=0.00016, t_ifs=0.0006))"]
+
+
+def test_chunking_domain_check_sees_a_budget_off_by_one_byte(monkeypatch):
+    domain = _chunking_domain()
+    real = domain.airtime
+    monkeypatch.setattr(domain, "airtime", lambda size, cfg: real(size + (size == 40), cfg))
+    _, bad = domain.pair_mismatches(23, 27)
+    # The budget of 41 bytes: a third SDU of one value byte and 7 B of headers, in a
+    # frame of its own, puts 18 B more data and 10 B more acks on air.
+    assert bad == ["att_mtu=23 ll_pdu=27 size=40: model ((2, 2), TimeBudget(t_tx=0.000736, "
+                   "t_rx=0.00024, t_ifs=0.0009)), byte stream ((2, 2), TimeBudget("
+                   "t_tx=0.000592, t_rx=0.00016, t_ifs=0.0006))"]
+
+
+def test_chunking_domain_check_sees_a_stream_that_does_not_step(monkeypatch):
+    # An empty frame added past 23 bytes breaks the stream's one-full-SDU step, and
+    # the step is reported on its own line beside the count mismatches.
+    domain = _chunking_domain()
+    real = domain.stream
+
+    def shifted(max_size, att_mtu, ll_pdu):
+        for size, (n_att, frames) in enumerate(real(max_size, att_mtu, ll_pdu), start=1):
+            yield n_att, frames + [0] * (size > att_mtu)
+
+    monkeypatch.setattr(domain, "stream", shifted)
+    _, bad = domain.pair_mismatches(23, 27)
+    assert "att_mtu=23 ll_pdu=27 size=24: byte stream (2, 3, 68, 30), not one full SDU " \
+        "past size 4, (2, 2, 58, 20)" in bad
