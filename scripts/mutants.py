@@ -110,10 +110,25 @@ MUTANTS = {
         'json.loads(text, object_pairs_hook=lambda pairs: _once(pairs, f"{path}: key"))',
         "json.loads(text)"),
     "trace clock additions fused": (
-        "sim.py", "t += air\n            t += gap", "t += air + gap"),
+        "sim.py", "clock += air\n                clock += gap", "clock += air + gap"),
+    "record time additions fused": (
+        "sim.py", "t += air\n                t += gap", "t += air + gap"),
+    "JSONL time additions fused": (
+        "sim.py", "t += air\n                    t += gap", "t += air + gap"),
+    "JSONL non-finite times formatted by repr": (
+        "sim.py", "isfinite(part.clock * 1e6)\n                      else json.dumps)",
+        "isfinite(part.clock * 1e6)\n                      else repr)"),
     "JSONL tail shared across sender roles": (
-        "sim.py", "[tail(*step[:4], op_json) for step in steps]",
-        "[tail(part.last[0][0], *step[1:4], op_json) for step in steps]"),
+        "sim.py", "[(tail(*step[:4], op_json), step[4], step[5]) for step in steps]",
+        "[(tail(part.last[0][0], *step[1:4], op_json), step[4], step[5]) for step in steps]"),
+    "run-length count one full block short": (
+        "sim.py", "return (self.n_full * sum(", "return ((self.n_full - 1) * sum("),
+    "stub decapsulation hashes all of sk": (
+        "kem.py", 'head = _shake(b"pqpan-stub-pk", sk[:_HEAD],',
+        'head = _shake(b"pqpan-stub-pk", sk,'),
+    "stub encapsulation binds ss to all of pk": (
+        "kem.py", 'ss = _shake(b"pqpan-stub-ss", pk[:_HEAD] + ct,',
+        'ss = _shake(b"pqpan-stub-ss", pk + ct,'),
     "trace frame counts ignore the op": (
         "sim.py", "for part in self._parts if op is None or part.op == op)",
         "for part in self._parts)"),

@@ -23,6 +23,7 @@ from .reference import KemParamSet, lookup_scheme
 
 SEED_BYTES = 32
 SHARED_SECRET_BYTES = 32
+_HEAD = 32  # bytes of a key that the stub's later steps absorb
 
 #: Context label mixed into session-key derivation.
 SESSION_KEY_CONTEXT = b"pqke-ble-v1"
@@ -54,12 +55,14 @@ def _sized(value: bytes, what: str, size: int) -> bytes:
 
 
 class StubBackend:
-    """Deterministic size-exact mock KEM.
-
-    Construction: sk expands from the seed, pk expands from sk, the
-    ciphertext expands from (pk, encapsulation seed), and the shared secret
-    hashes (pk, ct). Both parties can recompute the secret from public
-    material plus their own keys, which gives the roundtrip property.
+    """Deterministic size-exact mock KEM. With ``H(x, n)`` the first ``n`` bytes
+    of SHAKE-256 over ``x``: ``sk = H("pqpan-stub-sk" || seed, sk_size)``, ``pk =
+    H("pqpan-stub-pk" || sk[:32], pk_size)``, ``ct = H("pqpan-stub-ct" || pk[:32]
+    || seed, ct_size)`` and ``ss = H("pqpan-stub-ss" || pk[:32] || ct, 32)``. So
+    each step absorbs a 32-byte head of a key, not the whole key, and ``ss`` all
+    of ``ct``. Decapsulation squeezes ``H("pqpan-stub-pk" || sk[:32], min(32,
+    pk_size))``: a SHAKE output is a prefix of every longer output of the same
+    input, so that is ``pk[:32]``, for any ``pk_size``, and the roundtrip holds.
     """
 
     def sk_size(self, scheme: KemParamSet) -> int:
@@ -67,17 +70,17 @@ class StubBackend:
 
     def keygen(self, scheme: KemParamSet, seed: bytes) -> KemKeyPair:
         sk = _shake(b"pqpan-stub-sk", seed, scheme.sk_size)
-        pk = _shake(b"pqpan-stub-pk", sk, scheme.pk_size)
+        pk = _shake(b"pqpan-stub-pk", sk[:_HEAD], scheme.pk_size)
         return KemKeyPair(pk=pk, sk=sk, scheme=scheme)
 
     def encapsulate(self, pk: bytes, scheme: KemParamSet, seed: bytes) -> Encapsulation:
-        ct = _shake(b"pqpan-stub-ct", pk + seed, scheme.ct_size)
-        ss = _shake(b"pqpan-stub-ss", pk + ct, SHARED_SECRET_BYTES)
+        ct = _shake(b"pqpan-stub-ct", pk[:_HEAD] + seed, scheme.ct_size)
+        ss = _shake(b"pqpan-stub-ss", pk[:_HEAD] + ct, SHARED_SECRET_BYTES)
         return Encapsulation(ct=ct, ss=ss)
 
     def decapsulate(self, sk: bytes, ct: bytes, scheme: KemParamSet) -> bytes:
-        pk = _shake(b"pqpan-stub-pk", sk, scheme.pk_size)
-        return _shake(b"pqpan-stub-ss", pk + ct, SHARED_SECRET_BYTES)
+        head = _shake(b"pqpan-stub-pk", sk[:_HEAD], min(_HEAD, scheme.pk_size))
+        return _shake(b"pqpan-stub-ss", head + ct, SHARED_SECRET_BYTES)
 
 
 class RealBackend:
@@ -188,4 +191,4 @@ def decapsulate(sk: bytes, ct: bytes, scheme: KemParamSet | str, backend=None) -
 def derive_session_key(ss: bytes) -> SessionKey:
     """Derive the session key from a shared secret via a keyed hash."""
     _sized(ss, "shared secret", SHARED_SECRET_BYTES)
-    return SessionKey(key=hmac.new(ss, SESSION_KEY_CONTEXT, hashlib.sha256).digest())
+    return SessionKey(key=hmac.digest(ss, SESSION_KEY_CONTEXT, "sha256"))

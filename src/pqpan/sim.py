@@ -30,7 +30,6 @@ import hashlib
 import json
 from collections.abc import Mapping
 from functools import cached_property, partial
-from itertools import chain, repeat
 from math import isfinite
 
 from . import kem
@@ -75,11 +74,6 @@ class TraceRecord(Value):
                 "op": self.op, "is_ack": self.is_ack}
 
 
-def _expand(full, n_full: int, last):
-    """The items of ``full`` ``n_full`` times over, then those of ``last``."""
-    return chain(chain.from_iterable(repeat(full, n_full)), last)
-
-
 class _Transfer(Value):
     """One transfer's frames, run-length encoded: the steps of ``full`` repeat
     ``n_full`` times, then the steps of ``last`` follow. A step is one frame,
@@ -96,31 +90,28 @@ class _Transfer(Value):
         set_field(self, "full", full)
         set_field(self, "n_full", n_full)
         set_field(self, "last", last)
-        for clock in self.times():
-            pass
+        clock = start
+        for block in (full,) * n_full + (last,):
+            for _, _, _, _, air, gap in block:
+                clock += air
+                clock += gap
         set_field(self, "clock", clock)
 
     def __reduce__(self):  # clock is not an argument: __init__ computes it
         return _Transfer, (self.op, self.start, self.full, self.n_full, self.last)
 
-    def steps(self):
-        return _expand(self.full, self.n_full, self.last)
-
-    def times(self):
-        """Each frame's start time, then the clock after the last frame: each
-        frame advances the clock by its airtime, then by its gap."""
-        t = self.start
-        for _, _, _, _, air, gap in self.steps():
-            yield t
-            t += air
-            t += gap
-        yield t
-
     def count(self, is_ack: bool) -> int:
-        return sum(step[3] == is_ack for step in self.steps())
+        return (self.n_full * sum(step[3] == is_ack for step in self.full)
+                + sum(step[3] == is_ack for step in self.last))
 
     def records(self) -> list[TraceRecord]:
-        return [TraceRecord(t, *step[:4], self.op) for t, step in zip(self.times(), self.steps())]
+        records, t, op = [], self.start, self.op
+        for block in (self.full,) * self.n_full + (self.last,):
+            for sender, payload, overhead, is_ack, air, gap in block:
+                records.append(TraceRecord(t, sender, payload, overhead, is_ack, op))
+                t += air
+                t += gap
+        return records
 
 
 class FrameTrace(Value):
@@ -141,7 +132,7 @@ class FrameTrace(Value):
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """Every frame as a :class:`TraceRecord`, built on the first read."""
-        return tuple(chain.from_iterable(part.records() for part in self._parts))
+        return tuple(record for part in self._parts for record in part.records())
 
     def __add__(self, other: FrameTrace) -> FrameTrace:
         if not isinstance(other, FrameTrace):
@@ -162,8 +153,9 @@ class FrameTrace(Value):
 
         Lines are formatted directly, byte for byte as ``json.dumps`` would:
         finite floats with ``repr``, ints as they are, and each transfer's op
-        string through ``json.dumps`` once. All of a line but its time is
-        formatted once per step of a block.
+        string through ``json.dumps`` once; the rest of a line once per step of
+        a block. Times lie between their transfer's start and clock, so all are
+        finite in µs when both ends are.
         """
         def tail(sender, payload_bytes, overhead_bytes, is_ack, op_json):
             direction = '"p->c"' if sender is Role.PERIPHERAL else '"c->p"'
@@ -174,11 +166,16 @@ class FrameTrace(Value):
         lines = []
         for part in self._parts:
             op_json = json.dumps(part.op)
-            full, last = ([tail(*step[:4], op_json) for step in steps]
+            full, last = ([(tail(*step[:4], op_json), step[4], step[5]) for step in steps]
                           for steps in (part.full, part.last))
-            for t, line in zip(part.times(), _expand(full, part.n_full, last)):
-                u = t * 1e6
-                lines.append(f'{{"time_us": {repr(u) if isfinite(u) else json.dumps(u)}{line}')
+            number = (repr if isfinite(part.start * 1e6) and isfinite(part.clock * 1e6)
+                      else json.dumps)
+            t = part.start
+            for block in (full,) * part.n_full + (last,):
+                for line, air, gap in block:
+                    lines.append(f'{{"time_us": {number(t * 1e6)}{line}')
+                    t += air
+                    t += gap
         return "\n".join(lines) + "\n"
 
 
@@ -244,8 +241,8 @@ def run_handshake(scheme: KemParamSet | str, cfg: LinkConfig,
                   gamma: CalibrationFactors | None = None,
                   cycles: Mapping[str, CycleCounts] | None = None,
                   seed: int | bytes = 0, backend: str = "stub") -> HandshakeResult:
-    """Run the full handshake; all randomness is fixed by ``seed``: ``bytes``,
-    or an integer in [SEED_MIN, SEED_MAX].
+    """Run the full handshake; ``seed`` (``bytes``, or an integer in [SEED_MIN,
+    SEED_MAX]) fixes the stub's key bytes, not the ``real`` backend's encapsulation.
 
     Returns both party states (Established), the timestamped frame trace, and
     the per-party energy ledger. The peripheral's ledger is

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqpan import (KemKeyPair, SizeMismatch, UnknownScheme, UnsupportedScheme, decapsulate,
-                   derive_session_key, encapsulate, get_backend, keygen, lookup_scheme)
+from pqpan import (KemKeyPair, KemParamSet, SizeMismatch, UnknownScheme, UnsupportedScheme,
+                   decapsulate, derive_session_key, encapsulate, get_backend, keygen,
+                   load_schemes, lookup_scheme)
 from pqpan.kem import SHARED_SECRET_BYTES, StubBackend
 
-MLKEM = ["ML-KEM-512", "ML-KEM-768", "ML-KEM-1024"]
+#: Every bundled scheme, HQC's keys with a secret key shorter than the public key, and
+#: param sets with keys shorter than the 32-byte heads that the stub absorbs.
+SCHEMES = [*load_schemes().values(),
+           KemParamSet("TINY", pk_size=1, sk_size=1, ct_size=1),
+           KemParamSet("SHORT", pk_size=31, sk_size=17, ct_size=33),
+           KemParamSet("HEAD", pk_size=32, sk_size=32, ct_size=32)]
+NAMES = [scheme.name for scheme in SCHEMES]
 
 seeds = st.binary(min_size=32, max_size=32)
 
@@ -19,9 +26,8 @@ def seed(n: int) -> bytes:
     return hashlib.shake_256(n.to_bytes(4, "big")).digest(32)
 
 
-@pytest.mark.parametrize("name", MLKEM)
-def test_stub_artifact_sizes(name):
-    scheme = lookup_scheme(name)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=NAMES)
+def test_stub_artifact_sizes(scheme):
     pair = keygen(scheme, seed(1))
     assert len(pair.pk) == scheme.pk_size
     assert len(pair.sk) == scheme.sk_size
@@ -30,26 +36,54 @@ def test_stub_artifact_sizes(name):
     assert len(enc.ss) == 32
 
 
-def test_stub_keygen_deterministic():
-    a = keygen("ml-kem-512", seed(3))
-    b = keygen("ml-kem-512", seed(3))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=NAMES)
+def test_stub_keygen_deterministic(scheme):
+    a = keygen(scheme, seed(3))
+    b = keygen(scheme, seed(3))
     assert (a.pk, a.sk) == (b.pk, b.sk)
-    c = keygen("ml-kem-512", seed(4))
+    c = keygen(scheme, seed(4))
     assert c.pk != a.pk
 
 
-def test_stub_encapsulation_reproducible():
-    pair = keygen("ml-kem-768", seed(5))
-    e1 = encapsulate(pair.pk, "ml-kem-768", seed(6))
-    e2 = encapsulate(pair.pk, "ml-kem-768", seed(6))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=NAMES)
+def test_stub_encapsulation_reproducible(scheme):
+    pair = keygen(scheme, seed(5))
+    e1 = encapsulate(pair.pk, scheme, seed(6))
+    e2 = encapsulate(pair.pk, scheme, seed(6))
     assert (e1.ct, e1.ss) == (e2.ct, e2.ss)
+    assert encapsulate(pair.pk, scheme, seed(7)).ss != e1.ss
 
 
-@pytest.mark.parametrize("name", MLKEM)
-def test_roundtrip(name):
-    pair = keygen(name, seed(7))
-    enc = encapsulate(pair.pk, name, seed(8))
-    assert decapsulate(pair.sk, enc.ct, name) == enc.ss
+@pytest.mark.parametrize("scheme", SCHEMES, ids=NAMES)
+def test_roundtrip(scheme):
+    pair = keygen(scheme, seed(7))
+    enc = encapsulate(pair.pk, scheme, seed(8))
+    assert decapsulate(pair.sk, enc.ct, scheme) == enc.ss
+
+
+def test_stub_known_answer():
+    # The construction of StubBackend's docstring, written out with hashlib.
+    def shake(label, data, n):
+        return hashlib.shake_256(label + data).digest(n)
+
+    pair = keygen("ml-kem-512", seed(20))
+    enc = encapsulate(pair.pk, "ml-kem-512", seed(21))
+    sk = shake(b"pqpan-stub-sk", seed(20), 1632)
+    pk = shake(b"pqpan-stub-pk", sk[:32], 800)
+    ct = shake(b"pqpan-stub-ct", pk[:32] + seed(21), 768)
+    ss = shake(b"pqpan-stub-ss", pk[:32] + ct, 32)
+    assert (pair.pk, pair.sk, enc.ct, enc.ss) == (pk, sk, ct, ss)
+    assert hashlib.sha256(pk + sk + ct + ss).hexdigest() == (
+        "5d8294c9ec041a5c700be4382a8499e2526a364056b0dd564a73d9e1e6795b72")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=NAMES)
+def test_stub_secret_depends_on_the_last_ciphertext_byte(scheme):
+    pair = keygen(scheme, seed(22))
+    ct = bytearray(encapsulate(pair.pk, scheme, seed(23)).ct)
+    before = decapsulate(pair.sk, ct, scheme)
+    ct[-1] ^= 1
+    assert decapsulate(pair.sk, ct, scheme) != before
 
 
 @given(seeds, seeds)

@@ -74,6 +74,20 @@ def test_trace_records_follow_the_oracle_frames(scheme, att, ll, payload):
                    for d, a in zip(data, acks))
 
 
+@given(st.sampled_from(["ml-kem-512", "ml-kem-768", "ml-kem-1024"]),
+       st.integers(min_value=23, max_value=517), st.integers(min_value=27, max_value=251),
+       st.integers(min_value=0, max_value=4096))
+@settings(max_examples=40, deadline=None)
+def test_frame_counts_equal_the_records_they_count(scheme, att, ll, payload):
+    # The counts read the run-length form; the records walk it frame by frame.
+    r = run_handshake(scheme, LinkConfig(att_mtu=att, ll_pdu=ll))
+    trace = r.trace + send_secured_payload(r, bytes(payload))[0]
+    for op in (None, "Notify_PK", "Write_CT", OP_PAYLOAD):
+        records = [rec for rec in trace.records if op is None or rec.op == op]
+        assert trace.data_frame_count(op) == sum(not rec.is_ack for rec in records)
+        assert trace.ack_count(op) == sum(rec.is_ack for rec in records)
+
+
 def test_replay_determinism():
     a = run_handshake("ml-kem-768", CFG_DEFAULT, seed=7)
     b = run_handshake("ml-kem-768", CFG_DEFAULT, seed=7)
