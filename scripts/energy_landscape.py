@@ -11,6 +11,7 @@ Usage: python scripts/energy_landscape.py [--payload BYTES]
 
 import argparse
 import csv
+import os
 import sys
 
 from pqpan import ECDH_PAIRING_UJ, LinkConfig, pqke_total, session_energy
@@ -21,13 +22,9 @@ GRID = [(65, 27), (65, 69), (104, 27), (104, 108),
 DLE_FOR_ATT = {65: 69, 104: 108, 204: 208, 404: 251}
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--payload", type=int, default=1024,
-                        help="payload size for the session summary (bytes)")
-    args = parser.parse_args()
-
-    writer = csv.writer(sys.stdout)
+def write_grid(out) -> None:
+    """The grid CSV, one row per (scheme, att_mtu, ll_pdu) cell, to ``out``."""
+    writer = csv.writer(out)
     writer.writerow(["scheme", "att_mtu", "ll_pdu", "total_uJ", "comp_uJ",
                      "comm_uJ", "comm_share", "dle_savings_pct", "vs_ecdh"])
     for scheme in SCHEMES:
@@ -43,6 +40,25 @@ def main() -> int:
             writer.writerow([scheme, att, ll, f"{bd.e_total:.2f}", f"{comp:.2f}",
                              f"{comm:.2f}", f"{bd.comm_share:.3f}", savings,
                              f"{bd.e_total / ECDH_PAIRING_UJ:.2f}x"])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--payload", type=int, default=1024,
+                        help="payload size for the session summary (bytes)")
+    args = parser.parse_args()
+
+    try:
+        write_grid(sys.stdout)
+        sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader of stdout has gone, as `head` does after its lines: end
+        # quietly, as `pqpan` does; the flush at exit then writes what is still
+        # buffered to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
     print(file=sys.stderr)
     print(f"session totals for a {args.payload} B payload "

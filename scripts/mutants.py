@@ -109,18 +109,21 @@ MUTANTS = {
         "config.py",
         'json.loads(text, object_pairs_hook=lambda pairs: _once(pairs, f"{path}: key"))',
         "json.loads(text)"),
-    "trace clock additions fused": (
-        "sim.py", "clock += air\n                clock += gap", "clock += air + gap"),
-    "record time additions fused": (
-        "sim.py", "t += air\n                t += gap", "t += air + gap"),
-    "JSONL time additions fused": (
-        "sim.py", "t += air\n                    t += gap", "t += air + gap"),
+    "SDU index not scaled by sdu_len": (
+        "sim.py", "(start + i * sdu_len, full if", "(start + sdu_len, full if"),
+    "offset counted after the frame's own air and gap": (
+        "sim.py", "timed.append((offset, form(step)))\n        offset += step[4] + step[5]",
+        "offset += step[4] + step[5]\n        timed.append((offset, form(step)))"),
+    "trace clock leaves out the last SDU": (
+        "sim.py", "start + n_full * _timed(full)[1] + _timed(last)[1])",
+        "start + n_full * _timed(full)[1])"),
+    "trace gap left in seconds": (
+        "link.py", "self.gap_after(is_ack) * 1e6", "self.gap_after(is_ack)"),
     "JSONL non-finite times formatted by repr": (
-        "sim.py", "isfinite(part.clock * 1e6)\n                      else json.dumps)",
-        "isfinite(part.clock * 1e6)\n                      else repr)"),
+        "sim.py", "isfinite(part.clock) else json.dumps", "isfinite(part.clock) else repr"),
     "JSONL tail shared across sender roles": (
-        "sim.py", "[(tail(*step[:4], op_json), step[4], step[5]) for step in steps]",
-        "[(tail(part.last[0][0], *step[1:4], op_json), step[4], step[5]) for step in steps]"),
+        "sim.py", "lambda step: tail(*step[:4], op_json)",
+        "lambda step: tail(part.last[0][0], *step[1:4], op_json)"),
     "run-length count one full block short": (
         "sim.py", "return (self.n_full * sum(", "return ((self.n_full - 1) * sum("),
     "stub decapsulation hashes all of sk": (

@@ -72,6 +72,11 @@ class LinkConfig(Value):
         two-slot accounting."""
         return self.ifs if not is_ack or self.ifs_slots == 2 else 0.0
 
+    def frame_us(self, n_bytes: int, is_ack: bool) -> tuple[float, float]:
+        """Microseconds one frame of ``n_bytes`` is on air, and of the gap after
+        it; both are whole numbers on the default 1 Mbit/s, 150 µs link."""
+        return 8e6 * n_bytes / self.phy_rate, self.gap_after(is_ack) * 1e6
+
 
 class LinkFrame(Value):
     """A link-layer frame: data comes from the transfer's sender, acks from its receiver."""

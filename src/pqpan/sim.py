@@ -10,17 +10,20 @@ secured payload included, yields its timestamped frames and its
 ``airtime(size, cfg)`` budget; the energy ledger prices those budgets, so it
 reconciles exactly with the analytical model (no cost terms of its own).
 
-Virtual time advances by frame airtime plus inter-frame spacing only, by the
-link's timing rules that the budget also sums; connection-interval idle gaps
-are outside the analytical model's scope.
+Virtual time, in microseconds, advances by frame airtime plus inter-frame
+spacing only, by the link's timing rules that the budget also sums;
+connection-interval idle gaps are outside the analytical model's scope.
 
 The trace stores each transfer run-length encoded from its link layout: its
 start time, the steps of a full SDU and how often they repeat, then the steps
-of the last SDU; a transfer has at most four distinct steps. Frame times are
-recomputed from the start on every read, with the same two additions per
-frame, so they are bit-identical. The JSONL export and the frame counts read
-this form; per-frame :class:`TraceRecord` objects are built on the first read
-of :attr:`FrameTrace.records` and kept. ``a + b`` joins two traces as they are.
+of the last SDU; a transfer has at most four distinct steps. A frame's time
+is computed in closed form, ``start + i * sdu_len + offset``: ``sdu_len`` is
+the length of one full SDU, ``i`` the SDU's index and ``offset`` the running
+sum of the SDU's steps before the frame, so no error builds up over the
+frames. On the default link every step is a whole number of µs, and every
+time is exact. The JSONL export and the frame counts read this form;
+per-frame :class:`TraceRecord` objects are built on the first read of
+:attr:`FrameTrace.records` and kept. ``a + b`` joins two traces as they are.
 """
 
 from __future__ import annotations
@@ -63,22 +66,33 @@ class PartyState(Value):
 
 
 class TraceRecord(Value):
-    """One frame on the air: start time, sender, link frame, carried op."""
+    """One frame on the air: start time in µs, sender, link frame, carried op."""
 
-    __slots__ = ("time_s", "sender", "payload_bytes", "overhead_bytes", "is_ack", "op")
+    __slots__ = ("time_us", "sender", "payload_bytes", "overhead_bytes", "is_ack", "op")
 
     def as_dict(self) -> dict:
-        return {"time_us": self.time_s * 1e6,
+        return {"time_us": self.time_us,
                 "dir": "p->c" if self.sender is Role.PERIPHERAL else "c->p",
                 "payload_B": self.payload_bytes, "overhead_B": self.overhead_bytes,
                 "op": self.op, "is_ack": self.is_ack}
 
 
+def _timed(steps: tuple[tuple, ...], form=lambda step: step) -> tuple[list[tuple], float]:
+    """Each step of one SDU as (µs from the SDU's start to the frame's, ``form(step)``),
+    and the SDU's length in µs. A step's offset sums the air and gap of the steps
+    before it; an SDU has at most a few dozen."""
+    offset, timed = 0.0, []
+    for step in steps:
+        timed.append((offset, form(step)))
+        offset += step[4] + step[5]
+    return timed, offset
+
+
 class _Transfer(Value):
     """One transfer's frames, run-length encoded: the steps of ``full`` repeat
     ``n_full`` times, then the steps of ``last`` follow. A step is one frame,
-    (sender, payload B, overhead B, is_ack, airtime, gap), and frames that are
-    alike share one step tuple. The first frame starts at ``start``, and
+    (sender, payload B, overhead B, is_ack, air µs, gap µs), and frames that are
+    alike share one step tuple. The first frame starts at ``start`` µs, and
     ``clock`` is the time after the last frame and its gap."""
 
     __slots__ = ("op", "start", "full", "n_full", "last", "clock")
@@ -90,12 +104,7 @@ class _Transfer(Value):
         set_field(self, "full", full)
         set_field(self, "n_full", n_full)
         set_field(self, "last", last)
-        clock = start
-        for block in (full,) * n_full + (last,):
-            for _, _, _, _, air, gap in block:
-                clock += air
-                clock += gap
-        set_field(self, "clock", clock)
+        set_field(self, "clock", start + n_full * _timed(full)[1] + _timed(last)[1])
 
     def __reduce__(self):  # clock is not an argument: __init__ computes it
         return _Transfer, (self.op, self.start, self.full, self.n_full, self.last)
@@ -104,18 +113,24 @@ class _Transfer(Value):
         return (self.n_full * sum(step[3] == is_ack for step in self.full)
                 + sum(step[3] == is_ack for step in self.last))
 
+    def sdus(self, form) -> list[tuple[float, list[tuple]]]:
+        """Each SDU as (its start in µs, its steps as :func:`_timed` gives them):
+        SDU ``i`` starts at ``start + i * sdu_len``, the last one after every full
+        one. A frame's time is its SDU's start plus its offset."""
+        full, sdu_len = _timed(self.full, form)
+        last, _ = _timed(self.last, form)
+        start, n_full = self.start, self.n_full
+        return [(start + i * sdu_len, full if i < n_full else last) for i in range(n_full + 1)]
+
     def records(self) -> list[TraceRecord]:
-        records, t, op = [], self.start, self.op
-        for block in (self.full,) * self.n_full + (self.last,):
-            for sender, payload, overhead, is_ack, air, gap in block:
-                records.append(TraceRecord(t, sender, payload, overhead, is_ack, op))
-                t += air
-                t += gap
-        return records
+        op = self.op
+        return [TraceRecord(base + offset, sender, payload, overhead, is_ack, op)
+                for base, steps in self.sdus(lambda step: step[:4])
+                for offset, (sender, payload, overhead, is_ack) in steps]
 
 
 class FrameTrace(Value):
-    """Timestamped frames; ``clock`` is the virtual time after the last
+    """Timestamped frames; ``clock_us`` is the virtual time after the last
     frame and its trailing gap, where the next transfer starts.
 
     The simulator builds each trace from its transfers, each stored once and
@@ -123,11 +138,11 @@ class FrameTrace(Value):
     ``a + b`` is ``a``'s frames then ``b``'s, ending at ``b``'s clock.
     """
 
-    __slots__ = ("_parts", "clock", "__dict__")  # the dict holds the cached records
+    __slots__ = ("_parts", "clock_us", "__dict__")  # the dict holds the cached records
 
-    def __init__(self, parts: tuple[_Transfer, ...] = (), clock: float = 0.0):
+    def __init__(self, parts: tuple[_Transfer, ...] = (), clock_us: float = 0.0):
         set_field(self, "_parts", parts)
-        set_field(self, "clock", clock)
+        set_field(self, "clock_us", clock_us)
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
@@ -137,7 +152,7 @@ class FrameTrace(Value):
     def __add__(self, other: FrameTrace) -> FrameTrace:
         if not isinstance(other, FrameTrace):
             return NotImplemented
-        return FrameTrace(self._parts + other._parts, other.clock)
+        return FrameTrace(self._parts + other._parts, other.clock_us)
 
     def _count(self, is_ack: bool, op: str | None) -> int:
         return sum(part.count(is_ack) for part in self._parts if op is None or part.op == op)
@@ -149,34 +164,29 @@ class FrameTrace(Value):
         return self._count(True, op)
 
     def to_jsonl(self) -> str:
-        """One JSON object per record, in the form of :meth:`TraceRecord.as_dict`.
+        """One JSON object per record, in the form of :meth:`TraceRecord.as_dict`,
+        each ended by a newline; an empty trace is the empty string.
 
         Lines are formatted directly, byte for byte as ``json.dumps`` would:
         finite floats with ``repr``, ints as they are, and each transfer's op
         string through ``json.dumps`` once; the rest of a line once per step of
-        a block. Times lie between their transfer's start and clock, so all are
-        finite in µs when both ends are.
+        an SDU. Times lie between their transfer's start and clock, so all are
+        finite when both ends are.
         """
         def tail(sender, payload_bytes, overhead_bytes, is_ack, op_json):
             direction = '"p->c"' if sender is Role.PERIPHERAL else '"c->p"'
             return (f', "dir": {direction}, "payload_B": {payload_bytes}, '
                     f'"overhead_B": {overhead_bytes}, "op": {op_json}, '
-                    f'"is_ack": {"true" if is_ack else "false"}}}')
+                    f'"is_ack": {"true" if is_ack else "false"}}}\n')
 
         lines = []
         for part in self._parts:
             op_json = json.dumps(part.op)
-            full, last = ([(tail(*step[:4], op_json), step[4], step[5]) for step in steps]
-                          for steps in (part.full, part.last))
-            number = (repr if isfinite(part.start * 1e6) and isfinite(part.clock * 1e6)
-                      else json.dumps)
-            t = part.start
-            for block in (full,) * part.n_full + (last,):
-                for line, air, gap in block:
-                    lines.append(f'{{"time_us": {number(t * 1e6)}{line}')
-                    t += air
-                    t += gap
-        return "\n".join(lines) + "\n"
+            number = repr if isfinite(part.start) and isfinite(part.clock) else json.dumps
+            lines += [f'{{"time_us": {number(base + offset)}{line}'
+                      for base, steps in part.sdus(lambda step: tail(*step[:4], op_json))
+                      for offset, line in steps]
+        return "".join(lines)
 
 
 class EnergyLedger(Value):
@@ -218,15 +228,15 @@ def _seed32(seed: bytes, label: bytes) -> bytes:
 
 def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig):
     """Send one (op, size, peripheral receives) row of :meth:`KemParamSet.transfers`
-    from clock ``t``; the sender sends the data frames and the other party the
+    from clock ``t`` µs; the sender sends the data frames and the other party the
     acks. Returns the transfer's frames and its time budget."""
     op, size, peripheral_receives = transfer
     (_, full), n_full, (_, last) = sdu_layout(size, cfg)
     sender, receiver = ((Role.CENTRAL, Role.PERIPHERAL) if peripheral_receives
                         else (Role.PERIPHERAL, Role.CENTRAL))
-    ack = (receiver, 0, LL_OVERHEAD, True, cfg.seconds_on_air(LL_OVERHEAD), cfg.gap_after(True))
+    ack = (receiver, 0, LL_OVERHEAD, True, *cfg.frame_us(LL_OVERHEAD, True))
     data = {payload: (sender, payload, LL_OVERHEAD, False,
-                      cfg.seconds_on_air(payload + LL_OVERHEAD), cfg.gap_after(False))
+                      *cfg.frame_us(payload + LL_OVERHEAD, False))
             for payload in {*full, *last}}
 
     def steps(sizes: tuple[int, ...]) -> tuple[tuple, ...]:
@@ -307,7 +317,7 @@ def send_secured_payload(session: HandshakeResult, payload: bytes) -> tuple[Fram
     if not isinstance(payload, (bytes, bytearray)):
         raise InvalidConfig(f"payload must be bytes or bytearray, got {type(payload).__name__}")
     frames, budget = _transfer(
-        session.trace.clock, (OP_PAYLOAD, len(payload) + AEAD_OVERHEAD_BYTES, False),
+        session.trace.clock_us, (OP_PAYLOAD, len(payload) + AEAD_OVERHEAD_BYTES, False),
         session.cfg)
     energy = transfer_energy(budget, session.profile, session.gamma)
     return FrameTrace((frames,), frames.clock), energy

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,6 +28,24 @@ def test_energy_landscape_prints_the_grid():
         assert all(math.isfinite(x) for x in numbers), row
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_energy_landscape_ends_quietly_when_stdout_closes(unbuffered):
+    # As `python scripts/energy_landscape.py | head -1` leaves it once head has
+    # its line: exit 0, with nothing on stderr, as the pqpan commands end.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "energy_landscape.py")],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+
 def test_mutant_table_matches_source():
     # The mutant runner is outside tier-1; this keeps its table from rotting:
     # each old text occurs exactly once in src/, in the file named, and the
@@ -36,7 +56,7 @@ def test_mutant_table_matches_source():
     assert mutants.TABLE_TEST == "tests/test_scripts.py::test_mutant_table_matches_source"
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "pqpan").glob("*.py")}
-    assert len(mutants.MUTANTS) == 58
+    assert len(mutants.MUTANTS) == 59
     for name, (file, old, new) in mutants.MUTANTS.items():
         assert old != new, name
         assert sources[file].count(old) == 1, name

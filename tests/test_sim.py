@@ -153,10 +153,10 @@ def test_ledger_comm_terms_match_reference_cell(fit_result):
 
 def test_virtual_time_strictly_increasing_with_ifs_gaps():
     r = run_handshake("ml-kem-512", CFG_DEFAULT, seed=6)
-    times = [rec.time_s for rec in r.trace.records]
+    times = [rec.time_us for rec in r.trace.records]
     assert all(b > a for a, b in zip(times, times[1:]))
     gaps = [b - a for a, b in zip(times, times[1:])]
-    assert min(gaps) >= CFG_DEFAULT.ifs
+    assert min(gaps) >= CFG_DEFAULT.ifs * 1e6
 
 
 def test_trace_jsonl_export():
@@ -171,7 +171,7 @@ def test_trace_jsonl_export():
 
 
 def reference_jsonl(trace):
-    return "\n".join(json.dumps(r.as_dict()) for r in trace.records) + "\n"
+    return "".join(json.dumps(r.as_dict()) + "\n" for r in trace.records)
 
 
 @given(st.sampled_from(["ml-kem-512", "ml-kem-768", "ml-kem-1024"]),
@@ -185,16 +185,16 @@ def test_to_jsonl_equals_json_dumps_of_records(scheme, att, ll, slots, payload):
         assert trace.to_jsonl() == reference_jsonl(trace)
 
 
-@pytest.mark.parametrize("time_s", [0.0, 1e-300, 1e300, float("inf"), float("nan")])
-def test_to_jsonl_formats_any_float_like_json(time_s):
-    ack = (Role.CENTRAL, 0, 10, True, 80e-6, 150e-6)
-    transfer = _Transfer('op "quoted" \u00e9', time_s, (ack,), 2, (ack,))
+@pytest.mark.parametrize("time_us", [0.0, 1e-300, 1e300, float("inf"), float("nan")])
+def test_to_jsonl_formats_any_float_like_json(time_us):
+    ack = (Role.CENTRAL, 0, 10, True, 80.0, 150.0)
+    transfer = _Transfer('op "quoted" \u00e9', time_us, (ack,), 2, (ack,))
     trace = FrameTrace((transfer,), transfer.clock)
     assert trace.to_jsonl() == reference_jsonl(trace)
-    assert FrameTrace().to_jsonl() == reference_jsonl(FrameTrace())
-    # A payload sent on a session whose clock stands at time_s.
+    assert FrameTrace().to_jsonl() == reference_jsonl(FrameTrace()) == ""
+    # A payload sent on a session whose clock stands at time_us.
     session = run_handshake("ml-kem-512", CFG_DLE, seed=19)
-    session = session.replace(trace=FrameTrace((), time_s))
+    session = session.replace(trace=FrameTrace((), time_us))
     delta, _ = send_secured_payload(session, bytes(10))
     assert delta.to_jsonl() == reference_jsonl(delta)
 
@@ -239,7 +239,7 @@ def test_joined_trace_is_the_concatenation():
     delta, _ = send_secured_payload(r, bytes(300))
     joined = r.trace + delta
     assert joined.records == r.trace.records + delta.records
-    assert joined.clock == delta.clock
+    assert joined.clock_us == delta.clock_us
     assert joined.to_jsonl() == r.trace.to_jsonl() + delta.to_jsonl()
     assert joined.data_frame_count() == r.trace.data_frame_count() + delta.data_frame_count()
     assert joined.ack_count(OP_PAYLOAD) == delta.ack_count()
@@ -256,7 +256,7 @@ def test_traces_of_different_links_compare_unequal():
     b = run_handshake("ml-kem-768", LinkConfig(att_mtu=65, ll_pdu=27, ifs_slots=1), seed=7).trace
     c = run_handshake("ml-kem-768", CFG_DLE, seed=7).trace
     assert a != b and a != c and b != c
-    assert a.replace(clock=a.clock + 1e-6) != a
+    assert a.replace(clock_us=a.clock_us + 1.0) != a
 
 
 def test_send_secured_payload_energy_and_frames():
@@ -266,7 +266,7 @@ def test_send_secured_payload_energy_and_frames():
     # each SDU spanning two frames.
     assert trace.data_frame_count("Payload") == 6
     assert energy > 0
-    assert trace.records[0].time_s > r.trace.records[-1].time_s
+    assert trace.records[0].time_us > r.trace.records[-1].time_us
 
 
 @pytest.mark.parametrize("slots", [1, 2])
@@ -276,12 +276,13 @@ def test_gap_before_payload_equals_gap_before_ciphertext(slots):
     delta, _ = send_secured_payload(r, bytes(100))
     records = r.trace.records
     first_ct = next(i for i, rec in enumerate(records) if rec.op == "Write_CT")
-    gap_ct = records[first_ct].time_s - records[first_ct - 1].time_s
-    gap_payload = delta.records[0].time_s - records[-1].time_s
-    # The ack's airtime, plus the second gap only under two-slot accounting.
-    assert gap_ct == pytest.approx(80e-6 + (slots - 1) * cfg.ifs, rel=1e-9)
-    assert gap_payload == pytest.approx(gap_ct, rel=1e-9)
-    assert delta.records[0].time_s == r.trace.clock
+    gap_ct = records[first_ct].time_us - records[first_ct - 1].time_us
+    gap_payload = delta.records[0].time_us - records[-1].time_us
+    # The ack's 80 µs on air, plus the second 150 µs gap only under two-slot
+    # accounting; on the default link every time is a whole µs, so both are exact.
+    assert gap_ct == 80.0 + (slots - 1) * 150.0
+    assert gap_payload == gap_ct
+    assert delta.records[0].time_us == r.trace.clock_us
 
 
 def test_send_secured_payload_empty_payload_still_sends_envelope():

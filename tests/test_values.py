@@ -45,8 +45,8 @@ def _residual():
 
 
 def _transfer():
-    ack = (Role.CENTRAL, 0, 10, True, 8e-05, 0.00015)
-    return _Transfer(op="Payload", start=1e-3, full=(ack,), n_full=2, last=(ack,))
+    ack = (Role.CENTRAL, 0, 10, True, 80.0, 150.0)
+    return _Transfer(op="Payload", start=1000.0, full=(ack,), n_full=2, last=(ack,))
 
 
 #: type -> keyword arguments of one instance, built afresh on each call.
@@ -77,16 +77,16 @@ KWARGS = {
                                  reference_uj=100.0, modeled_uj=101.0, rel_err=0.01),
     FitResult: lambda: dict(profile=_profile(), residuals=(_residual(),),
                             max_abs_rel_err=0.01, mean_abs_rel_err=0.01),
-    TraceRecord: lambda: dict(time_s=1e-3, sender=Role.CENTRAL, payload_bytes=0,
+    TraceRecord: lambda: dict(time_us=1000.0, sender=Role.CENTRAL, payload_bytes=0,
                               overhead_bytes=10, is_ack=True, op="Payload"),
-    FrameTrace: lambda: dict(parts=(_transfer(),), clock=0.00123),
+    FrameTrace: lambda: dict(parts=(_transfer(),), clock_us=1230.0),
     PartyState: lambda: dict(role=Role.PERIPHERAL, scheme=_scheme(), phase=Phase.ESTABLISHED,
                              keypair=KemKeyPair(b"pk", b"sk", _scheme()), peer_pk=None,
                              session_key=SessionKey(b"key")),
     EnergyLedger: lambda: dict(peripheral={"keygen": 1.0}, central={"encap": 2.0}),
     HandshakeResult: lambda: dict(peripheral=PartyState(Role.PERIPHERAL, _scheme()),
                                   central=PartyState(Role.CENTRAL, _scheme()),
-                                  trace=FrameTrace(parts=(), clock=0.0),
+                                  trace=FrameTrace(parts=(), clock_us=0.0),
                                   ledger=EnergyLedger({}, {}), cfg=LinkConfig(65, 27),
                                   profile=_profile(), gamma=_gamma()),
     ModelConfig: lambda: dict(profile=_profile(), gamma=_gamma(),
@@ -133,12 +133,12 @@ REPRS = {
     FitRowResidual: _RESIDUAL_REPR,
     FitResult: (f"FitResult(profile={_PROFILE_REPR}, residuals=({_RESIDUAL_REPR},), "
                 "max_abs_rel_err=0.01, mean_abs_rel_err=0.01)"),
-    TraceRecord: ("TraceRecord(time_s=0.001, sender=<Role.CENTRAL: 'central'>, payload_bytes=0, "
+    TraceRecord: ("TraceRecord(time_us=1000.0, sender=<Role.CENTRAL: 'central'>, payload_bytes=0, "
                   "overhead_bytes=10, is_ack=True, op='Payload')"),
-    FrameTrace: ("FrameTrace(_parts=(_Transfer(op='Payload', start=0.001, full=("
-                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015),), n_full=2, last=("
-                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015),), "
-                 "clock=0.0016899999999999999),), clock=0.00123)"),
+    FrameTrace: ("FrameTrace(_parts=(_Transfer(op='Payload', start=1000.0, full=("
+                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0),), n_full=2, last=("
+                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0),), "
+                 "clock=1690.0),), clock_us=1230.0)"),
     PartyState: (
         f"PartyState(role=<Role.PERIPHERAL: 'peripheral'>, scheme={_SCHEME_REPR}, "
         f"phase=<Phase.ESTABLISHED: 'Established'>, keypair=KemKeyPair(pk=b'pk', sk=b'sk', "
@@ -148,7 +148,7 @@ REPRS = {
     HandshakeResult: (
         f"HandshakeResult(peripheral={_PARTY_REPR.format('PERIPHERAL', 'peripheral')}, "
         f"central={_PARTY_REPR.format('CENTRAL', 'central')}, "
-        "trace=FrameTrace(_parts=(), clock=0.0), "
+        "trace=FrameTrace(_parts=(), clock_us=0.0), "
         "ledger=EnergyLedger(peripheral=mappingproxy({}), central=mappingproxy({})), "
         f"cfg={_LINK_REPR.format(65)}, profile={_PROFILE_REPR}, gamma={_GAMMA_REPR})"),
     ModelConfig: (
@@ -160,13 +160,13 @@ REPRS = {
 #: A payload trace as the simulator stores it: one transfer, no full SDU and
 #: a last SDU of four frames.
 PAYLOAD_TRACE_REPR = (
-    "FrameTrace(_parts=(_Transfer(op='Payload', start=0.04941999999999978, full=(), "
+    "FrameTrace(_parts=(_Transfer(op='Payload', start=49420.0, full=(), "
     "n_full=0, last=("
-    "(<Role.PERIPHERAL: 'peripheral'>, 27, 10, False, 0.000296, 0.00015), "
-    "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015), "
-    "(<Role.PERIPHERAL: 'peripheral'>, 8, 10, False, 0.000144, 0.00015), "
-    "(<Role.CENTRAL: 'central'>, 0, 10, True, 8e-05, 0.00015)), "
-    "clock=0.050619999999999755),), clock=0.050619999999999755)")
+    "(<Role.PERIPHERAL: 'peripheral'>, 27, 10, False, 296.0, 150.0), "
+    "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0), "
+    "(<Role.PERIPHERAL: 'peripheral'>, 8, 10, False, 144.0, 150.0), "
+    "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0)), "
+    "clock=50620.0),), clock_us=50620.0)")
 
 #: Types whose hash fails, as a frozen dataclass's did, because a field is a
 #: table, which is stored as a read-only mapping.
@@ -245,7 +245,7 @@ def test_simulated_trace_round_trips(clone):
     other = clone(trace)
     assert repr(other) == PAYLOAD_TRACE_REPR
     assert other == trace and hash(other) == hash(trace)
-    assert other.clock == trace.clock and other.to_jsonl() == trace.to_jsonl()
+    assert other.clock_us == trace.clock_us and other.to_jsonl() == trace.to_jsonl()
 
 
 #: type -> (field, a value its constructor refuses, the error it raises)
@@ -284,8 +284,8 @@ def test_replace_stores_what_the_constructor_stores():
     with pytest.raises(InvalidConfig, match="att_mtu"):
         LinkConfig(65, 27).replace(att_mtu=518)
     trace = _payload_trace()
-    later = trace.replace(clock=1.0)
-    assert later.clock == 1.0 and later.to_jsonl() == trace.to_jsonl()
+    later = trace.replace(clock_us=1.0)
+    assert later.clock_us == 1.0 and later.to_jsonl() == trace.to_jsonl()
 
 
 def test_profile_stores_each_field_as_a_float():
@@ -360,9 +360,9 @@ SIGNATURES = {
                       "adj_encap=None)"),
     FitRowResidual: "(scheme, att_mtu, ll_pdu, op, reference_uj, modeled_uj, rel_err)",
     FitResult: "(profile, residuals, max_abs_rel_err, mean_abs_rel_err)",
-    TraceRecord: "(time_s, sender, payload_bytes, overhead_bytes, is_ack, op)",
+    TraceRecord: "(time_us, sender, payload_bytes, overhead_bytes, is_ack, op)",
     _Transfer: "(op, start, full, n_full, last)",
-    FrameTrace: "(parts=(), clock=0.0)",
+    FrameTrace: "(parts=(), clock_us=0.0)",
     PartyState: ("(role, scheme, phase=<Phase.IDLE: 'Idle'>, keypair=None, peer_pk=None, "
                  "session_key=None)"),
     EnergyLedger: "(peripheral, central)",
