@@ -6,10 +6,10 @@ For each pair and each artifact size N, two values are compared:
 
 * the ATT PDUs and link-layer data frames, from ``plan_counts`` and from the
   oracle of ``tests/chunking_oracle.py``, which frames one byte at a time;
-* the time budget, from ``airtime`` and from the oracle's frames: its data
-  bytes (the frame payloads plus 10 B of overhead per frame) and its ack bytes
-  (10 B per frame) priced by ``LinkConfig.seconds_on_air``, and both gaps of
-  every data/ack exchange.
+* the time budget in µs, from ``airtime`` and from the oracle's frames: its
+  data bytes (the frame payloads plus 10 B of overhead per frame) and its ack
+  bytes (10 B per frame) priced by ``LinkConfig.air_us``, and both gaps of
+  every data/ack exchange by ``LinkConfig.gap_us``, the link's one timing rule.
 
 Why sizes 1..2*c suffice, with ``c = att_mtu - 3`` the value bytes of a full
 SDU. Write f(N) for the oracle's integers (ATT PDUs, frames, data bytes, ack
@@ -27,8 +27,8 @@ bytes) and g(N) for the model's.
    This script checks that step for N in 1..c as well, from the oracle's
    output, so it is observed and not only argued.
 3. f = g on 1..2c is checked: the counts directly, the byte totals through
-   the budget's seconds, each one rounded product of its byte total, so equal
-   seconds mean equal bytes. For
+   the budget's µs, on the default link exactly 8 µs a byte, so equal µs mean
+   equal bytes. For
    N > 2c, by induction on N, f(N) = f(N - c) + f(c) = g(N - c) + g(c) = g(N).
 
 So a pair that passes agrees with the byte stream at every size, up to
@@ -58,7 +58,7 @@ def pair_mismatches(att_mtu: int, ll_pdu: int) -> tuple[int, list[str]]:
     """(sizes checked, a line per mismatch) for one pair, over sizes 1..2*c and the
     oracle's one-full-SDU step."""
     cfg = LinkConfig(att_mtu=att_mtu, ll_pdu=ll_pdu)
-    gaps = cfg.gap_after(False) + cfg.gap_after(True)
+    gaps = cfg.gap_us(False) + cfg.gap_us(True)
     chunk = att_mtu - 3
     oracle = [(0, 0, 0, 0)]  # oracle[n]: (ATT PDUs, frames, data B, ack B) for n bytes
     bad = []
@@ -66,8 +66,8 @@ def pair_mismatches(att_mtu: int, ll_pdu: int) -> tuple[int, list[str]]:
         n_ll = len(frames)
         oracle.append((n_att, n_ll, sum(frames) + 10 * n_ll, 10 * n_ll))
         _, _, data, ack = oracle[size]
-        stream_side = ((n_att, n_ll), TimeBudget(cfg.seconds_on_air(data),
-                                                 cfg.seconds_on_air(ack), n_ll * gaps))
+        stream_side = ((n_att, n_ll), TimeBudget(cfg.air_us(data), cfg.air_us(ack),
+                                                 n_ll * gaps))
         model = (plan_counts(size, cfg), airtime(size, cfg))
         if model != stream_side:
             bad.append(f"att_mtu={att_mtu} ll_pdu={ll_pdu} size={size}: "

@@ -53,11 +53,20 @@ MUTANTS = {
     "ecdh-p256 alias dropped": (
         "energy.py", 'elif kind in (SECURITY_ECDH, "ecdh-p256"):', "elif kind == SECURITY_ECDH:"),
     "one-slot gap rule dropped": (
-        "link.py", "self.ifs if not is_ack or self.ifs_slots == 2 else 0.0", "self.ifs"),
-    "ack gap left out of t_ifs": (
-        "link.py", "(cfg.gap_after(False) + cfg.gap_after(True))", "cfg.gap_after(False)"),
-    "seconds on air off by one byte": (
-        "link.py", "8.0 * n_bytes / self.phy_rate", "8.0 * (n_bytes + 1) / self.phy_rate"),
+        "link.py", "self.ifs * 1e6 if not is_ack or self.ifs_slots == 2 else 0.0",
+        "self.ifs * 1e6"),
+    "ack gap left out of ifs_us": (
+        "link.py", "(cfg.gap_us(False) + cfg.gap_us(True))", "cfg.gap_us(False)"),
+    "air time off by one byte": (
+        "link.py", "8e6 * n_bytes / self.phy_rate", "8e6 * (n_bytes + 1) / self.phy_rate"),
+    "air time left in seconds": (
+        "link.py", "8e6 * n_bytes / self.phy_rate", "8.0 * n_bytes / self.phy_rate"),
+    "gap left in seconds, in the budget and the trace": (
+        "link.py", "self.ifs * 1e6 if not is_ack", "self.ifs if not is_ack"),
+    "comm energy scaled by 1e6 again": (
+        "energy.py", "+ profile.i_ifs * ifs_us)", "+ profile.i_ifs * ifs_us) * 1e6"),
+    "fit targets back in joules": (
+        "energy.py", "[r.e_theor_uj for r in rows]", "[r.e_theor_uj * 1e-6 for r in rows]"),
     "AEAD envelope on an unsecured payload": (
         "energy.py",
         "artifact = payload if kind == SECURITY_NONE else payload + AEAD_OVERHEAD_BYTES",
@@ -94,7 +103,7 @@ MUTANTS = {
         "InvalidProfile)).get(scheme.name.upper())"),
     "fit residuals priced by the design row": (
         "energy.py", "for r, m in zip(rows, (comm_energy(b, profile, rx) for b, rx in transfers)))",
-        "for r, m in zip(rows, (_dot(d, current) * 1e6 for d in design)))"),
+        "for r, m in zip(rows, (_dot(d, current) for d in design)))"),
     "cycles level order compared across families": (
         "energy.py", "if family == hi_family and not (", "if not ("),
     "table lines counted after the skip": (
@@ -112,18 +121,14 @@ MUTANTS = {
     "SDU index not scaled by sdu_len": (
         "sim.py", "(start + i * sdu_len, full if", "(start + sdu_len, full if"),
     "offset counted after the frame's own air and gap": (
-        "sim.py", "timed.append((offset, form(step)))\n        offset += step[4] + step[5]",
-        "offset += step[4] + step[5]\n        timed.append((offset, form(step)))"),
+        "sim.py", "frames.append((offset, step))\n                offset += length",
+        "offset += length\n                frames.append((offset, step))"),
     "trace clock leaves out the last SDU": (
-        "sim.py", "start + n_full * _timed(full)[1] + _timed(last)[1])",
-        "start + n_full * _timed(full)[1])"),
-    "trace gap left in seconds": (
-        "link.py", "self.gap_after(is_ack) * 1e6", "self.gap_after(is_ack)"),
+        "sim.py", "t + n_full * sdu_len + last_len)", "t + n_full * sdu_len)"),
     "JSONL non-finite times formatted by repr": (
         "sim.py", "isfinite(part.clock) else json.dumps", "isfinite(part.clock) else repr"),
     "JSONL tail shared across sender roles": (
-        "sim.py", "lambda step: tail(*step[:4], op_json)",
-        "lambda step: tail(part.last[0][0], *step[1:4], op_json)"),
+        "sim.py", "tail(*step, op_json)", "tail(part.last[0][1][0], *step[1:], op_json)"),
     "run-length count one full block short": (
         "sim.py", "return (self.n_full * sum(", "return ((self.n_full - 1) * sum("),
     "stub decapsulation hashes all of sk": (

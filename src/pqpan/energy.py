@@ -2,11 +2,12 @@
 
 Computation energy converts MCU cycle counts into microjoules
 (``I_mcu * V * C / f_mcu``); communication energy prices a transfer's time
-budget with per-state radio currents (``V * (I_tx*t_tx + I_rx*t_rx +
-I_ifs*t_ifs)``). Per-phase calibration factors then align the analytical
-values with hardware behavior. ``handshake_breakdown`` prices the four dominant
-handshake phases (key generation, public-key transmit, ciphertext receive,
-decapsulation) for both ``pqke_total`` and the simulator's ledger.
+budget, in µs, with per-state radio currents (``V * (I_tx*tx_us + I_rx*rx_us
++ I_ifs*ifs_us)``, already µJ). Per-phase calibration factors then align the
+analytical values with hardware behavior. ``handshake_breakdown`` prices the
+four dominant handshake phases (key generation, public-key transmit,
+ciphertext receive, decapsulation) for both ``pqke_total`` and the
+simulator's ledger.
 
 The radio currents shipped as defaults are *fitted* values, recovered from
 the bundled reference energy table by :func:`fit_radio_currents`; they are
@@ -147,21 +148,20 @@ def comp_energy(cycles: float, profile: RadioProfile) -> float:
 
 
 def radio_state_times(budget: TimeBudget, as_receiver: bool) -> tuple[float, float, float]:
-    """Seconds in (tx, rx, ifs) for one end of a transfer with this sender-side
+    """Microseconds in (tx, rx, ifs) for one end of a transfer with this sender-side
     budget: the sender sends data and receives acks, the receiver the reverse."""
     if as_receiver:
-        return budget.t_rx, budget.t_tx, budget.t_ifs
-    return budget.t_tx, budget.t_rx, budget.t_ifs
+        return budget.rx_us, budget.tx_us, budget.ifs_us
+    return budget.tx_us, budget.rx_us, budget.ifs_us
 
 
 def comm_energy(budget: TimeBudget, profile: RadioProfile,
                 as_receiver: bool = False) -> float:
     """Communication energy in microjoules for a sender-side time budget, spent
-    by its sender or, with ``as_receiver``, the other end."""
-    t_tx, t_rx, t_ifs = radio_state_times(budget, as_receiver)
-    joules = profile.voltage * (profile.i_tx * t_tx + profile.i_rx * t_rx
-                                + profile.i_ifs * t_ifs)
-    return joules * 1e6
+    by its sender or, with ``as_receiver``, the other end: amperes times µs is µJ."""
+    tx_us, rx_us, ifs_us = radio_state_times(budget, as_receiver)
+    return profile.voltage * (profile.i_tx * tx_us + profile.i_rx * rx_us
+                              + profile.i_ifs * ifs_us)
 
 
 def transfer_energy(budget: TimeBudget, profile: RadioProfile, gamma: CalibrationFactors,
@@ -378,10 +378,10 @@ def fit_radio_currents(rows) -> FitResult:
     """Recover (i_tx, i_rx, i_ifs) from reference rows.
 
     Prices every row on LinkConfig's default link at the row's att_mtu and
-    ll_pdu, checks that the (t_tx, t_rx, t_ifs) columns are independent, and
+    ll_pdu, checks that the (tx_us, rx_us, ifs_us) columns are independent, and
     returns the non-negative currents that minimize the worst relative
-    residual of ``E = V * (i_tx*t_tx + i_rx*t_rx + i_ifs*t_ifs)``, with the
-    least total current among those that reach it (:func:`_chebyshev_polish`).
+    residual of ``E = V * (i_tx*tx_us + i_rx*rx_us + i_ifs*ifs_us)``, in µJ, with
+    the least total current among those that reach it (:func:`_chebyshev_polish`).
     The fitted ``i_ifs`` belongs to the link's IFS accounting, which the
     report records. Each residual prices its row with :func:`comm_energy` under
     the returned profile, as the model does once that profile is loaded.
@@ -401,7 +401,7 @@ def fit_radio_currents(rows) -> FitResult:
     design = [[FITTED_RADIO_PROFILE.voltage * t for t in radio_state_times(*transfer)]
               for transfer in transfers]
     _require_full_rank(design)
-    current = _chebyshev_polish(design, [r.e_theor_uj * 1e-6 for r in rows])
+    current = _chebyshev_polish(design, [r.e_theor_uj for r in rows])
     # RadioProfile requires currents of at least CURRENT_MIN; a table whose
     # gaps cost nothing fits i_ifs to zero.
     profile = FITTED_RADIO_PROFILE.replace(i_tx=current[0], i_rx=current[1],

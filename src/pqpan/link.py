@@ -13,9 +13,10 @@ last SDU; the layout gives the value bytes and data-frame payload sizes of
 each, and the frame counts, the frame sequence, the simulator's steps and
 its reassembly all derive from it.
 
-The timing rules are :class:`LinkConfig` methods: N bytes are on air for
-``8 * N / phy_rate`` seconds, and the IFS accounting sets the gaps after a
-data frame and its ack. :func:`airtime` and the simulator both use them.
+Every link time is in microseconds, from two :class:`LinkConfig` methods: N
+bytes are on air for ``8e6 * N / phy_rate`` µs, and the IFS accounting sets the
+gaps after a data frame and its ack. Only they convert the config's SI units;
+:func:`airtime` and the simulator both use them.
 
 The model is analytical: frames are never lost, reordered, or retransmitted,
 and connection-event scheduling is not represented. All functions here are
@@ -63,19 +64,14 @@ class LinkConfig(Value):
                "ifs": partial(real_in_range, lo=0.0, hi=IFS_MAX),
                "ifs_slots": partial(int_in_range, lo=1, hi=2)}
 
-    def seconds_on_air(self, n_bytes: int) -> float:
-        """Seconds that ``n_bytes`` take on air at ``phy_rate``."""
-        return 8.0 * n_bytes / self.phy_rate
+    def air_us(self, n_bytes: int) -> float:
+        """Microseconds that ``n_bytes`` take on air at ``phy_rate``."""
+        return 8e6 * n_bytes / self.phy_rate
 
-    def gap_after(self, is_ack: bool) -> float:
-        """One ``ifs`` follows a data frame; one follows its ack only under
-        two-slot accounting."""
-        return self.ifs if not is_ack or self.ifs_slots == 2 else 0.0
-
-    def frame_us(self, n_bytes: int, is_ack: bool) -> tuple[float, float]:
-        """Microseconds one frame of ``n_bytes`` is on air, and of the gap after
-        it; both are whole numbers on the default 1 Mbit/s, 150 µs link."""
-        return 8e6 * n_bytes / self.phy_rate, self.gap_after(is_ack) * 1e6
+    def gap_us(self, is_ack: bool) -> float:
+        """Microseconds of the gap after a frame: one ``ifs`` follows a data frame,
+        and one follows its ack only under two-slot accounting."""
+        return self.ifs * 1e6 if not is_ack or self.ifs_slots == 2 else 0.0
 
 
 class LinkFrame(Value):
@@ -105,13 +101,13 @@ class FragmentationPlan(Value):
 
 
 class TimeBudget(Value):
-    """Sender-side radio-on times for one transfer, in seconds.
+    """Sender-side radio-on times for one transfer, in microseconds.
 
-    ``t_tx`` covers data frames, ``t_rx`` the returning acks, ``t_ifs`` the
+    ``tx_us`` covers data frames, ``rx_us`` the returning acks, ``ifs_us`` the
     cumulative inter-frame spacing.
     """
 
-    __slots__ = ("t_tx", "t_rx", "t_ifs")
+    __slots__ = ("tx_us", "rx_us", "ifs_us")
 
 
 def sdu_layout(artifact_size: int, cfg: LinkConfig) -> tuple[Sdu, int, Sdu]:
@@ -160,5 +156,5 @@ def airtime(artifact_size: int, cfg: LinkConfig) -> TimeBudget:
     plan = plan_transfer(artifact_size, cfg)
     tx_bytes = sum(f.on_air_bytes for f in plan.frames if not f.is_ack)
     rx_bytes = sum(f.on_air_bytes for f in plan.frames if f.is_ack)
-    return TimeBudget(cfg.seconds_on_air(tx_bytes), cfg.seconds_on_air(rx_bytes),
-                      plan.ll_data_pdu_count * (cfg.gap_after(False) + cfg.gap_after(True)))
+    return TimeBudget(cfg.air_us(tx_bytes), cfg.air_us(rx_bytes),
+                      plan.ll_data_pdu_count * (cfg.gap_us(False) + cfg.gap_us(True)))

@@ -11,18 +11,20 @@ secured payload included, yields its timestamped frames and its
 reconciles exactly with the analytical model (no cost terms of its own).
 
 Virtual time, in microseconds, advances by frame airtime plus inter-frame
-spacing only, by the link's timing rules that the budget also sums;
-connection-interval idle gaps are outside the analytical model's scope.
+spacing only, by the link's timing rule (``LinkConfig.air_us`` and
+``gap_us``) that the budget also sums; connection-interval idle gaps are
+outside the analytical model's scope.
 
 The trace stores each transfer run-length encoded from its link layout: its
-start time, the steps of a full SDU and how often they repeat, then the steps
-of the last SDU; a transfer has at most four distinct steps. A frame's time
-is computed in closed form, ``start + i * sdu_len + offset``: ``sdu_len`` is
-the length of one full SDU, ``i`` the SDU's index and ``offset`` the running
-sum of the SDU's steps before the frame, so no error builds up over the
-frames. On the default link every step is a whole number of µs, and every
-time is exact. The JSONL export and the frame counts read this form;
-per-frame :class:`TraceRecord` objects are built on the first read of
+start time, the frames of a full SDU and how often they repeat, then the
+frames of the last SDU; a transfer has at most four distinct frames. Each
+SDU is timed once, when the transfer is sent. A frame's time is computed in
+closed form, ``start + i * sdu_len + offset``: ``sdu_len`` is the length of
+one full SDU, ``i`` the SDU's index and ``offset`` the air and gap of the
+SDU's frames before it, so no error builds up over the frames. On the
+default link every air time and gap is a whole number of µs, and every time
+is exact. The JSONL export and the frame counts read this form; per-frame
+:class:`TraceRecord` objects are built on the first read of
 :attr:`FrameTrace.records` and kept. ``a + b`` joins two traces as they are.
 """
 
@@ -77,56 +79,33 @@ class TraceRecord(Value):
                 "op": self.op, "is_ack": self.is_ack}
 
 
-def _timed(steps: tuple[tuple, ...], form=lambda step: step) -> tuple[list[tuple], float]:
-    """Each step of one SDU as (µs from the SDU's start to the frame's, ``form(step)``),
-    and the SDU's length in µs. A step's offset sums the air and gap of the steps
-    before it; an SDU has at most a few dozen."""
-    offset, timed = 0.0, []
-    for step in steps:
-        timed.append((offset, form(step)))
-        offset += step[4] + step[5]
-    return timed, offset
-
-
 class _Transfer(Value):
-    """One transfer's frames, run-length encoded: the steps of ``full`` repeat
-    ``n_full`` times, then the steps of ``last`` follow. A step is one frame,
-    (sender, payload B, overhead B, is_ack, air µs, gap µs), and frames that are
-    alike share one step tuple. The first frame starts at ``start`` µs, and
-    ``clock`` is the time after the last frame and its gap."""
+    """One transfer's frames, run-length encoded: the SDU ``full`` repeats
+    ``n_full`` times, then the SDU ``last`` follows. An SDU is its frames as
+    (offset, step) pairs: the offset is the µs from the SDU's start to the
+    frame's, and a step is the frame, (sender, payload B, overhead B, is_ack);
+    frames that are alike share one step tuple. The first frame starts at
+    ``start`` µs, a full SDU lasts ``sdu_len`` µs, and ``clock`` is the time after
+    the last frame and its gap."""
 
-    __slots__ = ("op", "start", "full", "n_full", "last", "clock")
-
-    def __init__(self, op: str, start: float, full: tuple[tuple, ...], n_full: int,
-                 last: tuple[tuple, ...]):
-        set_field(self, "op", op)
-        set_field(self, "start", start)
-        set_field(self, "full", full)
-        set_field(self, "n_full", n_full)
-        set_field(self, "last", last)
-        set_field(self, "clock", start + n_full * _timed(full)[1] + _timed(last)[1])
-
-    def __reduce__(self):  # clock is not an argument: __init__ computes it
-        return _Transfer, (self.op, self.start, self.full, self.n_full, self.last)
+    __slots__ = ("op", "start", "full", "n_full", "last", "sdu_len", "clock")
 
     def count(self, is_ack: bool) -> int:
-        return (self.n_full * sum(step[3] == is_ack for step in self.full)
-                + sum(step[3] == is_ack for step in self.last))
+        return (self.n_full * sum(step[3] == is_ack for _, step in self.full)
+                + sum(step[3] == is_ack for _, step in self.last))
 
-    def sdus(self, form) -> list[tuple[float, list[tuple]]]:
-        """Each SDU as (its start in µs, its steps as :func:`_timed` gives them):
-        SDU ``i`` starts at ``start + i * sdu_len``, the last one after every full
-        one. A frame's time is its SDU's start plus its offset."""
-        full, sdu_len = _timed(self.full, form)
-        last, _ = _timed(self.last, form)
-        start, n_full = self.start, self.n_full
+    def sdus(self, full: list[tuple], last: list[tuple]) -> list[tuple[float, list[tuple]]]:
+        """Each SDU as (its start in µs, ``full`` or ``last``): SDU ``i`` starts at
+        ``start + i * sdu_len``, the last one after every full one. ``full`` and
+        ``last`` hold (offset, item) pairs, so a frame's time is its SDU's start
+        plus its offset."""
+        start, sdu_len, n_full = self.start, self.sdu_len, self.n_full
         return [(start + i * sdu_len, full if i < n_full else last) for i in range(n_full + 1)]
 
     def records(self) -> list[TraceRecord]:
         op = self.op
-        return [TraceRecord(base + offset, sender, payload, overhead, is_ack, op)
-                for base, steps in self.sdus(lambda step: step[:4])
-                for offset, (sender, payload, overhead, is_ack) in steps]
+        return [TraceRecord(base + offset, *step, op)
+                for base, steps in self.sdus(self.full, self.last) for offset, step in steps]
 
 
 class FrameTrace(Value):
@@ -183,9 +162,10 @@ class FrameTrace(Value):
         for part in self._parts:
             op_json = json.dumps(part.op)
             number = repr if isfinite(part.start) and isfinite(part.clock) else json.dumps
+            full, last = ([(offset, tail(*step, op_json)) for offset, step in sdu]
+                          for sdu in (part.full, part.last))
             lines += [f'{{"time_us": {number(base + offset)}{line}'
-                      for base, steps in part.sdus(lambda step: tail(*step[:4], op_json))
-                      for offset, line in steps]
+                      for base, steps in part.sdus(full, last) for offset, line in steps]
         return "".join(lines)
 
 
@@ -234,15 +214,23 @@ def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig):
     (_, full), n_full, (_, last) = sdu_layout(size, cfg)
     sender, receiver = ((Role.CENTRAL, Role.PERIPHERAL) if peripheral_receives
                         else (Role.PERIPHERAL, Role.CENTRAL))
-    ack = (receiver, 0, LL_OVERHEAD, True, *cfg.frame_us(LL_OVERHEAD, True))
-    data = {payload: (sender, payload, LL_OVERHEAD, False,
-                      *cfg.frame_us(payload + LL_OVERHEAD, False))
+    ack = (receiver, 0, LL_OVERHEAD, True), cfg.air_us(LL_OVERHEAD) + cfg.gap_us(True)
+    data = {payload: ((sender, payload, LL_OVERHEAD, False),
+                      cfg.air_us(payload + LL_OVERHEAD) + cfg.gap_us(False))
             for payload in {*full, *last}}
 
-    def steps(sizes: tuple[int, ...]) -> tuple[tuple, ...]:
-        return tuple(step for payload in sizes for step in (data[payload], ack))
+    def timed(sizes: tuple[int, ...]) -> tuple[tuple[tuple[float, tuple], ...], float]:
+        """An SDU's frames as (offset, step) pairs, and its length in µs: each
+        offset sums the air and gap of the frames before it."""
+        offset, frames = 0.0, []
+        for payload in sizes:
+            for step, length in (data[payload], ack):
+                frames.append((offset, step))
+                offset += length
+        return tuple(frames), offset
 
-    frames = _Transfer(op, t, steps(full) if n_full else (), n_full, steps(last))
+    (full, sdu_len), (last, last_len) = timed(full if n_full else ()), timed(last)
+    frames = _Transfer(op, t, full, n_full, last, sdu_len, t + n_full * sdu_len + last_len)
     return frames, airtime(size, cfg)
 
 

@@ -8,7 +8,8 @@ from pqpan import (CalibrationFactors, CycleCounts, ECDH_PAIRING_UJ, FITTED_RADI
                    InvalidConfig, InvalidProfile, KemParamSet, LinkConfig, ParseError,
                    RadioProfile, SingularSystem, TimeBudget, UnknownScheme, UnsupportedScheme,
                    airtime, default_calibration, fit_radio_currents, load_config,
-                   load_cycle_counts, load_schemes, lookup_scheme, pqke_total, session_energy)
+                   load_cycle_counts, load_schemes, lookup_scheme, plan_counts, pqke_total,
+                   session_energy)
 from pqpan import energy
 from pqpan.energy import (CYCLES_MAX, _chebyshev_polish, _dot, _require_full_rank, comm_energy,
                           comp_energy, handshake_inputs, radio_state_times, transfer_energy)
@@ -86,18 +87,18 @@ def test_comm_energy_zero_budget():
 
 def test_comm_energy_role_swap():
     p = make_profile(i_tx=6e-3, i_rx=4e-3)
-    budget = TimeBudget(t_tx=10e-3, t_rx=2e-3, t_ifs=3e-3)
+    budget = TimeBudget(tx_us=10e3, rx_us=2e3, ifs_us=3e3)
     sender = comm_energy(budget, p)
     receiver = comm_energy(budget, p, as_receiver=True)
-    assert sender == pytest.approx(3.0 * (6e-3 * 10e-3 + 4e-3 * 2e-3 + 2e-3 * 3e-3) * 1e6)
-    assert receiver == pytest.approx(3.0 * (4e-3 * 10e-3 + 6e-3 * 2e-3 + 2e-3 * 3e-3) * 1e6)
+    assert sender == pytest.approx(3.0 * (6e-3 * 10e3 + 4e-3 * 2e3 + 2e-3 * 3e3))
+    assert receiver == pytest.approx(3.0 * (4e-3 * 10e3 + 6e-3 * 2e3 + 2e-3 * 3e3))
 
 
 @given(st.floats(min_value=0.1, max_value=10.0))
 def test_comm_energy_homogeneous_in_time(k):
     p = make_profile()
-    b = TimeBudget(t_tx=1e-3, t_rx=2e-4, t_ifs=5e-4)
-    scaled = TimeBudget(t_tx=k * b.t_tx, t_rx=k * b.t_rx, t_ifs=k * b.t_ifs)
+    b = TimeBudget(tx_us=1000.0, rx_us=200.0, ifs_us=500.0)
+    scaled = TimeBudget(tx_us=k * b.tx_us, rx_us=k * b.rx_us, ifs_us=k * b.ifs_us)
     assert comm_energy(scaled, p) == pytest.approx(k * comm_energy(b, p))
 
 
@@ -161,6 +162,36 @@ def test_include_encap_adds_uncalibrated_term():
     assert full.adj_encap == full.e_encap
     assert full.e_total == pytest.approx(base.e_total + full.e_encap)
     assert full.comm_share < base.comm_share
+
+
+#: The sampled grid of the alignment rule: one-byte steps of att_mtu from every 6th
+#: value, and of ll_pdu from every 8th, with ATT 23 -> 24 and LL 27 -> 28 among them.
+ALIGN_ATTS = sorted({att + d for att in range(23, 517, 6) for d in (0, 1)})
+ALIGN_LLS = sorted({ll + d for ll in range(27, 251, 8) for d in (0, 1)})
+
+
+def test_alignment_rule_on_a_sampled_grid():
+    # A full SDU, att_mtu + 4 bytes, takes ceil((att_mtu + 4) / ll_pdu) frames;
+    # e_total never rises with a one-byte ll_pdu step, but can with att_mtu.
+    worst = (0.0,)
+    for scheme in MLKEM:
+        e = {(att, ll): pqke_total(scheme, LinkConfig(att_mtu=att, ll_pdu=ll)).e_total
+             for att in ALIGN_ATTS for ll in ALIGN_LLS}
+        for (att, ll), total in e.items():
+            if scheme == MLKEM[0]:
+                cfg = LinkConfig(att_mtu=att, ll_pdu=ll)
+                assert plan_counts(att - 3, cfg) == (1, -(-(att + 4) // ll))
+            if (att, ll + 1) in e:
+                assert e[att, ll + 1] <= total, (scheme, att, ll)
+            if (att + 1, ll) in e:
+                worst = max(worst, (e[att + 1, ll] / total - 1, scheme, ll, att, total,
+                                    e[att + 1, ll]))
+    # The worst one-byte att_mtu step of the whole grid: each 27 B SDU, one full
+    # frame at ATT 23, needs a second frame at ATT 24.
+    rise, *cell, before, after = worst
+    assert cell == ["ML-KEM-512", 27, 23]
+    assert (round(before, 3), round(after, 3), round(100 * rise, 2)) == (1392.049, 1856.902,
+                                                                         33.39)
 
 
 def test_modeled_comm_matches_reference_spot_cell(fit_result):
@@ -342,12 +373,12 @@ def test_fit_residuals_are_the_model_priced_under_the_reported_profile(reference
 
 
 def test_fit_of_a_table_whose_gaps_cost_nothing_prices_the_reported_i_ifs(reference_rows):
-    # The fit's i_ifs rounds to about 4e-15 here; the profile holds CURRENT_MIN,
+    # The fit's i_ifs rounds to about 3e-15 here; the profile holds CURRENT_MIN,
     # and so does every residual.
     rows = []
     for row, transfer in zip(reference_rows, _transfers(reference_rows)):
-        t_tx, t_rx, _ = radio_state_times(*transfer)
-        e = 3.0 * (6e-3 * t_tx + 5e-3 * t_rx) * 1e6
+        tx_us, rx_us, _ = radio_state_times(*transfer)
+        e = 3.0 * (6e-3 * tx_us + 5e-3 * rx_us)
         rows.append(row.replace(e_theor_uj=e, e_emp_uj=e, delta=0.0))
     result = fit_radio_currents(rows)
     assert result.profile.i_ifs == energy.CURRENT_MIN
@@ -506,7 +537,7 @@ def test_fit_recovers_synthetic_profile_exactly():
 def test_fit_without_ifs_term_is_strictly_worse(reference_rows):
     # Without its IFS column the gap time falls to the tx and rx currents,
     # and the best worst-case residual they reach is strictly larger.
-    target = [r.e_theor_uj * 1e-6 for r in reference_rows]
+    target = [r.e_theor_uj for r in reference_rows]
 
     def worst(design):
         x = _chebyshev_polish(design, target)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpan import (FragmentationPlan, InvalidConfig, LinkConfig, LinkFrame, airtime,
-                   plan_counts, plan_transfer)
+from pqpan import (FragmentationPlan, InvalidConfig, LinkConfig, LinkFrame, TimeBudget,
+                   airtime, plan_counts, plan_transfer)
 from pqpan.link import ARTIFACT_MAX, sdu_layout
 from chunking_oracle import byte_stream_counts, byte_stream_frames
 
@@ -44,9 +44,9 @@ def test_single_byte_artifact():
 
 
 def bytes_on_air(artifact, c):
-    """(tx, rx) PHY bytes of a transfer, read back from its time budget."""
+    """(tx, rx) PHY bytes of a transfer, read back from its time budget in µs."""
     budget = airtime(artifact, c)
-    return budget.t_tx * c.phy_rate / 8, budget.t_rx * c.phy_rate / 8
+    return budget.tx_us * c.phy_rate / 8e6, budget.rx_us * c.phy_rate / 8e6
 
 
 def test_bytes_on_air_mlkem512_pk():
@@ -66,21 +66,16 @@ def test_bytes_on_air_mlkem512_ct():
 
 def test_airtime_single_full_frame():
     # 20 value bytes at ATT 30 make one 27 B SDU, one maximal frame.
-    budget = airtime(20, cfg(30, 27))
-    assert budget.t_tx == pytest.approx(296e-6)
-    assert budget.t_rx == pytest.approx(80e-6)
-    assert budget.t_ifs == pytest.approx(300e-6)
+    assert airtime(20, cfg(30, 27)) == TimeBudget(tx_us=296.0, rx_us=80.0, ifs_us=300.0)
 
 
 def test_airtime_single_frame_one_slot():
-    budget = airtime(20, cfg(30, 27, ifs_slots=1))
-    assert budget.t_ifs == pytest.approx(150e-6)
+    assert airtime(20, cfg(30, 27, ifs_slots=1)).ifs_us == 150.0
 
 
 def test_airtime_full_mlkem512_pk_plan():
     budget = airtime(800, cfg(65, 27))
-    assert budget.t_tx == pytest.approx(8 * 1281 / 1e6)
-    assert budget.t_rx == pytest.approx(8 * 390 / 1e6)
+    assert (budget.tx_us, budget.rx_us) == (8 * 1281, 8 * 390)
 
 
 @pytest.mark.parametrize("att", ATT_GRID)
@@ -101,9 +96,9 @@ def assert_layout_and_airtime_match_oracle(artifact, c):
     frames = byte_stream_frames(artifact, c.att_mtu, c.ll_pdu)
     assert frame_sizes(artifact, c) == frames
     budget = airtime(artifact, c)
-    assert budget.t_tx == 8.0 * sum(size + 10 for size in frames) / c.phy_rate
-    assert budget.t_rx == 8.0 * 10 * len(frames) / c.phy_rate
-    assert budget.t_ifs == c.ifs_slots * len(frames) * c.ifs
+    assert budget.tx_us == 8e6 * sum(size + 10 for size in frames) / c.phy_rate
+    assert budget.rx_us == 8e6 * 10 * len(frames) / c.phy_rate
+    assert budget.ifs_us == len(frames) * (c.ifs_slots * (c.ifs * 1e6))
 
 
 @given(artifacts, st.integers(min_value=23, max_value=517),
@@ -166,7 +161,7 @@ def test_frame_count_monotone_in_ll_pdu(artifact, att, ll_pair):
 def test_dle_time_dominance(artifact, att):
     base = airtime(artifact, cfg(att, 27))
     dle = airtime(artifact, cfg(att, 251))
-    assert dle.t_tx + dle.t_rx + dle.t_ifs <= base.t_tx + base.t_rx + base.t_ifs
+    assert dle.tx_us + dle.rx_us + dle.ifs_us <= base.tx_us + base.rx_us + base.ifs_us
 
 
 def naive_plan(artifact_size, c):

@@ -56,7 +56,7 @@ def test_mutant_table_matches_source():
     assert mutants.TABLE_TEST == "tests/test_scripts.py::test_mutant_table_matches_source"
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "pqpan").glob("*.py")}
-    assert len(mutants.MUTANTS) == 59
+    assert len(mutants.MUTANTS) == 62
     for name, (file, old, new) in mutants.MUTANTS.items():
         assert old != new, name
         assert sources[file].count(old) == 1, name
@@ -90,9 +90,9 @@ def test_chunking_domain_check_sees_a_count_off_by_one(monkeypatch):
     checked, bad = domain.pair_mismatches(23, 27)
     assert checked == 40
     # Two SDUs of 20 value bytes, each 27 B in one frame; the model counts 41 bytes.
-    assert bad == ["att_mtu=23 ll_pdu=27 size=40: model ((3, 3), TimeBudget(t_tx=0.000592, "
-                   "t_rx=0.00016, t_ifs=0.0006)), byte stream ((2, 2), TimeBudget("
-                   "t_tx=0.000592, t_rx=0.00016, t_ifs=0.0006))"]
+    assert bad == ["att_mtu=23 ll_pdu=27 size=40: model ((3, 3), TimeBudget(tx_us=592.0, "
+                   "rx_us=160.0, ifs_us=600.0)), byte stream ((2, 2), TimeBudget("
+                   "tx_us=592.0, rx_us=160.0, ifs_us=600.0))"]
 
 
 def test_chunking_domain_check_sees_a_budget_off_by_one_byte(monkeypatch):
@@ -102,9 +102,9 @@ def test_chunking_domain_check_sees_a_budget_off_by_one_byte(monkeypatch):
     _, bad = domain.pair_mismatches(23, 27)
     # The budget of 41 bytes: a third SDU of one value byte and 7 B of headers, in a
     # frame of its own, puts 18 B more data and 10 B more acks on air.
-    assert bad == ["att_mtu=23 ll_pdu=27 size=40: model ((2, 2), TimeBudget(t_tx=0.000736, "
-                   "t_rx=0.00024, t_ifs=0.0009)), byte stream ((2, 2), TimeBudget("
-                   "t_tx=0.000592, t_rx=0.00016, t_ifs=0.0006))"]
+    assert bad == ["att_mtu=23 ll_pdu=27 size=40: model ((2, 2), TimeBudget(tx_us=736.0, "
+                   "rx_us=240.0, ifs_us=900.0)), byte stream ((2, 2), TimeBudget("
+                   "tx_us=592.0, rx_us=160.0, ifs_us=600.0))"]
 
 
 def test_chunking_domain_check_sees_a_stream_that_does_not_step(monkeypatch):

@@ -187,8 +187,9 @@ def test_to_jsonl_equals_json_dumps_of_records(scheme, att, ll, slots, payload):
 
 @pytest.mark.parametrize("time_us", [0.0, 1e-300, 1e300, float("inf"), float("nan")])
 def test_to_jsonl_formats_any_float_like_json(time_us):
-    ack = (Role.CENTRAL, 0, 10, True, 80.0, 150.0)
-    transfer = _Transfer('op "quoted" \u00e9', time_us, (ack,), 2, (ack,))
+    ack = (0.0, (Role.CENTRAL, 0, 10, True))
+    transfer = _Transfer('op "quoted" \u00e9', time_us, (ack,), 2, (ack,), 230.0,
+                         time_us + 2 * 230.0 + 230.0)
     trace = FrameTrace((transfer,), transfer.clock)
     assert trace.to_jsonl() == reference_jsonl(trace)
     assert FrameTrace().to_jsonl() == reference_jsonl(FrameTrace()) == ""

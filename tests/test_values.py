@@ -45,8 +45,9 @@ def _residual():
 
 
 def _transfer():
-    ack = (Role.CENTRAL, 0, 10, True, 80.0, 150.0)
-    return _Transfer(op="Payload", start=1000.0, full=(ack,), n_full=2, last=(ack,))
+    ack = (0.0, (Role.CENTRAL, 0, 10, True))
+    return _Transfer(op="Payload", start=1000.0, full=(ack,), n_full=2, last=(ack,),
+                     sdu_len=230.0, clock=1690.0)
 
 
 #: type -> keyword arguments of one instance, built afresh on each call.
@@ -56,7 +57,7 @@ KWARGS = {
     LinkFrame: lambda: dict(payload_bytes=27, overhead_bytes=10, is_ack=False),
     FragmentationPlan: lambda: dict(frames=(LinkFrame(27), LinkFrame(0, is_ack=True)),
                                     ll_data_pdu_count=1),
-    TimeBudget: lambda: dict(t_tx=1e-3, t_rx=2.5e-4, t_ifs=3e-4),
+    TimeBudget: lambda: dict(tx_us=1000.0, rx_us=250.0, ifs_us=300.0),
     KemParamSet: lambda: dict(name="ML-KEM-512", pk_size=800, sk_size=1632, ct_size=768,
                               nist_level=1),
     ReferenceEnergyRow: lambda: dict(scheme="ML-KEM-512", att_mtu=65, ll_pdu=27, op="Write_CT",
@@ -115,7 +116,7 @@ REPRS = {
     FragmentationPlan: (
         "FragmentationPlan(frames=(LinkFrame(payload_bytes=27, overhead_bytes=10, is_ack=False), "
         "LinkFrame(payload_bytes=0, overhead_bytes=10, is_ack=True)), ll_data_pdu_count=1)"),
-    TimeBudget: "TimeBudget(t_tx=0.001, t_rx=0.00025, t_ifs=0.0003)",
+    TimeBudget: "TimeBudget(tx_us=1000.0, rx_us=250.0, ifs_us=300.0)",
     KemParamSet: _SCHEME_REPR,
     ReferenceEnergyRow: ("ReferenceEnergyRow(scheme='ML-KEM-512', att_mtu=65, ll_pdu=27, "
                          "op='Write_CT', e_theor_uj=100.0, e_emp_uj=110.0, delta=0.0909)"),
@@ -136,9 +137,9 @@ REPRS = {
     TraceRecord: ("TraceRecord(time_us=1000.0, sender=<Role.CENTRAL: 'central'>, payload_bytes=0, "
                   "overhead_bytes=10, is_ack=True, op='Payload')"),
     FrameTrace: ("FrameTrace(_parts=(_Transfer(op='Payload', start=1000.0, full=("
-                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0),), n_full=2, last=("
-                 "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0),), "
-                 "clock=1690.0),), clock_us=1230.0)"),
+                 "(0.0, (<Role.CENTRAL: 'central'>, 0, 10, True)),), n_full=2, last=("
+                 "(0.0, (<Role.CENTRAL: 'central'>, 0, 10, True)),), "
+                 "sdu_len=230.0, clock=1690.0),), clock_us=1230.0)"),
     PartyState: (
         f"PartyState(role=<Role.PERIPHERAL: 'peripheral'>, scheme={_SCHEME_REPR}, "
         f"phase=<Phase.ESTABLISHED: 'Established'>, keypair=KemKeyPair(pk=b'pk', sk=b'sk', "
@@ -162,11 +163,11 @@ REPRS = {
 PAYLOAD_TRACE_REPR = (
     "FrameTrace(_parts=(_Transfer(op='Payload', start=49420.0, full=(), "
     "n_full=0, last=("
-    "(<Role.PERIPHERAL: 'peripheral'>, 27, 10, False, 296.0, 150.0), "
-    "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0), "
-    "(<Role.PERIPHERAL: 'peripheral'>, 8, 10, False, 144.0, 150.0), "
-    "(<Role.CENTRAL: 'central'>, 0, 10, True, 80.0, 150.0)), "
-    "clock=50620.0),), clock_us=50620.0)")
+    "(0.0, (<Role.PERIPHERAL: 'peripheral'>, 27, 10, False)), "
+    "(446.0, (<Role.CENTRAL: 'central'>, 0, 10, True)), "
+    "(676.0, (<Role.PERIPHERAL: 'peripheral'>, 8, 10, False)), "
+    "(970.0, (<Role.CENTRAL: 'central'>, 0, 10, True))), "
+    "sdu_len=0.0, clock=50620.0),), clock_us=50620.0)")
 
 #: Types whose hash fails, as a frozen dataclass's did, because a field is a
 #: table, which is stored as a read-only mapping.
@@ -346,7 +347,7 @@ SIGNATURES = {
     LinkConfig: "(att_mtu, ll_pdu, phy_rate=1000000.0, ifs=0.00015, ifs_slots=2)",
     LinkFrame: "(payload_bytes, overhead_bytes=10, is_ack=False)",
     FragmentationPlan: "(frames, ll_data_pdu_count)",
-    TimeBudget: "(t_tx, t_rx, t_ifs)",
+    TimeBudget: "(tx_us, rx_us, ifs_us)",
     KemParamSet: "(name, pk_size, sk_size, ct_size, nist_level=None)",
     ReferenceEnergyRow: "(scheme, att_mtu, ll_pdu, op, e_theor_uj, e_emp_uj, delta)",
     CalibrationFactors: "(gamma_keygen, gamma_decap, gamma_comm)",
@@ -361,7 +362,7 @@ SIGNATURES = {
     FitRowResidual: "(scheme, att_mtu, ll_pdu, op, reference_uj, modeled_uj, rel_err)",
     FitResult: "(profile, residuals, max_abs_rel_err, mean_abs_rel_err)",
     TraceRecord: "(time_us, sender, payload_bytes, overhead_bytes, is_ack, op)",
-    _Transfer: "(op, start, full, n_full, last)",
+    _Transfer: "(op, start, full, n_full, last, sdu_len, clock)",
     FrameTrace: "(parts=(), clock_us=0.0)",
     PartyState: ("(role, scheme, phase=<Phase.IDLE: 'Idle'>, keypair=None, peer_pk=None, "
                  "session_key=None)"),
@@ -385,10 +386,10 @@ def test_constructor_signature_is_pinned(cls):
 
 def test_constructor_refuses_a_missing_field_and_an_unknown_keyword():
     # Python's own errors, as from any function that takes these parameters.
-    with pytest.raises(TypeError, match=r"missing 1 required positional argument: 't_ifs'"):
-        TimeBudget(1e-3, 2.5e-4)
-    with pytest.raises(TypeError, match=r"unexpected keyword argument 't_idle'"):
-        TimeBudget(1e-3, 2.5e-4, 3e-4, t_idle=0.0)
+    with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'ifs_us'"):
+        TimeBudget(1000.0, 250.0)
+    with pytest.raises(TypeError, match=r"unexpected keyword argument 'idle_us'"):
+        TimeBudget(1000.0, 250.0, 300.0, idle_us=0.0)
     with pytest.raises(TypeError, match=r"takes from 3 to 7 positional arguments"):
         PartyState(Role.CENTRAL, _scheme(), Phase.IDLE, None, None, None, None)
     assert PartyState(Role.CENTRAL, _scheme()).phase is Phase.IDLE
