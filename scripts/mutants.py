@@ -32,8 +32,8 @@ LEVEL_KEYS = """\
         table[level] = real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
 """
 COVERAGE = """\
-    if not set(SECURITY_LEVELS) <= set(table):
-        raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
+    if set(SECURITY_LEVELS) != set(table):
+        raise ConsistencyError(f"{name} must map exactly levels 1, 3 and 5 to factors")
 """
 
 #: name -> (file under src/pqpan, old text, new text); each old text occurs
@@ -99,8 +99,8 @@ MUTANTS = {
         "if isinstance(scheme, KemParamSet) and scheme.replace(name=bundled.name) != bundled:",
         "if False:"),
     "cycles read at the upper-cased name": (
-        "energy.py", "InvalidProfile)).get(scheme.name)",
-        "InvalidProfile)).get(scheme.name.upper())"),
+        "energy.py", "counts = cycles.get(scheme.name)",
+        "counts = cycles.get(scheme.name.upper())"),
     "fit residuals priced by the design row": (
         "energy.py", "for r, m in zip(rows, (comm_energy(b, profile, rx) for b, rx in transfers)))",
         "for r, m in zip(rows, (_dot(d, current) for d in design)))"),
@@ -178,6 +178,12 @@ MUTANTS = {
         "cfg = cfg  # every count"),
     "level-key check moved back after the coverage check": (
         "reference.py", LEVEL_KEYS + COVERAGE, COVERAGE + LEVEL_KEYS),
+    "calibration levels checked as a subset again": (
+        "reference.py", "if set(SECURITY_LEVELS) != set(table):",
+        "if not set(SECURITY_LEVELS) <= set(table):"),
+    "session_energy leaves a given cycles unchecked": (
+        "energy.py", "profile, gamma, cycles = _model_inputs(profile, gamma, cycles)  # each path",
+        "profile, gamma, _ = _model_inputs(profile, gamma, None)  # each path"),
     "KemParamSet passthrough removed from lookup_scheme": (
         "reference.py", "    if isinstance(name, KemParamSet):\n        return name\n", ""),
     "non-backend value runs the stub": (

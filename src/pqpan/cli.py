@@ -80,25 +80,26 @@ def _seed(text: str) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    every_level = _checked(lambda t: dict.fromkeys(SECURITY_LEVELS, float(t)), bool, "a number")
-    p.add_argument("--config", "--profile", dest="config", metavar="PATH",
+    p.add_argument("--config", metavar="PATH",
                    help="JSON config file (falls back to $PQPAN_PROFILE)")
+    p.add_argument("--ifs-slots", type=int, metavar="N",
+                   help="inter-frame gaps charged per data/ack exchange (1 or 2)")
+
+
+def _add_handshake_flags(p: argparse.ArgumentParser, require: bool,
+                         default_att: int | None = None, default_ll: int | None = None) -> None:
+    """The link and calibration flags of the commands that price one calibrated handshake."""
+    every_level = _checked(lambda t: dict.fromkeys(SECURITY_LEVELS, float(t)), bool, "a number")
+    p.add_argument("--att-mtu", type=int, required=require, default=default_att,
+                   help="ATT MTU in bytes (23..517)")
+    p.add_argument("--ll-pdu", type=int, required=require, default=default_ll,
+                   help="link-layer PDU payload cap in bytes (27..251)")
     p.add_argument("--gamma-comm", type=float, metavar="G",
                    help="override the communication calibration factor")
     p.add_argument("--gamma-keygen", type=every_level, metavar="G",
                    help="override the key-generation calibration factor (all levels)")
     p.add_argument("--gamma-decap", type=every_level, metavar="G",
                    help="override the decapsulation calibration factor (all levels)")
-    p.add_argument("--ifs-slots", type=int, metavar="N",
-                   help="inter-frame gaps charged per data/ack exchange (1 or 2)")
-
-
-def _add_link_flags(p: argparse.ArgumentParser, require: bool,
-                    default_att: int | None = None, default_ll: int | None = None) -> None:
-    p.add_argument("--att-mtu", type=int, required=require, default=default_att,
-                   help="ATT MTU in bytes (23..517)")
-    p.add_argument("--ll-pdu", type=int, required=require, default=default_ll,
-                   help="link-layer PDU payload cap in bytes (27..251)")
 
 
 def _model_config(args) -> ModelConfig:
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="handshake energy breakdown for one config")
     p.add_argument("--scheme", required=True, help="KEM scheme name, e.g. ml-kem-768")
-    _add_link_flags(p, require=True)
+    _add_handshake_flags(p, require=True)
     p.add_argument("--include-encap", action="store_true",
                    help="include the remote party's encapsulation energy")
     _add_config_flags(p)
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the deterministic two-party handshake")
     p.add_argument("--scheme", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_link_flags(p, require=False, default_att=404, default_ll=251)
+    _add_handshake_flags(p, require=False, default_att=404, default_ll=251)
     payload_max = ARTIFACT_MAX - AEAD_OVERHEAD_BYTES  # the sealed payload is one artifact
     p.add_argument("--payload", type=_checked(int, lambda v: 0 <= v <= payload_max,
                                               f"a byte count in [0, {payload_max}]"),

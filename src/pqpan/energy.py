@@ -172,12 +172,14 @@ def transfer_energy(budget: TimeBudget, profile: RadioProfile, gamma: Calibratio
     return gamma.gamma_comm * comm_energy(budget, profile, as_receiver)
 
 
-def _profile_and_gamma(profile, gamma) -> tuple[RadioProfile, CalibrationFactors]:
+def _model_inputs(profile, gamma, cycles) -> tuple[RadioProfile, CalibrationFactors, Mapping]:
     """Each its default when None; a value of another type is refused with its type's error."""
     return (FITTED_RADIO_PROFILE if profile is None
             else of_type("profile", profile, RadioProfile, InvalidProfile),
             default_calibration() if gamma is None
-            else of_type("gamma", gamma, CalibrationFactors, ConsistencyError))
+            else of_type("gamma", gamma, CalibrationFactors, ConsistencyError),
+            load_cycle_counts() if cycles is None
+            else of_type("cycles", cycles, Mapping, InvalidProfile))
 
 
 def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
@@ -185,11 +187,10 @@ def handshake_inputs(scheme: KemParamSet | str, profile: RadioProfile | None,
     """(scheme, profile, gamma, the cycle counts at ``scheme.name``), with defaults filled
     in; UnsupportedScheme for a scheme without a handshake energy model or counts."""
     scheme = lookup_scheme(scheme)
-    profile, gamma = _profile_and_gamma(profile, gamma)
+    profile, gamma, cycles = _model_inputs(profile, gamma, cycles)
     if scheme.nist_level is None:
         raise UnsupportedScheme(f"{scheme.name} has no handshake energy model")
-    counts = (load_cycle_counts() if cycles is None
-              else of_type("cycles", cycles, Mapping, InvalidProfile)).get(scheme.name)
+    counts = cycles.get(scheme.name)
     if counts is None:
         raise UnsupportedScheme(f"no cycle counts at key {scheme.name!r}")
     return scheme, profile, gamma, of_type("cycles entry", counts, CycleCounts, InvalidProfile)
@@ -251,7 +252,7 @@ def session_energy(security: str, payload: int, cfg: LinkConfig,
     security = of_type("security", security, str)
     payload = int_in_range("payload", payload, 0, math.inf)  # the artifact cap comes later
     cfg = of_type("cfg", cfg, LinkConfig)  # "none" or "ecdh" without a payload never reads it
-    profile, gamma = _profile_and_gamma(profile, gamma)
+    profile, gamma, cycles = _model_inputs(profile, gamma, cycles)  # each path checks all three
 
     kind = security.strip().lower()
     if kind == SECURITY_NONE:

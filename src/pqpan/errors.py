@@ -35,9 +35,6 @@ class ParseError(PqpanError):
         if column is not None:
             where += f":{column}"
         super().__init__(f"{where}: {message}")
-        self.path = path
-        self.row = row
-        self.column = column
 
 
 class ConsistencyError(PqpanError):

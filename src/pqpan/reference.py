@@ -1,12 +1,13 @@
 """Bundled reference data.
 
-Three data sets ship with the package:
+Four data sets ship with the package:
 
 * ``schemes.csv``     - artifact byte sizes for standardized key-encapsulation
   schemes, plus the classical ECDH baseline.
 * ``table2.csv``      - the 48-row communication-energy reference table
   (theoretical and hardware-measured microjoules per transfer operation,
   across ATT MTU / LL PDU configurations and ML-KEM parameter sets).
+* ``cycles.csv``      - MCU cycle counts per KEM operation (``energy.load_cycle_counts``).
 * default calibration factors aligning analytical energy with measurement.
 
 Every CSV table, bundled or a user's, is read by :func:`read_table` and checked
@@ -95,15 +96,15 @@ class ReferenceEnergyRow(Value):
 
 
 def _factor_table(name: str, table) -> MappingProxyType[int, float]:
-    """A check: a read-only copy of a calibration table, which maps each of levels
-    1, 3 and 5, and any other ``int`` level (not a bool), to a factor in [1, GAMMA_MAX]."""
+    """A check: a read-only copy of a calibration table, which maps exactly the ``int`` levels
+    1, 3 and 5 (not bools), those a KemParamSet can claim, each to a factor in [1, GAMMA_MAX]."""
     table = dict(table) if isinstance(table, Mapping) else {}  # the copy is checked
     for level, factor in table.items():  # types first: a bad key is not called a missing level
         if type(level) is not int:
             raise ConsistencyError(f"{name} has a level that is not an integer, {_shown(level)}")
         table[level] = real_in_range(name, factor, 1.0, GAMMA_MAX, ConsistencyError)
-    if not set(SECURITY_LEVELS) <= set(table):
-        raise ConsistencyError(f"{name} must map each of levels 1, 3 and 5 to a factor")
+    if set(SECURITY_LEVELS) != set(table):
+        raise ConsistencyError(f"{name} must map exactly levels 1, 3 and 5 to factors")
     return MappingProxyType(table)
 
 
@@ -113,8 +114,8 @@ class CalibrationFactors(Value):
     ``gamma_keygen``/``gamma_decap`` map a NIST security level to the factor
     for that computation phase; ``gamma_comm`` applies to both transfer
     phases regardless of level. Every factor is a number in [1, GAMMA_MAX], and
-    each table is a mapping that covers every security level, stored as a
-    read-only copy.
+    each table is a mapping of exactly the security levels 1, 3 and 5, stored as
+    a read-only copy.
     """
 
     __slots__ = ("gamma_keygen", "gamma_decap", "gamma_comm")

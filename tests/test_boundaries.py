@@ -171,6 +171,13 @@ WRONG_TYPES = [
           ("gamma", 0, ConsistencyError), ("gamma", {}, ConsistencyError),
           ("cycles", {"ML-KEM-512": (1, 2, 3)}, InvalidProfile),
           ("cycles", [("ML-KEM-512", CycleCounts(1, 2, 3))], InvalidProfile))],
+    # "none" and "ecdh" read no cycle counts, but take the argument on the same rule.
+    *[(f"session_energy({kind!r}, cycles={value!r})",
+       lambda cycles, kind=kind: session_energy(kind, 100, CFG, cycles=cycles), "cycles", value,
+       InvalidProfile) for kind in ("none", "ecdh", "ml-kem-512") for value in ("junk", 7)],
+    # Checked before the scheme is asked for a handshake model.
+    ("pqke_total('ecdh-p256', cycles='junk')",
+     lambda cycles: pqke_total("ecdh-p256", CFG, cycles=cycles), "cycles", "junk", InvalidProfile),
     *[(f"{name}(cfg={value!r})", call, "cfg", value, InvalidConfig)
       for name, call in (("pqke_total", lambda cfg: pqke_total("ml-kem-512", cfg)),
                          ("session_energy", lambda cfg: session_energy("ml-kem-512", 0, cfg)),

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -144,6 +145,83 @@ def test_fit_has_no_ifs_slots_flag(capsys):
     code, out, err = run_cli(capsys, "fit", "--ifs-slots", "2")
     assert code == 2
     assert out == "" and "unrecognized arguments: --ifs-slots" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gamma-comm", "2"], ["sweep", "--gamma-keygen", "2"],
+    ["sweep", "--gamma-decap", "2"],
+    *[[command, "--profile", "c.json", *required] for command, required in (
+        ("estimate", ["--scheme", "ml-kem-512", "--att-mtu", "65", "--ll-pdu", "27"]),
+        ("sweep", []), ("simulate", ["--scheme", "ml-kem-512"]))]],
+    ids=lambda argv: f"{argv[0]} {argv[1]}")
+def test_an_input_nothing_reads_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # sweep prices uncalibrated energies, so it takes no calibration flag, and
+    # --config has one spelling.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[1]}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def _walked_flags():
+    """(subcommand, option string) of every optional flag of build_parser(), but --help."""
+    commands = next(action.choices for action in pqpan.cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(command, flag) for command, parser in commands.items()
+            for action in parser._actions if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings]
+
+
+#: Each subcommand's default run; a flag's run appends its argv from FLAG_ARGV.
+DEFAULT_RUNS = {"estimate": ["--scheme", "ml-kem-512", "--att-mtu", "65", "--ll-pdu", "27"],
+                "sweep": ["--schemes", "ml-kem-512", "--att-mtus", "65", "--ll-pdus", "27"],
+                "fit": [], "simulate": ["--scheme", "ml-kem-768"]}
+#: A value of each flag that differs from every default run's; {config} is a config
+#: file and {table} the bundled table with one cell's energies 1% higher.
+FLAG_ARGV = {
+    "--scheme": ["--scheme", "ml-kem-1024"], "--att-mtu": ["--att-mtu", "23"],
+    "--ll-pdu": ["--ll-pdu", "69"], "--include-encap": ["--include-encap"],
+    "--gamma-comm": ["--gamma-comm", "2"], "--gamma-keygen": ["--gamma-keygen", "2"],
+    "--gamma-decap": ["--gamma-decap", "2"], "--config": ["--config", "{config}"],
+    "--ifs-slots": ["--ifs-slots", "1"], "--schemes": ["--schemes", "ml-kem-768"],
+    "--att-mtus": ["--att-mtus", "23"], "--ll-pdus": ["--ll-pdus", "251"],
+    "--reference-grid": ["--reference-grid"], "--compare": ["--compare"],
+    "--table": ["--table", "{table}"], "--format": ["--format", "json"],
+    "--out": ["--out", "out.txt"], "--seed": ["--seed", "7"],
+    "--payload": ["--payload", "100"], "--backend": ["--backend", "real"],
+    "--trace": ["--trace", "t.jsonl"], "--ledger": ["--ledger", "l.json"],
+}
+#: Flags read only beside another: sweep reads --table for --compare.
+READ_WITH = {("sweep", "--table"): ["--compare"]}
+
+
+@pytest.mark.parametrize("command,flag", _walked_flags())
+def test_every_flag_has_a_reader(capsys, tmp_path, monkeypatch, command, flag):
+    # A flag that nothing reads leaves stdout and every written file as the
+    # default run has them. --backend real names its backend in the output, or
+    # exits 3 where no provider serves ML-KEM-768; a run that ignored it would not.
+    monkeypatch.delenv("PQPAN_PROFILE", raising=False)
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "config.json").write_text(json.dumps({"i_tx": 7e-3}))
+    lines = resources.files("pqpan").joinpath("data/table2.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[4:6] = [f"{1.01 * float(e):.2f}" for e in cells[4:6]]
+    (inputs / "table.csv").write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    paths = {"{config}": str(inputs / "config.json"), "{table}": str(inputs / "table.csv")}
+
+    def run(name, argv):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, _ = run_cli(capsys, command, *(paths.get(a, a) for a in argv))
+        return code, out, {p.name: p.read_bytes() for p in work.iterdir()}
+
+    default = [*DEFAULT_RUNS[command], *READ_WITH.get((command, flag), [])]
+    by_default = run("default", default)
+    assert by_default[0] == 0
+    assert run("flag", [*default, *FLAG_ARGV[flag]]) != by_default
 
 
 def test_one_slot_fit_report_prices_the_same(capsys, tmp_path):
@@ -402,17 +480,23 @@ def test_config_gamma_level_key_must_be_an_integer(table, level):
         load_config(overrides={table: {level: 2.0, 3: 1.38, 5: 1.62}})
 
 
-def test_config_file_level_key_that_is_not_an_integer_exits_3(capsys, tmp_path):
-    # The file's keys reach CalibrationFactors, the one rule on level keys,
-    # as a library caller's do.
+@pytest.mark.parametrize("table,message", [
+    ({"1.5": 1.2, "3": 1.3, "5": 1.4}, "gamma_decap has a level that is not an integer, '1.5'"),
+    ({"1": 1.2, "2": 9.0, "3": 1.3, "5": 1.4},
+     "gamma_decap must map exactly levels 1, 3 and 5 to factors")], ids=["1.5", "2"])
+def test_config_file_level_key_refused_exits_3(capsys, tmp_path, table, message):
+    # The keys of a file, or of an override, reach CalibrationFactors, the one
+    # rule on level keys, as a library caller's do: an int level that no scheme
+    # claims is refused as a key that is not an int is.
     config = tmp_path / "bad.json"
-    config.write_text('{"gamma_decap": {"1.5": 1.2, "3": 1.3, "5": 1.4}}')
-    with pytest.raises(ConsistencyError, match="gamma_decap has a level that is not an integer"):
-        load_config(config)
+    config.write_text(json.dumps({"gamma_decap": table}))
+    for path, overrides in ((config, None), (None, {"gamma_decap": table})):
+        with pytest.raises(ConsistencyError, match=message):
+            load_config(path, overrides)
     code, out, err = run_cli(capsys, "estimate", "--scheme", "ml-kem-512", "--att-mtu", "65",
                              "--ll-pdu", "27", "--config", str(config))
     assert code == 3 and out == ""
-    assert "gamma_decap has a level that is not an integer, '1.5'" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("flag,argv", [

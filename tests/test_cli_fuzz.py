@@ -55,7 +55,7 @@ COMMANDS = {
     "sweep": ({}, {"--schemes": ["ml-kem-512,ML-KEM-768", "hqc-256,ecdh-p256"],
                    "--att-mtus": ["65", "23,404,517"], "--ll-pdus": ["27", "27,251"],
                    "--reference-grid": None, "--compare": None, "--format": ["csv", "json"],
-                   **SLOTS, **GAMMA, **CONFIG, **TABLE}),
+                   **SLOTS, **CONFIG, **TABLE}),
     "fit": ({}, {**TABLE}),
     "simulate": ({"--scheme": SCHEMES}, {"--seed": ["0", "7"], "--payload": ["0", "64", "600"],
                                          "--backend": ["stub"], **LINK, **GAMMA, **CONFIG}),

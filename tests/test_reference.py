@@ -442,8 +442,19 @@ def test_calibration_level_that_is_not_an_int_is_refused(table):
         CalibrationFactors(base.gamma_keygen, table, base.gamma_comm)
 
 
+@pytest.mark.parametrize("table", [{1: 1.2, 2: 9.0, 3: 1.3, 5: 1.4},
+                                   {1: 1.2, 3: 1.3, 5: 1.4, 7: 2},
+                                   {0: 1.2, 1: 1.2, 3: 1.3, 5: 1.4}, {1: 1.2, 3: 1.3}, {}],
+                         ids=["level-2", "level-7", "level-0", "level-5-missing", "empty"])
+def test_calibration_table_maps_exactly_levels_1_3_and_5(table):
+    # A KemParamSet claims level 1, 3, 5 or none, so no scheme reads another level.
+    base = default_calibration()
+    with pytest.raises(ConsistencyError, match="^gamma_keygen must map exactly levels 1, 3 and 5"):
+        CalibrationFactors(table, base.gamma_decap, base.gamma_comm)
+
+
 def test_calibration_stores_each_factor_as_a_float():
-    gamma = CalibrationFactors(dict.fromkeys((1, 3, 5), 2), {1: 1, 3: 2.5, 5: 3, 7: 4}, 2)
+    gamma = CalibrationFactors(dict.fromkeys((1, 3, 5), 2), {1: 1, 3: 2.5, 5: 3}, 2)
     assert gamma.gamma_keygen == {1: 2.0, 3: 2.0, 5: 2.0} and gamma.gamma_comm == 2.0
     assert {type(g) for g in (*gamma.gamma_keygen.values(), *gamma.gamma_decap.values(),
                               gamma.gamma_comm)} == {float}

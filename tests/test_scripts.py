@@ -56,7 +56,7 @@ def test_mutant_table_matches_source():
     assert mutants.TABLE_TEST == "tests/test_scripts.py::test_mutant_table_matches_source"
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "pqpan").glob("*.py")}
-    assert len(mutants.MUTANTS) == 62
+    assert len(mutants.MUTANTS) == 64
     for name, (file, old, new) in mutants.MUTANTS.items():
         assert old != new, name
         assert sources[file].count(old) == 1, name
@@ -121,3 +121,56 @@ def test_chunking_domain_check_sees_a_stream_that_does_not_step(monkeypatch):
     _, bad = domain.pair_mismatches(23, 27)
     assert "att_mtu=23 ll_pdu=27 size=24: byte stream (2, 3, 68, 30), not one full SDU " \
         "past size 4, (2, 2, 58, 20)" in bad
+
+
+def _alignment_rule():
+    spec = importlib.util.spec_from_file_location("alignment_rule",
+                                                  ROOT / "scripts" / "alignment_rule.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("ifs_slots", [2, 1])
+def test_alignment_rule_check_passes_on_the_smallest_pairs(ifs_slots):
+    # The whole domain runs in CI; tier-1 checks ATT 23..25 x LL 27..29, which
+    # holds the worst att_mtu step of the whole domain.
+    rule = _alignment_rule()
+    rising, (rise, *cell) = rule.grid_steps(ifs_slots, range(23, 26), range(27, 30))
+    assert rising == []
+    assert (*cell, round(100 * rise, 2)) == rule.WORST_ATT_STEP[ifs_slots]
+
+
+def test_alignment_rule_check_sees_a_rising_ll_pdu_step(monkeypatch):
+    rule = _alignment_rule()
+    real = rule.pqke_total
+
+    def raised(scheme, cfg):
+        bd = real(scheme, cfg)
+        return bd.replace(e_total=bd.e_total * 2) if (cfg.att_mtu, cfg.ll_pdu) == (24, 28) else bd
+
+    monkeypatch.setattr(rule, "pqke_total", raised)
+    rising, _ = rule.grid_steps(2, range(23, 26), range(27, 30))
+    assert [line.split(":")[0] for line in rising] == [
+        f"{scheme} ifs_slots=2 att_mtu=24" for scheme in rule.SCHEMES]
+    assert all(" ll_pdu 27 -> 28 raises e_total " in line for line in rising)
+
+
+def test_alignment_rule_ends_quietly_when_stdout_closes(tmp_path):
+    # Its main on a small grid, as `python scripts/alignment_rule.py | head -1`
+    # leaves it once head has its line: exit 0, with nothing on stderr.
+    script = str(ROOT / "scripts" / "alignment_rule.py")
+    code = ("import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('rule', {script!r})\n"
+            "rule = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(rule)\n"
+            "rule.ATT_MTU_MAX, rule.LL_PDU_MAX = 25, 29\n"
+            "sys.exit(rule.main())\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], stdout=write, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
