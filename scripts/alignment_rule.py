@@ -17,14 +17,13 @@ Usage: python scripts/alignment_rule.py
 """
 
 import math
-import os
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pqpan.cli import _print, _StdoutClosed  # noqa: E402
+from pqpan.cli import _discard_stdout, _print, _StdoutClosed  # noqa: E402
 from pqpan.energy import pqke_total  # noqa: E402
 from pqpan.link import ATT_MTU_MAX, ATT_MTU_MIN, LL_PDU_MAX, LL_PDU_MIN, LinkConfig  # noqa: E402
 
@@ -72,9 +71,7 @@ def main() -> int:
         for line in lines:
             _print(line)
     except _StdoutClosed:  # the reader has gone: the rest goes to the null device
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()
     return 1 if failed else 0
 
 

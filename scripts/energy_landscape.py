@@ -11,10 +11,10 @@ Usage: python scripts/energy_landscape.py [--payload BYTES]
 
 import argparse
 import csv
-import os
 import sys
 
 from pqpan import ECDH_PAIRING_UJ, LinkConfig, pqke_total, session_energy
+from pqpan.cli import _discard_stdout
 
 SCHEMES = ["ML-KEM-512", "ML-KEM-768", "ML-KEM-1024"]
 GRID = [(65, 27), (65, 69), (104, 27), (104, 108),
@@ -53,11 +53,8 @@ def main() -> int:
         sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit
     except BrokenPipeError:
         # The reader of stdout has gone, as `head` does after its lines: end
-        # quietly, as `pqpan` does; the flush at exit then writes what is still
-        # buffered to the null device.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # quietly, as `pqpan` does.
+        _discard_stdout()
         return 0
 
     print(file=sys.stderr)

@@ -3,23 +3,31 @@
 
 A mutant is one textual substitution in one file under ``src/pqpan``. For
 each, the repository is copied to a temporary directory, the substitution
-is applied to the copy, and the tier-1 tests run there with ``-x``. The
+is applied to the copy, and tier-1 tests run there with ``-x``: first the
+test files that import the mutated module, by its name or by a name the
+package exports from it, then, only if those all pass, the whole suite. The
 mutant is killed when a test fails and survives when every test passes. An
-unmutated copy runs first, and must pass, so that a kill means the mutant
-changed an outcome some test checks. Standard library only; one test run at
-a time, each about as long as the tier-1 suite.
+unmutated copy runs the whole suite first, and must pass, so that a kill
+means the mutant changed an outcome some tier-1 test checks. Standard
+library only; one test run at a time.
 
 Usage: python scripts/mutants.py
 """
 
+import ast
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from pqpan import _EXPORTS  # noqa: E402  exported name -> its layer module; loads no layer
+
 #: The tier-1 test of this table; every mutant would fail it, so it is left out.
 TABLE_TEST = "tests/test_scripts.py::test_mutant_table_matches_source"
 RUN_TIMEOUT_S = 900
@@ -125,8 +133,6 @@ MUTANTS = {
         "offset += length\n                frames.append((offset, step))"),
     "trace clock leaves out the last SDU": (
         "sim.py", "t + n_full * sdu_len + last_len)", "t + n_full * sdu_len)"),
-    "JSONL non-finite times formatted by repr": (
-        "sim.py", "isfinite(part.clock) else json.dumps", "isfinite(part.clock) else repr"),
     "JSONL tail shared across sender roles": (
         "sim.py", "tail(*step, op_json)", "tail(part.last[0][1][0], *step[1:], op_json)"),
     "run-length count one full block short": (
@@ -138,8 +144,18 @@ MUTANTS = {
         "kem.py", 'ss = _shake(b"pqpan-stub-ss", pk[:_HEAD] + ct,',
         'ss = _shake(b"pqpan-stub-ss", pk + ct,'),
     "trace frame counts ignore the op": (
-        "sim.py", "for part in self._parts if op is None or part.op == op)",
-        "for part in self._parts)"),
+        "sim.py", "for part in self.parts if op is None or part.op == op)",
+        "for part in self.parts)"),
+    "negative trace clock accepted": (
+        "sim.py", "partial(real_in_range, lo=0.0, hi=sys.float_info.max)",
+        "partial(real_in_range, lo=-sys.float_info.max, hi=sys.float_info.max)"),
+    "infinite trace clock accepted": (
+        "sim.py", "lo=0.0, hi=sys.float_info.max)", 'lo=0.0, hi=float("inf"))'),
+    "a bool accepted as a real number, a trace clock included": (
+        "errors.py", "(isinstance(value, float) or type(value) is int)",
+        "isinstance(value, (float, int))"),
+    "trace part not checked to be a transfer": (
+        "sim.py", "of_type(name, part, _Transfer) for part in", "part for part in"),
     "comm_share unrounded": (
         "cli.py", 'body["comm_share"] = round(breakdown.comm_share, 4)',
         'body["comm_share"] = breakdown.comm_share'),
@@ -207,11 +223,33 @@ MUTANTS = {
 }
 
 
-def suite_passes(tree: Path) -> bool:
-    """Whether the tier-1 suite, stopped at the first failure, passes in ``tree``."""
+def importers(module: str) -> list[str]:
+    """The test files that import ``module`` of pqpan (``"sim"``), by its name or by
+    a name the package exports from it, as paths relative to the repository; its
+    own file, ``tests/test_sim.py``, comes first."""
+    files = []
+    for path in sorted((ROOT / "tests").glob("test_*.py"),
+                       key=lambda path: (path.name != f"test_{module}.py", path.name)):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module == "pqpan":
+                imported.update(f"pqpan.{_EXPORTS.get(alias.name, alias.name)}"
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        if f"pqpan.{module}" in imported:
+            files.append(path.relative_to(ROOT).as_posix())
+    return files
+
+
+def suite_passes(tree: Path, files: list[str] = ()) -> bool:
+    """Whether the tier-1 tests in ``files`` (all of them if none), stopped at the
+    first failure, pass in ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", "--deselect", TABLE_TEST]
+           "--continue-on-collection-errors", "--deselect", TABLE_TEST, *files]
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                               timeout=RUN_TIMEOUT_S)
@@ -236,20 +274,26 @@ def mutate(tree: Path, file: str, old: str, new: str) -> None:
 
 
 def main() -> int:
+    start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="pqpan-mutants-") as tmp:
         if not suite_passes(copy_tree(Path(tmp))):
             print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
             return 2
+    tests = {file: importers(file.removesuffix(".py")) for file, _, _ in MUTANTS.values()}
     survived = []
     for name, (file, old, new) in MUTANTS.items():
         with tempfile.TemporaryDirectory(prefix="pqpan-mutants-") as tmp:
             tree = copy_tree(Path(tmp))
             mutate(tree, file, old, new)
-            killed = not suite_passes(tree)
+            # a failure among the importers' tests is a tier-1 failure; only a
+            # mutant that survives them pays for the whole suite
+            killed = ((bool(tests[file]) and not suite_passes(tree, tests[file]))
+                      or not suite_passes(tree))
         print(f"{'killed' if killed else 'SURVIVED'}  {file}: {name}", flush=True)
         if not killed:
             survived.append(name)
-    print(f"killed {len(MUTANTS) - len(survived)} of {len(MUTANTS)}")
+    print(f"killed {len(MUTANTS) - len(survived)} of {len(MUTANTS)} "
+          f"in {time.monotonic() - start:.0f} s")
     return 1 if survived else 0
 
 

@@ -48,6 +48,13 @@ def _print(text: str, end: str = "\n") -> None:
         raise _StdoutClosed from None
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, where the flush at exit writes what is left."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _write(path: str, text: str) -> None:
     """Write ``text`` over the old bytes at ``path``, then cut a regular file at
     its end. Mode ``"w"`` alone truncates to zero length first, which cost 0.7
@@ -322,12 +329,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pqpan: i/o error: {exc}", file=sys.stderr)
         return 4
-    except _StdoutClosed:
-        # Nobody reads what is left, so end quietly; the flush at exit then
-        # writes what is still buffered to the null device.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except _StdoutClosed:  # nobody reads what is left, so end quietly
+        _discard_stdout()
         return 0
 
 

@@ -111,9 +111,7 @@ def load_config(path: str | os.PathLike | None = None,
             data = {k: v for k, v in data.items() if k not in _REPORT_KEYS}
             data.update(nested)
     data.update({} if overrides is None else of_type("overrides", overrides, dict))
-    known = set(_PROFILE_KEYS) | set(_LINK_KEYS) | set(_OTHER_KEYS)
-    unknown = set(data) - known
-    if unknown:
+    if unknown := set(data).difference(_PROFILE_KEYS, _LINK_KEYS, _OTHER_KEYS):
         raise InvalidConfig(f"{path or 'config'}: unknown config keys {sorted(unknown)}")
 
     profile = FITTED_RADIO_PROFILE.replace(**{k: data[k] for k in _PROFILE_KEYS if k in data})

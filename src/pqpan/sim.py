@@ -23,25 +23,22 @@ closed form, ``start + i * sdu_len + offset``: ``sdu_len`` is the length of
 one full SDU, ``i`` the SDU's index and ``offset`` the air and gap of the
 SDU's frames before it, so no error builds up over the frames. On the
 default link every air time and gap is a whole number of µs, and every time
-is exact. The JSONL export and the frame counts read this form; per-frame
-:class:`TraceRecord` objects are built on the first read of
-:attr:`FrameTrace.records` and kept. ``a + b`` joins two traces as they are.
+is exact. The JSONL export and the frame counts read this form.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
+import sys
 from collections.abc import Mapping
 from functools import cached_property, partial
-from math import isfinite
 
 from . import kem
 from .energy import (AEAD_OVERHEAD_BYTES, CycleCounts, RadioProfile, handshake_breakdown,
                      handshake_inputs, transfer_energy)
 from .errors import (ConsistencyError, InvalidConfig, InvalidProfile, NotEstablished, Value,
-                     int_in_range, of_type, read_only, set_field)
+                     int_in_range, of_type, read_only, real_in_range)
 from .link import LL_OVERHEAD, LinkConfig, airtime, sdu_layout
 from .reference import CalibrationFactors, KemParamSet
 
@@ -95,10 +92,8 @@ class _Transfer(Value):
                 + sum(step[3] == is_ack for _, step in self.last))
 
     def sdus(self, full: list[tuple], last: list[tuple]) -> list[tuple[float, list[tuple]]]:
-        """Each SDU as (its start in µs, ``full`` or ``last``): SDU ``i`` starts at
-        ``start + i * sdu_len``, the last one after every full one. ``full`` and
-        ``last`` hold (offset, item) pairs, so a frame's time is its SDU's start
-        plus its offset."""
+        """Each SDU as (its start in µs, ``full`` or ``last``), the last after every
+        full one; a frame's time is its SDU's start plus its offset in the SDU."""
         start, sdu_len, n_full = self.start, self.sdu_len, self.n_full
         return [(start + i * sdu_len, full if i < n_full else last) for i in range(n_full + 1)]
 
@@ -108,33 +103,38 @@ class _Transfer(Value):
                 for base, steps in self.sdus(self.full, self.last) for offset, step in steps]
 
 
+def _transfers(name: str, parts) -> tuple:
+    """``parts`` as a tuple of the simulator's transfers, else InvalidConfig."""
+    return tuple(of_type(name, part, _Transfer) for part in of_type(name, parts, tuple))
+
+
 class FrameTrace(Value):
     """Timestamped frames; ``clock_us`` is the virtual time after the last
-    frame and its trailing gap, where the next transfer starts.
+    frame and its trailing gap, where the next transfer starts: a finite
+    number >= 0, so each frame the simulator sends after it has a finite time.
 
     The simulator builds each trace from its transfers, each stored once and
     compactly, so no per-frame object exists until :attr:`records` is read.
     ``a + b`` is ``a``'s frames then ``b``'s, ending at ``b``'s clock.
     """
 
-    __slots__ = ("_parts", "clock_us", "__dict__")  # the dict holds the cached records
-
-    def __init__(self, parts: tuple[_Transfer, ...] = (), clock_us: float = 0.0):
-        set_field(self, "_parts", parts)
-        set_field(self, "clock_us", clock_us)
+    __slots__ = ("parts", "clock_us", "__dict__")  # the dict holds the cached records
+    _defaults = {"parts": (), "clock_us": 0.0}
+    _checks = {"parts": _transfers,
+               "clock_us": partial(real_in_range, lo=0.0, hi=sys.float_info.max)}
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """Every frame as a :class:`TraceRecord`, built on the first read."""
-        return tuple(record for part in self._parts for record in part.records())
+        return tuple(record for part in self.parts for record in part.records())
 
     def __add__(self, other: FrameTrace) -> FrameTrace:
         if not isinstance(other, FrameTrace):
             return NotImplemented
-        return FrameTrace(self._parts + other._parts, other.clock_us)
+        return FrameTrace(self.parts + other.parts, other.clock_us)
 
     def _count(self, is_ack: bool, op: str | None) -> int:
-        return sum(part.count(is_ack) for part in self._parts if op is None or part.op == op)
+        return sum(part.count(is_ack) for part in self.parts if op is None or part.op == op)
 
     def data_frame_count(self, op: str | None = None) -> int:
         return self._count(False, op)
@@ -147,10 +147,9 @@ class FrameTrace(Value):
         each ended by a newline; an empty trace is the empty string.
 
         Lines are formatted directly, byte for byte as ``json.dumps`` would:
-        finite floats with ``repr``, ints as they are, and each transfer's op
-        string through ``json.dumps`` once; the rest of a line once per step of
-        an SDU. Times lie between their transfer's start and clock, so all are
-        finite when both ends are.
+        times with ``repr``, as the simulator's are finite, ints as they are, and each
+        transfer's op string through ``json.dumps`` once; the rest of a line
+        once per step of an SDU.
         """
         def tail(sender, payload_bytes, overhead_bytes, is_ack, op_json):
             direction = '"p->c"' if sender is Role.PERIPHERAL else '"c->p"'
@@ -159,12 +158,11 @@ class FrameTrace(Value):
                     f'"is_ack": {"true" if is_ack else "false"}}}\n')
 
         lines = []
-        for part in self._parts:
+        for part in self.parts:
             op_json = json.dumps(part.op)
-            number = repr if isfinite(part.start) and isfinite(part.clock) else json.dumps
             full, last = ([(offset, tail(*step, op_json)) for offset, step in sdu]
                           for sdu in (part.full, part.last))
-            lines += [f'{{"time_us": {number(base + offset)}{line}'
+            lines += [f'{{"time_us": {base + offset!r}{line}'
                       for base, steps in part.sdus(full, last) for offset, line in steps]
         return "".join(lines)
 
@@ -203,7 +201,7 @@ class HandshakeResult(Value):
 
 
 def _seed32(seed: bytes, label: bytes) -> bytes:
-    return hashlib.shake_256(b"pqpan-sim" + label + seed).digest(kem.SEED_BYTES)
+    return kem._shake(b"pqpan-sim" + label, seed, kem.SEED_BYTES)
 
 
 def _transfer(t: float, transfer: tuple[str, int, bool], cfg: LinkConfig):

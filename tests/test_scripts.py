@@ -56,7 +56,7 @@ def test_mutant_table_matches_source():
     assert mutants.TABLE_TEST == "tests/test_scripts.py::test_mutant_table_matches_source"
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "pqpan").glob("*.py")}
-    assert len(mutants.MUTANTS) == 64
+    assert len(mutants.MUTANTS) == 67
     for name, (file, old, new) in mutants.MUTANTS.items():
         assert old != new, name
         assert sources[file].count(old) == 1, name

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -185,11 +187,19 @@ def test_to_jsonl_equals_json_dumps_of_records(scheme, att, ll, slots, payload):
         assert trace.to_jsonl() == reference_jsonl(trace)
 
 
-@pytest.mark.parametrize("time_us", [0.0, 1e-300, 1e300, float("inf"), float("nan")])
+@pytest.mark.parametrize("time_us", [0.0, 1e-300, 1e300, sys.float_info.max, float("inf"),
+                                     float("nan")])
 def test_to_jsonl_formats_any_float_like_json(time_us):
     ack = (0.0, (Role.CENTRAL, 0, 10, True))
     transfer = _Transfer('op "quoted" \u00e9', time_us, (ack,), 2, (ack,), 230.0,
                          time_us + 2 * 230.0 + 230.0)
+    if not math.isfinite(time_us):
+        # No trace holds a clock that is not finite, so no line holds such a time.
+        with pytest.raises(InvalidConfig, match="clock_us"):
+            FrameTrace((transfer,), transfer.clock)
+        with pytest.raises(InvalidConfig, match="clock_us"):
+            FrameTrace((), time_us)
+        return
     trace = FrameTrace((transfer,), transfer.clock)
     assert trace.to_jsonl() == reference_jsonl(trace)
     assert FrameTrace().to_jsonl() == reference_jsonl(FrameTrace()) == ""
@@ -198,6 +208,24 @@ def test_to_jsonl_formats_any_float_like_json(time_us):
     session = session.replace(trace=FrameTrace((), time_us))
     delta, _ = send_secured_payload(session, bytes(10))
     assert delta.to_jsonl() == reference_jsonl(delta)
+
+
+@pytest.mark.parametrize("clock_us", [float("nan"), float("inf"), -1.0, True, "junk", None],
+                         ids=repr)
+def test_trace_clock_is_a_finite_number_at_least_zero(clock_us):
+    with pytest.raises(InvalidConfig, match="clock_us"):
+        FrameTrace((), clock_us)
+    session = run_handshake("ml-kem-512", CFG_DLE, seed=19)
+    with pytest.raises(InvalidConfig, match="clock_us"):
+        session.trace.replace(clock_us=clock_us)
+    assert FrameTrace((), 0).clock_us == 0.0 and type(FrameTrace((), 7).clock_us) is float
+
+
+@pytest.mark.parametrize("parts", [("x",), [], None, (FrameTrace(),)],
+                         ids=["a string", "a list", "None", "a trace"])
+def test_trace_parts_are_a_tuple_of_transfers(parts):
+    with pytest.raises(InvalidConfig, match="parts"):
+        FrameTrace(parts)
 
 
 @pytest.fixture

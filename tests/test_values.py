@@ -10,9 +10,11 @@ table, which prints as ``mappingproxy({...})``, and ``FrameTrace``, which
 prints the transfers the simulator stores.
 """
 
+import ast
 import copy
 import inspect
 import pickle
+import re
 
 import pytest
 
@@ -136,7 +138,7 @@ REPRS = {
                 "max_abs_rel_err=0.01, mean_abs_rel_err=0.01)"),
     TraceRecord: ("TraceRecord(time_us=1000.0, sender=<Role.CENTRAL: 'central'>, payload_bytes=0, "
                   "overhead_bytes=10, is_ack=True, op='Payload')"),
-    FrameTrace: ("FrameTrace(_parts=(_Transfer(op='Payload', start=1000.0, full=("
+    FrameTrace: ("FrameTrace(parts=(_Transfer(op='Payload', start=1000.0, full=("
                  "(0.0, (<Role.CENTRAL: 'central'>, 0, 10, True)),), n_full=2, last=("
                  "(0.0, (<Role.CENTRAL: 'central'>, 0, 10, True)),), "
                  "sdu_len=230.0, clock=1690.0),), clock_us=1230.0)"),
@@ -149,7 +151,7 @@ REPRS = {
     HandshakeResult: (
         f"HandshakeResult(peripheral={_PARTY_REPR.format('PERIPHERAL', 'peripheral')}, "
         f"central={_PARTY_REPR.format('CENTRAL', 'central')}, "
-        "trace=FrameTrace(_parts=(), clock_us=0.0), "
+        "trace=FrameTrace(parts=(), clock_us=0.0), "
         "ledger=EnergyLedger(peripheral=mappingproxy({}), central=mappingproxy({})), "
         f"cfg={_LINK_REPR.format(65)}, profile={_PROFILE_REPR}, gamma={_GAMMA_REPR})"),
     ModelConfig: (
@@ -161,7 +163,7 @@ REPRS = {
 #: A payload trace as the simulator stores it: one transfer, no full SDU and
 #: a last SDU of four frames.
 PAYLOAD_TRACE_REPR = (
-    "FrameTrace(_parts=(_Transfer(op='Payload', start=49420.0, full=(), "
+    "FrameTrace(parts=(_Transfer(op='Payload', start=49420.0, full=(), "
     "n_full=0, last=("
     "(0.0, (<Role.PERIPHERAL: 'peripheral'>, 27, 10, False)), "
     "(446.0, (<Role.CENTRAL: 'central'>, 0, 10, True)), "
@@ -196,6 +198,27 @@ def test_repr_is_the_dataclass_repr(cls):
 
 def test_simulated_trace_repr_is_the_dataclass_repr():
     assert repr(_payload_trace()) == PAYLOAD_TRACE_REPR
+
+
+def _call(text: str) -> ast.Call:
+    """``text``, a repr, parsed as a call, each enum member's ``<Role.CENTRAL:
+    'central'>`` read as ``Role.CENTRAL``."""
+    return ast.parse(re.sub(r"<(\w+\.\w+): [^<>]*>", r"\1", text), mode="eval").body
+
+
+@TYPES
+def test_repr_keywords_are_the_constructor_parameters(cls):
+    call = _call(repr(_new(cls)))
+    assert call.args == []
+    assert [kw.arg for kw in call.keywords] == list(inspect.signature(cls).parameters)
+
+
+def test_trace_repr_builds_an_equal_trace():
+    assert repr(FrameTrace()) == "FrameTrace(parts=(), clock_us=0.0)"
+    names = {"FrameTrace": FrameTrace, "_Transfer": _Transfer, "Role": Role}
+    for trace in (FrameTrace(), _new(FrameTrace), _payload_trace()):
+        text = ast.unparse(_call(repr(trace)))
+        assert eval(text, names) == trace
 
 
 @TYPES
@@ -257,6 +280,7 @@ REFUSED = {
     CalibrationFactors: ("gamma_comm", 0.5, ConsistencyError),
     RadioProfile: ("voltage", 0.0, InvalidProfile),
     CycleCounts: ("keygen", -1, InvalidProfile),
+    FrameTrace: ("clock_us", float("nan"), InvalidConfig),
 }
 
 
